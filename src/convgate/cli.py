@@ -97,7 +97,7 @@ def _write_with_metadata(payload: dict, path: str, args, seed=None) -> None:
 def _ensure_seed(args) -> int:
     if args.seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**31))
-        print(f"generated seed: {seed}")
+        print(f"generated seed: {seed}", file=sys.stderr)
         return seed
     return int(args.seed)
 
@@ -223,21 +223,22 @@ def cmd_metrics(args) -> int:
     if not names:
         raise InvalidArgumentError("request at least one --metric")
 
+    values = {name: float(metric_function(name, target)(estimate)) for name in names}
+    stds, seed = {}, None
+    if args.monte_carlo:
+        if not args.data:
+            raise InvalidArgumentError("--monte-carlo needs --data with the counts")
+        data = serialize.dataset_from_json(serialize.load_json(args.data))
+        seed = _ensure_seed(args)
+        kind = "process" if args.chi else "state"
+        table = tomography.monte_carlo_metric_table(
+            data, args.monte_carlo, dict.fromkeys(names, target), seed, reconstruction=kind)
+        stds = {name: std for name, (_, std) in table.items()}
+
     reports = []
     for name in names:
-        fn = metric_function(name, target)
-        value = float(fn(estimate))
-        std = None
-        metadata = {}
-        if args.monte_carlo:
-            if not args.data:
-                raise InvalidArgumentError("--monte-carlo needs --data with the counts")
-            data = serialize.dataset_from_json(serialize.load_json(args.data))
-            seed = _ensure_seed(args)
-            kind = "process" if args.chi else "state"
-            _, std = tomography.monte_carlo_metrics(
-                data, args.monte_carlo, name, seed, target=target, reconstruction=kind)
-            metadata = {"n_samples": args.monte_carlo, "seed": seed}
+        value, std = values[name], stds.get(name)
+        metadata = {"n_samples": args.monte_carlo, "seed": seed} if args.monte_carlo else {}
         if name == "process-fidelity-optimized" and target is not None:
             _, correction = phase_optimized_fidelity(estimate, target)
             metadata["phases"] = list(correction.phases)

@@ -103,10 +103,6 @@ class PureState:
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm_squared - 1.0) <= 1e-12
-
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other> of the raw amplitude vectors."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -144,10 +140,6 @@ class DensityMatrix:
         self.matrix = (m + m.conj().T) / 2.0
 
     @classmethod
-    def from_pure(cls, state: PureState) -> "DensityMatrix":
-        return state.density()
-
-    @classmethod
     def maximally_mixed(cls, qubits: int) -> "DensityMatrix":
         d = 2**qubits
         return cls(np.eye(d, dtype=complex) / d, validate=False)
@@ -163,10 +155,9 @@ class ChoiProcess:
     trace-decreasing part, normalized so the identity channel has scale 1.
     """
 
-    __slots__ = ("choi", "success_scale", "trace_normalized")
+    __slots__ = ("choi", "success_scale")
 
-    def __init__(self, choi, success_scale: float = 1.0, *, trace_normalized: bool = True,
-                 validate: bool = True):
+    def __init__(self, choi, success_scale: float = 1.0, *, validate: bool = True):
         m = np.asarray(choi, dtype=complex)
         if m.shape != (16, 16):
             raise InvalidArgumentError(f"Choi matrix must be 16x16, got shape {m.shape}")
@@ -179,25 +170,14 @@ class ChoiProcess:
             low = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
             if low < -EIG_CLAMP:
                 raise NumericalDomainError(f"Choi matrix eigenvalue {low:.3e} below -{EIG_CLAMP}")
-            if trace_normalized and abs(complex(np.trace(m)) - 1.0) > ATOL_TRACE:
+            if abs(complex(np.trace(m)) - 1.0) > ATOL_TRACE:
                 raise NumericalDomainError(f"stored Choi trace {np.trace(m)} differs from 1")
         self.choi = (m + m.conj().T) / 2.0
         self.success_scale = float(success_scale)
-        self.trace_normalized = bool(trace_normalized)
 
     def unnormalized(self) -> np.ndarray:
         """Choi matrix scaled so that rho_out = Tr_in[(rho^T (x) 1) chi]."""
-        if self.trace_normalized:
-            return 4.0 * self.success_scale * self.choi
-        return self.choi.copy()
-
-    def normalized(self) -> "ChoiProcess":
-        if self.trace_normalized:
-            return self
-        tr = float(np.trace(self.choi).real)
-        if tr < NORM_FLOOR:
-            raise DegenerateOutcomeError("Choi matrix has vanishing trace", 0.0)
-        return ChoiProcess(self.choi / tr, success_scale=tr / 4.0, validate=False)
+        return 4.0 * self.success_scale * self.choi
 
     def kraus_operators(self, tol: float = 1e-12) -> list[np.ndarray]:
         """Kraus decomposition of the (unnormalized) channel action."""
@@ -210,8 +190,7 @@ class ChoiProcess:
         return ops
 
     def __repr__(self):
-        return (f"ChoiProcess(success_scale={self.success_scale:.6g}, "
-                f"trace_normalized={self.trace_normalized})")
+        return f"ChoiProcess(success_scale={self.success_scale:.6g})"
 
 
 def clamp_spectrum(values: np.ndarray) -> np.ndarray:

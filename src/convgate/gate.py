@@ -152,19 +152,19 @@ def _preset_table() -> dict[str, ConversionPreset]:
     return {name: ConversionPreset(name, settings, p) for name, settings, p in rows}
 
 
-PRESET_NAMES = ("cluster-identity", "ghz", "dicke", "bell-pair", "entangler", "discord-demo")
+_PRESETS = _preset_table()
+PRESET_NAMES = tuple(_PRESETS)
 #: The four presets that convert the cluster state (the two demos act on
 #: two-qubit inputs instead).
 CONVERSION_PRESET_NAMES = ("cluster-identity", "ghz", "dicke", "bell-pair")
 
 
 def preset(name: str) -> ConversionPreset:
-    table = _preset_table()
-    if name not in table:
+    if name not in _PRESETS:
         raise InvalidArgumentError(
             f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES)}"
         )
-    return table[name]
+    return _PRESETS[name]
 
 
 def table1_rows() -> list[tuple[str, GateSettings, Fraction]]:

@@ -53,13 +53,8 @@ class PhaseCorrection:
 
     def phase_vector(self, n_modes: int = 4) -> np.ndarray:
         """e^{i theta_j} for every basis index of an n_modes-qubit space."""
-        phases = np.asarray(self.phases[:n_modes])
-        theta = np.zeros(2**n_modes)
-        for m, phi in enumerate(phases):
-            bit = 1 << (n_modes - 1 - m)
-            idx = np.arange(2**n_modes)
-            theta += np.where(idx & bit, phi, 0.0)
-        return np.exp(1j * theta)
+        phases = self.phases[:n_modes] + (0.0,) * (n_modes - 4)
+        return _phase_vectors(np.asarray(phases)[None, :])[0]
 
 
 @dataclass
@@ -212,15 +207,7 @@ def phase_conjugate_choi(chi: ChoiProcess, correction: PhaseCorrection) -> ChoiP
     """Conjugate a Choi matrix by the four local diagonal phase unitaries."""
     w = correction.phase_vector()
     conjugated = chi.choi * np.outer(w, w.conj())
-    return ChoiProcess(conjugated, success_scale=chi.success_scale,
-                       trace_normalized=chi.trace_normalized, validate=False)
-
-
-def _rank1_vector(mat: np.ndarray) -> np.ndarray | None:
-    vals, vecs = np.linalg.eigh(mat)
-    if vals[-1] >= np.trace(mat).real - 1e-9:
-        return vecs[:, -1]
-    return None
+    return ChoiProcess(conjugated, success_scale=chi.success_scale, validate=False)
 
 
 def _dominant_vector(mat: np.ndarray, deficit: float) -> np.ndarray | None:
@@ -289,9 +276,10 @@ def _make_phase_objective(chi: ChoiProcess, chi_th: ChoiProcess):
 
 
 def _phase_vectors(phases_grid: np.ndarray) -> np.ndarray:
-    """Stack of 16-component e^{i theta_j} vectors for an (N, 4) phase array."""
-    idx = np.arange(16)
-    bits = np.stack([(idx >> (3 - m)) & 1 for m in range(4)], axis=1)  # (16, 4)
+    """Stack of 2^n-component e^{i theta_j} vectors for an (N, n) phase array."""
+    n = phases_grid.shape[1]
+    idx = np.arange(2**n)
+    bits = np.stack([(idx >> (n - 1 - m)) & 1 for m in range(n)], axis=1)  # (2^n, n)
     theta = phases_grid @ bits.T
     return np.exp(1j * theta)
 

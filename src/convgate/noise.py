@@ -64,7 +64,6 @@ def depolarize_choi(chi: ChoiProcess, p: float) -> ChoiProcess:
         raise InvalidArgumentError(f"depolarizing probability must lie in [0, 1], got {p}")
     if p == 0.0:
         return chi
-    chi = chi.normalized()
     scale = chi.success_scale
     new_scale = (1.0 - p) * scale + p
     stored = ((1.0 - p) * scale * chi.choi + p * CHI_WHITE.choi) / new_scale
@@ -90,8 +89,7 @@ def dephase_choi_outputs(chi: ChoiProcess, p: float) -> ChoiProcess:
     for out_qubit in (2, 3):  # Choi-space qubits: in1, in2, out1, out2
         z = expand_operator(PAULI_Z, 4, (out_qubit,))
         mat = (1.0 - p) * mat + p * (z @ mat @ z)
-    return ChoiProcess(mat, success_scale=chi.success_scale,
-                       trace_normalized=chi.trace_normalized, validate=False)
+    return ChoiProcess(mat, success_scale=chi.success_scale, validate=False)
 
 
 def apply_mode_phases(chi: ChoiProcess, phases: PhaseCorrection) -> ChoiProcess:

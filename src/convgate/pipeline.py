@@ -55,6 +55,7 @@ from .core import PureState
 from .serialize import noise_spec_to_json
 from .tomography import (
     GENERATOR_NOTE,
+    _resamples,
     derive_seed,
     mle_density_matrix,
     mle_process_matrix,
@@ -84,7 +85,6 @@ class ExperimentConfig:
     seed: int | None = None
     noise: _noise.NoiseSpec | None = None
     monte_carlo_samples: int = 1000
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.monte_carlo_samples < 2:
@@ -246,6 +246,7 @@ def run_tomography_suite(config: ExperimentConfig) -> TableReport:
             {"purity": None, "process-fidelity": chi_th,
              "process-fidelity-optimized": chi_th},
             derive_seed(seed, f"mc:{name}"),
+            start=estimate,
         )
         stds = {
             "purity": mc["purity"][1],
@@ -258,16 +259,12 @@ def run_tomography_suite(config: ExperimentConfig) -> TableReport:
     return TableReport(title="table2-sim", rows=rows, metadata=_provenance(config))
 
 
-def _success_estimate_mc(data, n_samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo mean/std of the success-probability estimate
+def _success_std(data, n_samples: int, seed: int) -> float:
+    """Monte Carlo std of the success-probability estimate
     total_counts / (9 * mean_counts)."""
     norm = 9.0 * data.mean_counts
-    values = []
-    for i in range(n_samples):
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"sample:{i}")))
-        values.append(data.resampled(rng).total() / norm)
-    arr = np.asarray(values)
-    return float(arr.mean()), float(arr.std(ddof=1))
+    values = [sample.total() / norm for sample in _resamples(data, n_samples, seed, "sample")]
+    return float(np.std(values, ddof=1))
 
 
 def run_entangler_demo(config: ExperimentConfig) -> TableReport:
@@ -294,7 +291,7 @@ def run_entangler_demo(config: ExperimentConfig) -> TableReport:
     mc = monte_carlo_metric_table(
         data, config.monte_carlo_samples,
         {"purity": None, "fidelity": target, "concurrence": None},
-        derive_seed(seed, "entangler:mc"), reconstruction="state")
+        derive_seed(seed, "entangler:mc"), reconstruction="state", start=recon)
     n = config.monte_carlo_samples
     rows.append(TableRow("sampled/purity", float(purity(recon)),
                          mc["purity"][1], n, seed))
@@ -302,9 +299,8 @@ def run_entangler_demo(config: ExperimentConfig) -> TableReport:
                          mc["fidelity"][1], n, seed))
     rows.append(TableRow("sampled/concurrence", float(concurrence(recon)),
                          mc["concurrence"][1], n, seed))
-    est, est_std = _success_estimate_mc(data, n, derive_seed(seed, "entangler:success"))
     rows.append(TableRow("sampled/success-probability", data.total() / (9.0 * config.mean_counts),
-                         est_std, n, seed))
+                         _success_std(data, n, derive_seed(seed, "entangler:success")), n, seed))
     return TableReport(title="entangler", rows=rows, metadata=_provenance(config))
 
 
@@ -334,7 +330,7 @@ def run_discord_demo(config: ExperimentConfig) -> TableReport:
         data, config.monte_carlo_samples,
         {"log-negativity": None, "concurrence": None,
          "discord-q1": None, "discord-q2": None},
-        derive_seed(seed, "discord:mc"), reconstruction="state")
+        derive_seed(seed, "discord:mc"), reconstruction="state", start=recon)
     n = config.monte_carlo_samples
     for key, fn in (("log-negativity", log_negativity), ("concurrence", concurrence)):
         rows.append(TableRow(f"sampled/{key}", float(fn(recon)), mc[key][1], n, seed))
@@ -342,9 +338,8 @@ def run_discord_demo(config: ExperimentConfig) -> TableReport:
                          mc["discord-q1"][1], n, seed))
     rows.append(TableRow("sampled/discord-q2", float(discord(recon, 1)),
                          mc["discord-q2"][1], n, seed))
-    est, est_std = _success_estimate_mc(data, n, derive_seed(seed, "discord:success"))
     rows.append(TableRow("sampled/success-probability", data.total() / (9.0 * config.mean_counts),
-                         est_std, n, seed))
+                         _success_std(data, n, derive_seed(seed, "discord:success")), n, seed))
     return TableReport(title="discord", rows=rows, metadata=_provenance(config))
 
 
@@ -415,10 +410,9 @@ def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True,
                                    derive_seed(seed, f"table3:{name}"))
             ops, tots = [], []
             base = mle_process_matrix(data).estimate
-            for i in range(config.monte_carlo_samples):
-                rng = np.random.Generator(
-                    np.random.PCG64(derive_seed(seed, f"table3:{name}:sample:{i}")))
-                est = mle_process_matrix(data.resampled(rng), start=base).estimate
+            for sample in _resamples(data, config.monte_carlo_samples, seed,
+                                     f"table3:{name}:sample"):
+                est = mle_process_matrix(sample, start=base).estimate
                 out_real, _ = embed_two_qubit_channel(rho_fix, est, CLUSTER_TARGETS)
                 ops.append(fidelity(out_real, out_ideal_fix))
                 tots.append(fidelity(out_real, out_ideal))

@@ -7,8 +7,10 @@ All floats are IEEE doubles serialized with Python's shortest round-trip
 * state:    {"qubits": n, "kind": "pure"|"density", "data": ...}
             (amplitudes as [[re, im], ...] for pure, a matrix object for
             density)
-* process:  {"kind": "choi", "matrix": <matrix>, "success_scale": s,
-             "trace_normalized": bool}
+* process:  {"kind": "choi", "matrix": <matrix>, "success_scale": s}
+            with a unit-trace matrix; a legacy file marked
+            "trace_normalized": false holds the unnormalized matrix and is
+            normalized at load (success_scale = trace / 4)
 * dataset:  {"mean_counts": x, "seed": s, "records": [{"prep": ["H", "+"],
              "basis": ["Z", "X"], "counts": {"00": n, ...}}, ...]}
             (outcome bit 0 selects the first-listed basis state H/+/R)
@@ -23,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ChoiProcess, DensityMatrix, PureState
-from .errors import InvalidArgumentError
+from .core import NORM_FLOOR, ChoiProcess, DensityMatrix, PureState
+from .errors import DegenerateOutcomeError, InvalidArgumentError
 from .metrics import PhaseCorrection
 from .noise import NoiseSpec
 from .tomography import OUTCOME_KEYS, CoincidenceDataset
@@ -91,7 +93,6 @@ def choi_to_json(chi: ChoiProcess) -> dict:
         "kind": "choi",
         "matrix": matrix_to_json(chi.choi),
         "success_scale": chi.success_scale,
-        "trace_normalized": chi.trace_normalized,
     }
 
 
@@ -102,7 +103,12 @@ def choi_from_json(obj: dict) -> ChoiProcess:
         normalized = bool(obj.get("trace_normalized", True))
     except (KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"malformed process object: {exc}") from None
-    return ChoiProcess(matrix, success_scale=scale, trace_normalized=normalized)
+    if not normalized:
+        trace = float(np.trace(matrix).real)
+        if trace < NORM_FLOOR:
+            raise DegenerateOutcomeError("Choi matrix has vanishing trace", 0.0)
+        matrix, scale = matrix / trace, trace / 4.0
+    return ChoiProcess(matrix, success_scale=scale)
 
 
 def dataset_to_json(data: CoincidenceDataset) -> dict:

@@ -101,6 +101,24 @@ def outcome_probabilities(chi: ChoiProcess, prep: tuple[str, str],
     return np.clip(probs, 0.0, None)
 
 
+#: (36, 4, 4) transposed preparation density matrices, in label order.
+_PREP_TRANSPOSES = np.stack([prep_state(p).density().matrix.T
+                             for p in enumerate_preparations()])
+#: (9, 4, 4, 4) outcome projectors of every basis pair, in label order.
+_BASIS_PROJECTORS = np.stack([outcome_projectors(b) for b in enumerate_bases()])
+_BASIS_INDEX = {b: i for i, b in enumerate(enumerate_bases())}
+_SETTING_INDEX = {s: i for i, s in enumerate(enumerate_settings())}
+
+
+def _operator_table() -> np.ndarray:
+    """(1296, 16, 16) setting operators E = rho_prep^T (x) Pi_out.
+
+    Rows follow ``enumerate_settings()`` with the four outcomes innermost.
+    """
+    table = np.einsum("pij,bokl->pboikjl", _PREP_TRANSPOSES, _BASIS_PROJECTORS)
+    return table.reshape(1296, 16, 16)
+
+
 @dataclass
 class CoincidenceDataset:
     """Counts indexed by (preparation pair, basis pair, two-photon outcome).
@@ -173,15 +191,8 @@ class CoincidenceDataset:
 
 def _expected_counts(chi: ChoiProcess, mean_counts: float) -> np.ndarray:
     """(324, 4) expected counts: mean * 4 * scale * Tr[(prep^T (x) Pi) chi]."""
-    chi_u = chi.unnormalized()
-    lam = np.empty((324, 4))
-    for i, (prep, basis) in enumerate(enumerate_settings()):
-        rho_prep_t = prep_state(prep).density().matrix.T
-        projectors = outcome_projectors(basis)
-        for o in range(4):
-            e = np.kron(rho_prep_t, projectors[o])
-            lam[i, o] = mean_counts * float(np.einsum("ij,ji->", e, chi_u).real)
-    return np.clip(lam, 0.0, None)
+    lam = mean_counts * np.einsum("nij,ji->n", _operator_table(), chi.unnormalized()).real
+    return np.clip(lam.reshape(324, 4), 0.0, None)
 
 
 def simulate_counts(chi: ChoiProcess, mean_counts: float, seed: int) -> CoincidenceDataset:
@@ -218,15 +229,12 @@ def simulate_state_counts(rho: DensityMatrix, success_probability: float,
         raise InvalidArgumentError("mean_counts must be positive")
     if rho.qubits != 2:
         raise InvalidArgumentError("state tomography records are two-qubit")
-    bases = enumerate_bases()
-    lam = np.empty((9, 4))
-    for i, basis in enumerate(bases):
-        probs = np.einsum("oij,ji->o", outcome_projectors(basis), rho.matrix).real
-        lam[i] = mean_counts * success_probability * np.clip(probs, 0.0, None)
+    probs = np.einsum("boij,ji->bo", _BASIS_PROJECTORS, rho.matrix).real
+    lam = mean_counts * success_probability * np.clip(probs, 0.0, None)
     rng = np.random.Generator(np.random.PCG64(seed))
     return CoincidenceDataset(
         preps=[None] * 9,
-        bases=bases,
+        bases=enumerate_bases(),
         counts=rng.poisson(lam),
         mean_counts=float(mean_counts),
         seed=int(seed),
@@ -319,12 +327,9 @@ def _iterate_rho_r(ops: np.ndarray, freqs: np.ndarray, dim: int,
 
 
 def _state_operators(data: CoincidenceDataset) -> tuple[np.ndarray, np.ndarray]:
-    seen_bases = set(data.bases)
-    if seen_bases != set(enumerate_bases()):
+    if set(data.bases) != set(_BASIS_INDEX):
         raise InvalidArgumentError("state tomography needs counts for all 9 basis pairs")
-    ops = np.empty((len(data) * 4, 4, 4), dtype=complex)
-    for i, basis in enumerate(data.bases):
-        ops[4 * i:4 * i + 4] = outcome_projectors(basis)
+    ops = _BASIS_PROJECTORS[[_BASIS_INDEX[b] for b in data.bases]].reshape(-1, 4, 4)
     return ops, data.counts.reshape(-1).astype(float)
 
 
@@ -352,13 +357,11 @@ def mle_density_matrix(data: CoincidenceDataset,
 
 
 def _process_operators(data: CoincidenceDataset) -> tuple[np.ndarray, np.ndarray]:
-    ops = np.empty((len(data) * 4, 16, 16), dtype=complex)
-    for i, (prep, basis) in enumerate(zip(data.preps, data.bases)):
-        rho_prep_t = prep_state(prep).density().matrix.T
-        projectors = outcome_projectors(basis)
-        for o in range(4):
-            ops[4 * i + o] = np.kron(rho_prep_t, projectors[o])
-    return ops, data.counts.reshape(-1).astype(float)
+    """The operator table and a full dataset's counts permuted into its order."""
+    order = [_SETTING_INDEX[setting] for setting in zip(data.preps, data.bases)]
+    counts = np.empty((324, 4))
+    counts[order] = data.counts
+    return _operator_table(), counts.reshape(-1)
 
 
 def mle_process_matrix(data: CoincidenceDataset,
@@ -411,10 +414,17 @@ def _reconstruct(data: CoincidenceDataset, reconstruction: str,
     raise InvalidArgumentError("reconstruction must be 'state' or 'process'")
 
 
+def _resamples(data: CoincidenceDataset, n: int, seed: int, label: str):
+    """Yield ``n`` Poisson resamples of ``data``; resample i draws from the
+    sub-seed (seed, f"{label}:{i}"), so samples may be computed in any order."""
+    for i in range(n):
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"{label}:{i}")))
+        yield data.resampled(rng)
+
+
 def monte_carlo_metrics(data: CoincidenceDataset, n_samples: int, metric: str,
                         seed: int, *, target=None, reconstruction: str = "process",
-                        options: MLEOptions | None = None,
-                        warm_start: bool = True) -> tuple[float, float]:
+                        options: MLEOptions | None = None) -> tuple[float, float]:
     """Poisson-resample the counts, re-reconstruct and evaluate one metric.
 
     Returns the sample mean and standard deviation over ``n_samples``
@@ -423,7 +433,7 @@ def monte_carlo_metrics(data: CoincidenceDataset, n_samples: int, metric: str,
     """
     means = monte_carlo_metric_table(
         data, n_samples, {metric: target}, seed,
-        reconstruction=reconstruction, options=options, warm_start=warm_start)
+        reconstruction=reconstruction, options=options)
     return means[metric]
 
 
@@ -431,18 +441,20 @@ def monte_carlo_metric_table(data: CoincidenceDataset, n_samples: int,
                              metric_targets: dict, seed: int, *,
                              reconstruction: str = "process",
                              options: MLEOptions | None = None,
-                             warm_start: bool = True) -> dict[str, tuple[float, float]]:
-    """Monte Carlo means/stds for several metrics sharing the same resamples."""
+                             start=None) -> dict[str, tuple[float, float]]:
+    """Monte Carlo means/stds for several metrics sharing the same resamples.
+
+    Every resample's reconstruction starts at ``start``, the estimate of
+    ``data`` itself; when it is None, ``data`` is reconstructed once here.
+    """
     if n_samples < 2:
         raise InvalidArgumentError("Monte Carlo needs n_samples >= 2")
     functions = {name: _metrics.metric_function(name, target)
                  for name, target in metric_targets.items()}
-    base = _reconstruct(data, reconstruction, options)
-    start = base.estimate if warm_start else None
+    if start is None:
+        start = _reconstruct(data, reconstruction, options).estimate
     values = {name: [] for name in functions}
-    for i in range(n_samples):
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"sample:{i}")))
-        sample = data.resampled(rng)
+    for sample in _resamples(data, n_samples, seed, "sample"):
         report = _reconstruct(sample, reconstruction, options, start=start)
         for name, fn in functions.items():
             values[name].append(fn(report.estimate))

@@ -151,6 +151,57 @@ class TestMetricsCommand:
                      "--seed", "2"]) == 0
         assert "±" in capsys.readouterr().out
 
+    @staticmethod
+    def _state_inputs(tmp_path):
+        from convgate.tomography import simulate_state_counts
+        psi = target_state("psi_plus")
+        data = simulate_state_counts(psi.density(), 0.5, 5000, seed=9)
+        serialize.dump_json(serialize.dataset_to_json(data), tmp_path / "data.json")
+        serialize.dump_json(serialize.state_to_json(psi), tmp_path / "state.json")
+        return str(tmp_path / "state.json"), str(tmp_path / "data.json")
+
+    def test_monte_carlo_draws_one_seed_on_stderr(self, tmp_path, capsys):
+        state, data = self._state_inputs(tmp_path)
+        out = tmp_path / "m.json"
+        assert main(["metrics", "--state", state, "--metric", "concurrence",
+                     "--metric", "purity", "--monte-carlo", "3", "--data", data,
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "generated seed" not in captured.out
+        seed_lines = [line for line in captured.err.splitlines()
+                      if line.startswith("generated seed: ")]
+        assert len(seed_lines) == 1
+        seed = int(seed_lines[0].split(": ")[1])
+        metrics = json.loads(out.read_text())["metrics"]
+        assert [m["metadata"]["seed"] for m in metrics] == [seed, seed]
+
+    # sha256 of the --out files written by the per-metric Monte Carlo loop this
+    # command replaced; one shared table must reproduce them byte for byte
+    @pytest.mark.parametrize("kind,digest", [
+        ("state", "6371627212226d3d6deb84ca69e532603445f7bafd3e60e6fc4ffada27d6da0e"),
+        ("process", "d53dd14f563a0b8e318b08396e6cf506a2a793c468b521a135541c201ba3c543"),
+    ])
+    def test_seeded_monte_carlo_report_bytes(self, tmp_path, kind, digest):
+        import hashlib
+        from convgate.tomography import simulate_counts
+        out = tmp_path / "m.json"
+        if kind == "state":
+            state, data = self._state_inputs(tmp_path)
+            argv = ["--state", state, "--target", state, "--metric", "concurrence",
+                    "--metric", "purity", "--metric", "fidelity", "--monte-carlo", "3",
+                    "--data", data, "--seed", "2"]
+        else:
+            chi = ideal_choi(GateSettings(0.0, np.pi / 4))
+            chi_path, data = str(tmp_path / "chi.json"), str(tmp_path / "data.json")
+            serialize.dump_json(serialize.choi_to_json(chi), chi_path)
+            serialize.dump_json(serialize.dataset_to_json(simulate_counts(chi, 1000, seed=4)),
+                                data)
+            argv = ["--chi", chi_path, "--target", chi_path, "--metric", "process-fidelity",
+                    "--metric", "purity", "--optimize-phases", "--monte-carlo", "2",
+                    "--data", data, "--seed", "4"]
+        assert main(["metrics", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_requires_metric(self, tmp_path):
         chi_path = tmp_path / "chi.json"
         serialize.dump_json(serialize.choi_to_json(

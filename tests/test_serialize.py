@@ -8,7 +8,7 @@ from convgate.core import ChoiProcess, DensityMatrix, PureState
 from convgate.errors import InvalidArgumentError
 from convgate.gate import GateSettings, cluster_state_c4, ideal_choi
 from convgate.metrics import PhaseCorrection
-from convgate.noise import NoiseSpec
+from convgate.noise import NoiseSpec, apply_channel_noise
 from convgate.tomography import simulate_counts
 
 from conftest import random_density_matrix
@@ -47,6 +47,24 @@ def test_choi_round_trip():
     assert isinstance(back, ChoiProcess)
     assert (back.choi == chi.choi).all()
     assert back.success_scale == chi.success_scale
+
+
+
+def test_choi_json_has_no_normalization_flag():
+    obj = serialize.choi_to_json(ideal_choi(GateSettings(0.0, np.pi / 4)))
+    assert set(obj) == {"kind", "matrix", "success_scale"}
+
+
+def test_legacy_unnormalized_choi_loads_to_same_channel():
+    chi = apply_channel_noise(ideal_choi(GateSettings(np.pi / 3, 0.0)),
+                              NoiseSpec(0.2, 0.1, PhaseCorrection((0.1, 0.2, 0.3, 0.4))))
+    legacy = chi.unnormalized()
+    obj = {"kind": "choi", "matrix": serialize.matrix_to_json(legacy),
+           "success_scale": 0.123, "trace_normalized": False}
+    back = serialize.choi_from_json(obj)
+    assert np.abs(back.unnormalized() - legacy).max() < 1e-12
+    assert np.trace(back.choi).real == pytest.approx(1.0, abs=1e-12)
+    assert back.success_scale == pytest.approx(np.trace(legacy).real / 4.0, abs=1e-15)
 
 
 def test_dataset_round_trip():

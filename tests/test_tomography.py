@@ -8,12 +8,14 @@ from convgate.metrics import fidelity, process_fidelity, purity
 from convgate.tomography import (
     CoincidenceDataset,
     MLEOptions,
+    _process_operators,
     derive_seed,
     enumerate_bases,
     enumerate_preparations,
     enumerate_settings,
     mle_density_matrix,
     mle_process_matrix,
+    monte_carlo_metric_table,
     monte_carlo_metrics,
     outcome_probabilities,
     outcome_projectors,
@@ -241,6 +243,52 @@ class TestProcessMLE:
         assert not report.converged
 
 
+
+class TestOperatorTable:
+    def test_rows_are_kron_products(self, chi_ghz):
+        table, _ = _process_operators(simulate_counts(chi_ghz, 100, seed=41))
+        assert table.shape == (1296, 16, 16)
+        for i, (prep, basis) in enumerate(enumerate_settings()):
+            rho_t = prep_state(prep).density().matrix.T
+            for o, projector in enumerate(outcome_projectors(basis)):
+                assert np.array_equal(table[4 * i + o], np.kron(rho_t, projector))
+
+    def test_expected_counts_match_per_setting_loop(self):
+        from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, apply_channel_noise
+        from convgate.tomography import _expected_counts
+        chi = apply_channel_noise(ideal_choi(preset("dicke").settings),
+                                  DEFAULT_CHANNEL_TEMPLATE.scaled(0.3))
+        chi_u = chi.unnormalized()
+        reference = np.empty((324, 4))
+        for i, (prep, basis) in enumerate(enumerate_settings()):
+            rho_t = prep_state(prep).density().matrix.T
+            for o, projector in enumerate(outcome_projectors(basis)):
+                e = np.kron(rho_t, projector)
+                reference[i, o] = 1e4 * float(np.einsum("ij,ji->", e, chi_u).real)
+        assert np.array_equal(_expected_counts(chi, 1e4), np.clip(reference, 0.0, None))
+
+    def test_shuffled_process_records_reconstruct_identically(self, chi_ghz):
+        data = simulate_counts(chi_ghz, 1e4, seed=42)
+        perm = np.random.default_rng(43).permutation(len(data))
+        shuffled = CoincidenceDataset(
+            preps=[data.preps[i] for i in perm], bases=[data.bases[i] for i in perm],
+            counts=data.counts[perm], mean_counts=data.mean_counts)
+        a, b = mle_process_matrix(data), mle_process_matrix(shuffled)
+        assert np.array_equal(a.estimate.choi, b.estimate.choi)
+        assert a.estimate.success_scale == b.estimate.success_scale
+        assert a.iterations == b.iterations
+
+    def test_state_records_may_repeat_a_basis(self):
+        psi = target_state("psi_plus")
+        data = simulate_state_counts(psi.density(), 0.5, 1e4, seed=44)
+        doubled = CoincidenceDataset(
+            preps=data.preps + [None], bases=data.bases + [data.bases[4]],
+            counts=np.vstack([data.counts, data.counts[4:5]]))
+        report = mle_density_matrix(doubled)
+        assert report.metadata["total_counts"] == data.total() + int(data.counts[4].sum())
+        assert fidelity(report.estimate, psi.density()) > 0.99
+
+
 class TestMonteCarlo:
     def test_trace_metric_degenerate(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=31)
@@ -266,6 +314,15 @@ class TestMonteCarlo:
                                         reconstruction="state")
         assert mean > 0.98
         assert std < 0.05
+
+    def test_given_start_matches_own_reconstruction(self):
+        psi = target_state("psi_plus")
+        data = simulate_state_counts(psi.density(), 0.5, 1e3, seed=45)
+        targets = {"purity": None, "concurrence": None}
+        own = monte_carlo_metric_table(data, 3, targets, 46, reconstruction="state")
+        given = monte_carlo_metric_table(data, 3, targets, 46, reconstruction="state",
+                                         start=mle_density_matrix(data).estimate)
+        assert own == given
 
     def test_unknown_metric(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=39)
