@@ -274,6 +274,16 @@ class TestPhaseCorrection:
         assert pc.phases[0] == pytest.approx(0.5)
         assert pc.phases[1] == pytest.approx(2 * np.pi - 0.5)
 
+    def test_phase_vector_matches_per_mode_loop(self, rng):
+        for _ in range(200):
+            pc = PhaseCorrection(tuple(rng.uniform(0.0, 2 * np.pi, 4)))
+            for n_modes in range(1, 6):
+                theta = np.zeros(2**n_modes)
+                idx = np.arange(2**n_modes)
+                for m, phi in enumerate(pc.phases[:n_modes]):
+                    theta += np.where(idx & (1 << (n_modes - 1 - m)), phi, 0.0)
+                assert np.array_equal(pc.phase_vector(n_modes), np.exp(1j * theta))
+
     def test_phase_vector_structure(self):
         pc = PhaseCorrection((np.pi, 0.0, 0.0, 0.0))
         w = pc.phase_vector()

@@ -5,7 +5,7 @@ import pytest
 
 from convgate import serialize
 from convgate.core import ChoiProcess, DensityMatrix, PureState
-from convgate.errors import InvalidArgumentError
+from convgate.errors import DegenerateOutcomeError, InvalidArgumentError
 from convgate.gate import GateSettings, cluster_state_c4, ideal_choi
 from convgate.metrics import PhaseCorrection
 from convgate.noise import NoiseSpec, apply_channel_noise
@@ -65,6 +65,8 @@ def test_legacy_unnormalized_choi_loads_to_same_channel():
     assert np.abs(back.unnormalized() - legacy).max() < 1e-12
     assert np.trace(back.choi).real == pytest.approx(1.0, abs=1e-12)
     assert back.success_scale == pytest.approx(np.trace(legacy).real / 4.0, abs=1e-15)
+    with pytest.raises(DegenerateOutcomeError):
+        serialize.choi_from_json(dict(obj, matrix=serialize.matrix_to_json(np.zeros((16, 16)))))
 
 
 def test_dataset_round_trip():
