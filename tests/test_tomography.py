@@ -5,9 +5,11 @@ from convgate.core import DensityMatrix, PureState
 from convgate.errors import DegenerateOutcomeError, InvalidArgumentError
 from convgate.gate import GateSettings, ideal_choi, preset, target_state
 from convgate.metrics import fidelity, process_fidelity, purity
+from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, apply_channel_noise
 from convgate.tomography import (
     CoincidenceDataset,
     MLEOptions,
+    _expected_counts,
     _process_operators,
     derive_seed,
     enumerate_bases,
@@ -243,7 +245,6 @@ class TestProcessMLE:
         assert not report.converged
 
 
-
 class TestOperatorTable:
     def test_rows_are_kron_products(self, chi_ghz):
         table, _ = _process_operators(simulate_counts(chi_ghz, 100, seed=41))
@@ -254,8 +255,6 @@ class TestOperatorTable:
                 assert np.array_equal(table[4 * i + o], np.kron(rho_t, projector))
 
     def test_expected_counts_match_per_setting_loop(self):
-        from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, apply_channel_noise
-        from convgate.tomography import _expected_counts
         chi = apply_channel_noise(ideal_choi(preset("dicke").settings),
                                   DEFAULT_CHANNEL_TEMPLATE.scaled(0.3))
         chi_u = chi.unnormalized()
