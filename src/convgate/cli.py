@@ -14,6 +14,7 @@ it exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -136,11 +137,7 @@ def cmd_convert(args) -> int:
         targets = (1, 2) if state.qubits == 4 else (0, 1)
 
     if isinstance(state, PureState):
-        if state.qubits == 2 and targets == (0, 1):
-            raw = apply_operator(state, build_gate(settings))
-        else:
-            raw = apply_operator(state, build_gate(settings), targets)
-        out, prob = normalize_state(raw)
+        out, prob = normalize_state(apply_operator(state, build_gate(settings), targets))
         payload = serialize.state_to_json(out)
     else:
         chi = ideal_choi(settings)
@@ -223,7 +220,16 @@ def cmd_metrics(args) -> int:
     if not names:
         raise InvalidArgumentError("request at least one --metric")
 
-    values = {name: float(metric_function(name, target)(estimate)) for name in names}
+    functions = {name: metric_function(name, target) for name in names}
+    values, phases = {}, None
+    for name, fn in functions.items():
+        if name == "process-fidelity-optimized":
+            # one optimization yields both the value and its phases
+            value, correction = phase_optimized_fidelity(estimate, target)
+            phases = list(correction.phases)
+        else:
+            value = fn(estimate)
+        values[name] = float(value)
     stds, seed = {}, None
     if args.monte_carlo:
         if not args.data:
@@ -232,16 +238,15 @@ def cmd_metrics(args) -> int:
         seed = _ensure_seed(args)
         kind = "process" if args.chi else "state"
         table = tomography.monte_carlo_metric_table(
-            data, args.monte_carlo, dict.fromkeys(names, target), seed, reconstruction=kind)
+            data, args.monte_carlo, functions, seed, reconstruction=kind)
         stds = {name: std for name, (_, std) in table.items()}
 
     reports = []
     for name in names:
         value, std = values[name], stds.get(name)
         metadata = {"n_samples": args.monte_carlo, "seed": seed} if args.monte_carlo else {}
-        if name == "process-fidelity-optimized" and target is not None:
-            _, correction = phase_optimized_fidelity(estimate, target)
-            metadata["phases"] = list(correction.phases)
+        if name == "process-fidelity-optimized":
+            metadata["phases"] = phases
         reports.append(MetricReport(name, value, std, metadata))
         line = f"{name} = {value:.9f}"
         if std is not None:
@@ -268,17 +273,19 @@ def cmd_reproduce(args) -> int:
         seed=seed,
         monte_carlo_samples=args.samples,
     )
+    if args.noise and args.target != "table1":
+        spec = serialize.noise_spec_from_json(serialize.load_json(args.noise))
+        config = dataclasses.replace(config, noise=spec)
     if args.target == "table1":
         report = pipeline.run_table1()
     elif args.target == "table2-sim":
-        report = pipeline.run_tomography_suite(_with_noise(config, args))
+        report = pipeline.run_tomography_suite(config)
     elif args.target == "entangler":
-        report = pipeline.run_entangler_demo(_with_noise(config, args))
+        report = pipeline.run_entangler_demo(config)
     elif args.target == "discord":
-        report = pipeline.run_discord_demo(_with_noise(config, args))
+        report = pipeline.run_discord_demo(config)
     elif args.target == "table3":
-        report = pipeline.run_table3(_with_noise(config, args),
-                                     calibrate_channels=not args.ideal_channels)
+        report = pipeline.run_table3(config, calibrate_channels=not args.ideal_channels)
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidArgumentError(f"unknown reproduction target {args.target!r}")
 
@@ -290,15 +297,6 @@ def cmd_reproduce(args) -> int:
         print(f"{row.label:45s} {row.value:.6f}{std}")
     print(f"wrote {base}.json and {base}.csv")
     return 0
-
-
-def _with_noise(config: pipeline.ExperimentConfig, args) -> pipeline.ExperimentConfig:
-    if not getattr(args, "noise", None):
-        return config
-    spec = serialize.noise_spec_from_json(serialize.load_json(args.noise))
-    return pipeline.ExperimentConfig(
-        preset=config.preset, settings=config.settings, mean_counts=config.mean_counts,
-        seed=config.seed, noise=spec, monte_carlo_samples=config.monte_carlo_samples)
 
 
 def _add_settings_arguments(parser) -> None:

@@ -179,13 +179,13 @@ class ChoiProcess:
         """Choi matrix scaled so that rho_out = Tr_in[(rho^T (x) 1) chi]."""
         return 4.0 * self.success_scale * self.choi
 
-    def kraus_operators(self, tol: float = 1e-12) -> list[np.ndarray]:
+    def kraus_operators(self) -> list[np.ndarray]:
         """Kraus decomposition of the (unnormalized) channel action."""
         vals, vecs = np.linalg.eigh(self.unnormalized())
         vals = clamp_spectrum(vals)
         ops = []
         for lam, vec in zip(vals, vecs.T):
-            if lam > tol:
+            if lam > 1e-12:
                 ops.append(np.sqrt(lam) * vec.reshape(4, 4).T)
         return ops
 

@@ -26,6 +26,10 @@ from .core import (
 from .errors import InvalidArgumentError, NumericalDomainError
 
 TWO_PI = 2.0 * np.pi
+#: Points per phase axis of the coarse phase-optimization grid.
+PHASE_GRID_POINTS = 16
+#: Phase resolution of the golden-section refinement.
+PHASE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -304,20 +308,19 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, flo
     return x, f(x)
 
 
-def phase_optimized_fidelity(chi: ChoiProcess, chi_th: ChoiProcess, *,
-                             grid_points: int = 16,
-                             phase_tol: float = 1e-8) -> tuple[float, PhaseCorrection]:
+def phase_optimized_fidelity(chi: ChoiProcess,
+                             chi_th: ChoiProcess) -> tuple[float, PhaseCorrection]:
     """Maximum process fidelity over the four local mode phases applied to chi.
 
-    A coarse ``grid_points``^4 search (always containing the zero-phase
+    A coarse ``PHASE_GRID_POINTS``^4 search (always containing the zero-phase
     point) seeds coordinate-wise golden-section refinement down to
-    ``phase_tol`` phase resolution. The result is never below the raw
+    ``PHASE_TOL`` phase resolution. The result is never below the raw
     fidelity.
     """
     raw = process_fidelity(chi, chi_th)
     evaluate, evaluate_grid = _make_phase_objective(chi, chi_th)
 
-    axis = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
+    axis = np.linspace(0.0, TWO_PI, PHASE_GRID_POINTS, endpoint=False)
     mesh = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1)
     grid = mesh.reshape(-1, 4)
     values = evaluate_grid(_phase_vectors(grid))
@@ -332,14 +335,14 @@ def phase_optimized_fidelity(chi: ChoiProcess, chi_th: ChoiProcess, *,
 
     # per-coordinate resample + local golden section; each axis restriction of
     # the objective is a single trigonometric harmonic, so this is exact
-    spacing = TWO_PI / grid_points
+    spacing = TWO_PI / PHASE_GRID_POINTS
     for _ in range(60):
         improved = best
         for coord in range(4):
             samples = [(along(coord, x), x) for x in axis]
             _, x0 = max(samples)
             x_opt, f_opt = _golden_section_max(lambda x: along(coord, x),
-                                               x0 - spacing, x0 + spacing, phase_tol)
+                                               x0 - spacing, x0 + spacing, PHASE_TOL)
             if f_opt > best:
                 best = f_opt
                 phases[coord] = x_opt % TWO_PI

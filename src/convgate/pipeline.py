@@ -47,14 +47,13 @@ from .metrics import (
     discord,
     fidelity,
     log_negativity,
-    phase_optimized_fidelity,
-    process_fidelity,
-    purity,
+    metric_function,
 )
 from .core import PureState
 from .serialize import noise_spec_to_json
 from .tomography import (
     GENERATOR_NOTE,
+    CoincidenceDataset,
     _resamples,
     derive_seed,
     mle_density_matrix,
@@ -234,37 +233,34 @@ def run_tomography_suite(config: ExperimentConfig) -> TableReport:
         chi_true = _noisy_channel(chi_th, config)
         data = simulate_counts(chi_true, config.mean_counts,
                                derive_seed(seed, f"tomo:{name}"))
-        report = mle_process_matrix(data)
-        estimate = report.estimate
-        values = {
-            "purity": purity(estimate),
-            "fidelity-raw": process_fidelity(estimate, chi_th),
-            "fidelity-optimized": phase_optimized_fidelity(estimate, chi_th)[0],
+        metrics = {
+            "purity": metric_function("purity"),
+            "fidelity-raw": metric_function("process-fidelity", chi_th),
+            "fidelity-optimized": metric_function("process-fidelity-optimized", chi_th),
         }
-        mc = monte_carlo_metric_table(
-            data, config.monte_carlo_samples,
-            {"purity": None, "process-fidelity": chi_th,
-             "process-fidelity-optimized": chi_th},
-            derive_seed(seed, f"mc:{name}"),
-            start=estimate,
-        )
-        stds = {
-            "purity": mc["purity"][1],
-            "fidelity-raw": mc["process-fidelity"][1],
-            "fidelity-optimized": mc["process-fidelity-optimized"][1],
-        }
-        for key, value in values.items():
-            rows.append(TableRow(f"{name}/{key}", float(value), float(stds[key]),
-                                 config.monte_carlo_samples, seed))
+        rows += _sampled_rows(name, data, mle_process_matrix(data).estimate, metrics,
+                              config.monte_carlo_samples, seed,
+                              derive_seed(seed, f"mc:{name}"), "process")
     return TableReport(title="table2-sim", rows=rows, metadata=_provenance(config))
 
 
-def _success_std(data, n_samples: int, seed: int) -> float:
-    """Monte Carlo std of the success-probability estimate
-    total_counts / (9 * mean_counts)."""
+def _sampled_rows(prefix: str, data: CoincidenceDataset, estimate, metrics: dict,
+                  n: int, seed: int, mc_seed: int, reconstruction: str) -> list[TableRow]:
+    """One row per metric: its value on ``estimate`` and its Monte Carlo std
+    over ``n`` resamples of ``data`` drawn from ``mc_seed``."""
+    table = monte_carlo_metric_table(data, n, metrics, mc_seed,
+                                     reconstruction=reconstruction, start=estimate)
+    return [TableRow(f"{prefix}/{name}", float(fn(estimate)), table[name][1], n, seed)
+            for name, fn in metrics.items()]
+
+
+def _success_row(data: CoincidenceDataset, n: int, seed: int, mc_seed: int) -> TableRow:
+    """The success-probability estimate total_counts / (9 * mean_counts) with
+    its Monte Carlo std."""
     norm = 9.0 * data.mean_counts
-    values = [sample.total() / norm for sample in _resamples(data, n_samples, seed, "sample")]
-    return float(np.std(values, ddof=1))
+    values = [sample.total() / norm for sample in _resamples(data, n, mc_seed, "sample")]
+    return TableRow("sampled/success-probability", data.total() / norm,
+                    float(np.std(values, ddof=1)), n, seed)
 
 
 def run_entangler_demo(config: ExperimentConfig) -> TableReport:
@@ -288,19 +284,12 @@ def run_entangler_demo(config: ExperimentConfig) -> TableReport:
     data = simulate_state_counts(rho_out, prob, config.mean_counts,
                                  derive_seed(seed, "entangler:data"))
     recon = mle_density_matrix(data).estimate
-    mc = monte_carlo_metric_table(
-        data, config.monte_carlo_samples,
-        {"purity": None, "fidelity": target, "concurrence": None},
-        derive_seed(seed, "entangler:mc"), reconstruction="state", start=recon)
+    metrics = {name: metric_function(name, target)
+               for name in ("purity", "fidelity", "concurrence")}
     n = config.monte_carlo_samples
-    rows.append(TableRow("sampled/purity", float(purity(recon)),
-                         mc["purity"][1], n, seed))
-    rows.append(TableRow("sampled/fidelity", float(fidelity(recon, target)),
-                         mc["fidelity"][1], n, seed))
-    rows.append(TableRow("sampled/concurrence", float(concurrence(recon)),
-                         mc["concurrence"][1], n, seed))
-    rows.append(TableRow("sampled/success-probability", data.total() / (9.0 * config.mean_counts),
-                         _success_std(data, n, derive_seed(seed, "entangler:success")), n, seed))
+    rows += _sampled_rows("sampled", data, recon, metrics, n, seed,
+                          derive_seed(seed, "entangler:mc"), "state")
+    rows.append(_success_row(data, n, seed, derive_seed(seed, "entangler:success")))
     return TableReport(title="entangler", rows=rows, metadata=_provenance(config))
 
 
@@ -326,29 +315,20 @@ def run_discord_demo(config: ExperimentConfig) -> TableReport:
     data = simulate_state_counts(rho_out, prob, config.mean_counts,
                                  derive_seed(seed, "discord:data"))
     recon = mle_density_matrix(data).estimate
-    mc = monte_carlo_metric_table(
-        data, config.monte_carlo_samples,
-        {"log-negativity": None, "concurrence": None,
-         "discord-q1": None, "discord-q2": None},
-        derive_seed(seed, "discord:mc"), reconstruction="state", start=recon)
+    metrics = {name: metric_function(name)
+               for name in ("log-negativity", "concurrence", "discord-q1", "discord-q2")}
     n = config.monte_carlo_samples
-    for key, fn in (("log-negativity", log_negativity), ("concurrence", concurrence)):
-        rows.append(TableRow(f"sampled/{key}", float(fn(recon)), mc[key][1], n, seed))
-    rows.append(TableRow("sampled/discord-q1", float(discord(recon, 0)),
-                         mc["discord-q1"][1], n, seed))
-    rows.append(TableRow("sampled/discord-q2", float(discord(recon, 1)),
-                         mc["discord-q2"][1], n, seed))
-    rows.append(TableRow("sampled/success-probability", data.total() / (9.0 * config.mean_counts),
-                         _success_std(data, n, derive_seed(seed, "discord:success")), n, seed))
+    rows += _sampled_rows("sampled", data, recon, metrics, n, seed,
+                          derive_seed(seed, "discord:mc"), "state")
+    rows.append(_success_row(data, n, seed, derive_seed(seed, "discord:success")))
     return TableReport(title="discord", rows=rows, metadata=_provenance(config))
 
 
-def realistic_cluster_fixture(target_fidelity: float = REALISTIC_CLUSTER_FIDELITY,
-                              template: _noise.NoiseSpec | None = None) -> DensityMatrix:
-    """Noise-degraded cluster state calibrated to the target state fidelity."""
+def realistic_cluster_fixture() -> DensityMatrix:
+    """Noise-degraded cluster state calibrated to REALISTIC_CLUSTER_FIDELITY."""
     ideal = cluster_state_c4().density()
-    template = template or _noise.DEFAULT_STATE_TEMPLATE
-    spec = _noise.calibrate_state_noise(target_fidelity, ideal, template)
+    spec = _noise.calibrate_state_noise(REALISTIC_CLUSTER_FIDELITY, ideal,
+                                        _noise.DEFAULT_STATE_TEMPLATE)
     return _noise.apply_state_noise(ideal, spec)
 
 
@@ -366,8 +346,7 @@ def calibrated_channel_noise(template: _noise.NoiseSpec | None = None,
 
 
 def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True,
-               mode: str = "deterministic",
-               fixture_fidelity: float = REALISTIC_CLUSTER_FIDELITY) -> TableReport:
+               mode: str = "deterministic") -> TableReport:
     """Convert a realistic cluster fixture with realistic channels.
 
     Per preset the report carries the operation fidelity (noisy vs ideal
@@ -380,7 +359,7 @@ def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True,
     """
     if mode not in ("deterministic", "monte-carlo"):
         raise InvalidArgumentError("mode must be 'deterministic' or 'monte-carlo'")
-    rho_fix = realistic_cluster_fixture(fixture_fidelity)
+    rho_fix = realistic_cluster_fixture()
     rho_ideal = cluster_state_c4().density()
     if config.noise is not None:
         channel_specs = {name: config.noise for name in CONVERSION_PRESET_NAMES}
@@ -389,45 +368,38 @@ def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True,
     else:
         channel_specs = {name: None for name in CONVERSION_PRESET_NAMES}
 
+    def output(chi, rho=rho_fix):
+        return embed_two_qubit_channel(rho, chi, CLUSTER_TARGETS)[0]
+
     rows = []
     for name in CONVERSION_PRESET_NAMES:
         chi_th = ideal_choi(preset(name).settings)
         spec = channel_specs[name]
         chi_real = chi_th if spec is None or spec.is_zero() else \
             _noise.apply_channel_noise(chi_th, spec)
-        out_ideal_fix, _ = embed_two_qubit_channel(rho_fix, chi_th, CLUSTER_TARGETS)
-        out_ideal, _ = embed_two_qubit_channel(rho_ideal, chi_th, CLUSTER_TARGETS)
-
+        out_ideal_fix, out_ideal = output(chi_th), output(chi_th, rho_ideal)
+        metrics = {
+            "operation-fidelity": lambda chi: fidelity(output(chi), out_ideal_fix),
+            "total-fidelity": lambda chi: fidelity(output(chi), out_ideal),
+        }
         if mode == "deterministic":
-            out_real, _ = embed_two_qubit_channel(rho_fix, chi_real, CLUSTER_TARGETS)
-            rows.append(TableRow(f"{name}/operation-fidelity",
-                                 float(fidelity(out_real, out_ideal_fix))))
-            rows.append(TableRow(f"{name}/total-fidelity",
-                                 float(fidelity(out_real, out_ideal))))
+            rows += [TableRow(f"{name}/{key}", float(fn(chi_real)))
+                     for key, fn in metrics.items()]
         else:
             seed = config.require_seed()
             data = simulate_counts(chi_real, config.mean_counts,
                                    derive_seed(seed, f"table3:{name}"))
-            ops, tots = [], []
-            base = mle_process_matrix(data).estimate
-            for sample in _resamples(data, config.monte_carlo_samples, seed,
-                                     f"table3:{name}:sample"):
-                est = mle_process_matrix(sample, start=base).estimate
-                out_real, _ = embed_two_qubit_channel(rho_fix, est, CLUSTER_TARGETS)
-                ops.append(fidelity(out_real, out_ideal_fix))
-                tots.append(fidelity(out_real, out_ideal))
             n = config.monte_carlo_samples
-            ops, tots = np.asarray(ops), np.asarray(tots)
-            rows.append(TableRow(f"{name}/operation-fidelity", float(ops.mean()),
-                                 float(ops.std(ddof=1)), n, seed))
-            rows.append(TableRow(f"{name}/total-fidelity", float(tots.mean()),
-                                 float(tots.std(ddof=1)), n, seed))
+            table = monte_carlo_metric_table(data, n, metrics, seed,
+                                             label=f"table3:{name}:sample")
+            rows += [TableRow(f"{name}/{key}", mean, std, n, seed)
+                     for key, (mean, std) in table.items()]
     return TableReport(
         title="table3",
         rows=rows,
         metadata=_provenance(
             config,
-            fixture_fidelity=fixture_fidelity,
+            fixture_fidelity=REALISTIC_CLUSTER_FIDELITY,
             channels="explicit" if config.noise is not None else
             ("calibrated" if calibrate_channels else "ideal"),
             mode=mode,

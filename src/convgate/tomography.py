@@ -14,12 +14,14 @@ Reconstruction runs the R-rho-R fixed point
 
     rho <- N[R(rho) rho R(rho)],   R(rho) = sum_j f_j / Tr[rho Pi_j] Pi_j
 
-with relative frequencies f_j, starting at the maximally mixed state. For
-process reconstruction the Choi matrix is treated as a 16x16 density-like
-object with effective operators E_j = rho_prep^T (x) Pi_out, which sum to a
-multiple of the identity for this preparation/measurement set. Reconstructed
-matrices are unit trace; the trace-decreasing success scale of a process is
-recovered separately from the relative total counts per preparation.
+with relative frequencies f_j, starting at the maximally mixed state; a
+Monte Carlo resample starts instead at the estimate of the dataset it was
+drawn from. For process reconstruction the Choi matrix is treated as a
+16x16 density-like object with effective operators E_j = rho_prep^T (x)
+Pi_out, which sum to a multiple of the identity for this
+preparation/measurement set. Reconstructed matrices are unit trace; the
+trace-decreasing success scale of a process is recovered separately from
+the relative total counts per preparation.
 """
 
 from __future__ import annotations
@@ -431,33 +433,33 @@ def monte_carlo_metrics(data: CoincidenceDataset, n_samples: int, metric: str,
     independent resamples. Sample i derives its generator from
     (seed, "sample:i"), so samples may be computed in any order.
     """
-    means = monte_carlo_metric_table(
-        data, n_samples, {metric: target}, seed,
+    table = monte_carlo_metric_table(
+        data, n_samples, {metric: _metrics.metric_function(metric, target)}, seed,
         reconstruction=reconstruction, options=options)
-    return means[metric]
+    return table[metric]
 
 
 def monte_carlo_metric_table(data: CoincidenceDataset, n_samples: int,
-                             metric_targets: dict, seed: int, *,
+                             metrics: dict, seed: int, *, label: str = "sample",
                              reconstruction: str = "process",
                              options: MLEOptions | None = None,
                              start=None) -> dict[str, tuple[float, float]]:
-    """Monte Carlo means/stds for several metrics sharing the same resamples.
+    """Monte Carlo means/stds of several metrics sharing the same resamples.
 
-    Every resample's reconstruction starts at ``start``, the estimate of
-    ``data`` itself; when it is None, ``data`` is reconstructed once here.
+    ``metrics`` maps a name to a function of an estimate. Resamples come
+    from ``_resamples(data, n_samples, seed, label)``, and every resample's
+    reconstruction starts at ``start``, the estimate of ``data`` itself;
+    when it is None, ``data`` is reconstructed once here.
     """
     if n_samples < 2:
         raise InvalidArgumentError("Monte Carlo needs n_samples >= 2")
-    functions = {name: _metrics.metric_function(name, target)
-                 for name, target in metric_targets.items()}
     if start is None:
         start = _reconstruct(data, reconstruction, options).estimate
-    values = {name: [] for name in functions}
-    for sample in _resamples(data, n_samples, seed, "sample"):
-        report = _reconstruct(sample, reconstruction, options, start=start)
-        for name, fn in functions.items():
-            values[name].append(fn(report.estimate))
+    values = {name: [] for name in metrics}
+    for sample in _resamples(data, n_samples, seed, label):
+        estimate = _reconstruct(sample, reconstruction, options, start=start).estimate
+        for name, fn in metrics.items():
+            values[name].append(fn(estimate))
     out = {}
     for name, vals in values.items():
         arr = np.asarray(vals)

@@ -137,6 +137,28 @@ class TestMetricsCommand:
         names = {m["name"] for m in payload["metrics"]}
         assert names == {"process-fidelity", "purity", "process-fidelity-optimized"}
 
+    def test_optimize_phases_runs_one_optimization(self, tmp_path, monkeypatch):
+        from convgate import cli, metrics
+        calls = []
+        original = metrics.phase_optimized_fidelity
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "phase_optimized_fidelity", counted)
+        monkeypatch.setattr(cli, "phase_optimized_fidelity", counted)
+        chi_path = tmp_path / "chi.json"
+        serialize.dump_json(serialize.choi_to_json(
+            ideal_choi(GateSettings(0.0, np.pi / 4))), chi_path)
+        out = tmp_path / "metrics.json"
+        assert main(["metrics", "--chi", str(chi_path), "--target", str(chi_path),
+                     "--optimize-phases", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        (report,) = json.loads(out.read_text())["metrics"]
+        assert report["name"] == "process-fidelity-optimized"
+        assert len(report["metadata"]["phases"]) == 4
+
     def test_state_metric_with_monte_carlo(self, tmp_path, capsys):
         from convgate.core import PureState
         from convgate.tomography import simulate_state_counts

@@ -4,13 +4,14 @@ import pytest
 from convgate.core import DensityMatrix, PureState
 from convgate.errors import DegenerateOutcomeError, InvalidArgumentError
 from convgate.gate import GateSettings, ideal_choi, preset, target_state
-from convgate.metrics import fidelity, process_fidelity, purity
+from convgate.metrics import concurrence, fidelity, process_fidelity, purity
 from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, apply_channel_noise
 from convgate.tomography import (
     CoincidenceDataset,
     MLEOptions,
     _expected_counts,
     _process_operators,
+    _resamples,
     derive_seed,
     enumerate_bases,
     enumerate_preparations,
@@ -317,11 +318,24 @@ class TestMonteCarlo:
     def test_given_start_matches_own_reconstruction(self):
         psi = target_state("psi_plus")
         data = simulate_state_counts(psi.density(), 0.5, 1e3, seed=45)
-        targets = {"purity": None, "concurrence": None}
-        own = monte_carlo_metric_table(data, 3, targets, 46, reconstruction="state")
-        given = monte_carlo_metric_table(data, 3, targets, 46, reconstruction="state",
+        metrics = {"purity": purity, "concurrence": concurrence}
+        own = monte_carlo_metric_table(data, 3, metrics, 46, reconstruction="state")
+        given = monte_carlo_metric_table(data, 3, metrics, 46, reconstruction="state",
                                          start=mle_density_matrix(data).estimate)
         assert own == given
+
+    def test_table_equals_hand_loop_over_labeled_resamples(self):
+        psi = target_state("psi_plus")
+        data = simulate_state_counts(psi.density(), 0.5, 1e3, seed=47)
+        base = mle_density_matrix(data).estimate
+        table = monte_carlo_metric_table(data, 4, {"purity": purity}, 48,
+                                         label="custom", reconstruction="state")
+        values = np.asarray([purity(mle_density_matrix(sample, start=base).estimate)
+                             for sample in _resamples(data, 4, 48, "custom")])
+        assert table == {"purity": (float(values.mean()), float(values.std(ddof=1)))}
+        default = monte_carlo_metric_table(data, 4, {"purity": purity}, 48,
+                                           reconstruction="state")
+        assert default != table
 
     def test_unknown_metric(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=39)
