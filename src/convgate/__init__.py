@@ -37,7 +37,6 @@ from .gate import (
     target_state,
 )
 from .metrics import (
-    MetricReport,
     PhaseCorrection,
     concurrence,
     discord,

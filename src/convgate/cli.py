@@ -44,7 +44,6 @@ from .gate import (
 )
 from .metrics import (
     METRIC_NAMES,
-    MetricReport,
     metric_function,
     phase_optimized_fidelity,
 )
@@ -235,10 +234,14 @@ def cmd_metrics(args) -> int:
         if not args.data:
             raise InvalidArgumentError("--monte-carlo needs --data with the counts")
         data = serialize.dataset_from_json(serialize.load_json(args.data))
+        # the counts must be of the estimate's kind: the dataset picks its
+        # reconstruction from its preparations
+        if args.chi:
+            data.require_full()
+        else:
+            data.single_preparation()
         seed = _ensure_seed(args)
-        kind = "process" if args.chi else "state"
-        table = tomography.monte_carlo_metric_table(
-            data, args.monte_carlo, functions, seed, reconstruction=kind)
+        table = tomography.monte_carlo_metric_table(data, args.monte_carlo, functions, seed)
         stds = {name: std for name, (_, std) in table.items()}
 
     reports = []
@@ -247,17 +250,14 @@ def cmd_metrics(args) -> int:
         metadata = {"n_samples": args.monte_carlo, "seed": seed} if args.monte_carlo else {}
         if name == "process-fidelity-optimized":
             metadata["phases"] = phases
-        reports.append(MetricReport(name, value, std, metadata))
+        reports.append({"name": name, "value": value, "std": std, "metadata": metadata})
         line = f"{name} = {value:.9f}"
         if std is not None:
             line += f" ± {std:.9f}"
         print(line)
 
     if args.out:
-        payload = {"metrics": [
-            {"name": r.name, "value": r.value, "std": r.std, "metadata": r.metadata}
-            for r in reports]}
-        _write_with_metadata(payload, args.out, args)
+        _write_with_metadata({"metrics": reports}, args.out, args)
         print(f"wrote {args.out}")
     return 0
 

@@ -9,7 +9,7 @@ measurements on one chosen qubit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -59,14 +59,6 @@ class PhaseCorrection:
         """e^{i theta_j} for every basis index of an n_modes-qubit space."""
         phases = self.phases[:n_modes] + (0.0,) * (n_modes - 4)
         return _phase_vectors(np.asarray(phases)[None, :])[0]
-
-
-@dataclass
-class MetricReport:
-    name: str
-    value: float
-    std: float | None = None
-    metadata: dict = field(default_factory=dict)
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -221,16 +213,6 @@ def _dominant_vector(mat: np.ndarray, deficit: float) -> np.ndarray | None:
     return None
 
 
-def _quadratic_objective(quad: np.ndarray):
-    def evaluate(w: np.ndarray) -> float:
-        return float(np.einsum("j,jk,k->", w, quad, w.conj()).real)
-
-    def evaluate_grid(ws: np.ndarray) -> np.ndarray:
-        return np.einsum("gj,jk,gk->g", ws, quad, ws.conj()).real
-
-    return evaluate, evaluate_grid
-
-
 def _make_phase_objective(chi: ChoiProcess, chi_th: ChoiProcess):
     """Return (exact, grid) evaluators of the fidelity as a function of the
     16-component phase vector w.
@@ -247,18 +229,22 @@ def _make_phase_objective(chi: ChoiProcess, chi_th: ChoiProcess):
         return _uhlmann(conj, chi_th.choi)
 
     for deficit, exact in ((1e-9, True), (1e-4, False)):
-        psi_th = _dominant_vector(chi_th.choi, deficit)
-        psi = _dominant_vector(chi.choi, deficit) if psi_th is None else None
-        if psi_th is not None:
-            # F = <psi_th| D chi D^dag |psi_th> = sum_jk w_j B_jk conj(w_k)
-            quad = np.outer(psi_th.conj(), psi_th) * chi.choi
-        elif psi is not None:
-            # F = <psi'| chi_th |psi'> with psi' = D psi
-            quad = np.outer(psi.conj(), psi) * chi_th.choi
-        else:
-            continue
-        ev, ev_grid = _quadratic_objective(quad)
-        return (ev if exact else evaluate_exact), ev_grid
+        # pure target |v>: F = <v| D chi D^dag |v>; pure estimate |v>:
+        # F = <v| D^dag chi_th D |v> = <v*| D chi_th^T D^dag |v*>, so with
+        # both transposed it is the same form sum_jk w_j B_jk conj(w_k)
+        for pure, other in ((chi_th.choi, chi.choi), (chi.choi.T, chi_th.choi.T)):
+            v = _dominant_vector(pure, deficit)
+            if v is None:
+                continue
+            quad = np.outer(v.conj(), v) * other
+
+            def evaluate(w: np.ndarray) -> float:
+                return float(np.einsum("j,jk,k->", w, quad, w.conj()).real)
+
+            def evaluate_grid(ws: np.ndarray) -> np.ndarray:
+                return np.einsum("gj,jk,gk->g", ws, quad, ws.conj()).real
+
+            return (evaluate if exact else evaluate_exact), evaluate_grid
 
     # mixed-mixed case: F(w) = ||sqrt(D chi D^dag) sqrt(chi_th)||_tr^2 and
     # sqrt(D chi D^dag) = D sqrt(chi) D^dag, so F(w) is the squared trace

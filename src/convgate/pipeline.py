@@ -131,10 +131,7 @@ class TableReport:
     metadata: dict = field(default_factory=dict)
 
     def value(self, label: str) -> float:
-        for row in self.rows:
-            if row.label == label:
-                return row.value
-        raise KeyError(label)
+        return self.row(label).value
 
     def row(self, label: str) -> TableRow:
         for row in self.rows:
@@ -198,7 +195,7 @@ def run_table1() -> TableReport:
         title="table1",
         rows=rows,
         metadata=_provenance(None, expected_probabilities={
-            "cluster-identity": 1.0, "ghz": 0.5, "dicke": 0.3, "bell-pair": 0.25}),
+            name: float(preset(name).expected_success) for name in CONVERSION_PRESET_NAMES}),
     )
 
 
@@ -216,10 +213,11 @@ def _table1_target(kind: str, settings: GateSettings) -> PureState:
     raise InvalidArgumentError(f"unknown conversion kind {kind!r}")
 
 
-def _noisy_channel(chi_th, config: ExperimentConfig):
-    if config.noise is None or config.noise.is_zero():
+def _noisy_channel(chi_th, spec: _noise.NoiseSpec | None):
+    """``chi_th`` under ``spec``; no spec or a zero spec leaves it ideal."""
+    if spec is None or spec.is_zero():
         return chi_th
-    return _noise.apply_channel_noise(chi_th, config.noise)
+    return _noise.apply_channel_noise(chi_th, spec)
 
 
 def run_tomography_suite(config: ExperimentConfig) -> TableReport:
@@ -230,7 +228,7 @@ def run_tomography_suite(config: ExperimentConfig) -> TableReport:
     rows = []
     for name in names:
         chi_th = ideal_choi(preset(name).settings)
-        chi_true = _noisy_channel(chi_th, config)
+        chi_true = _noisy_channel(chi_th, config.noise)
         data = simulate_counts(chi_true, config.mean_counts,
                                derive_seed(seed, f"tomo:{name}"))
         metrics = {
@@ -240,16 +238,15 @@ def run_tomography_suite(config: ExperimentConfig) -> TableReport:
         }
         rows += _sampled_rows(name, data, mle_process_matrix(data).estimate, metrics,
                               config.monte_carlo_samples, seed,
-                              derive_seed(seed, f"mc:{name}"), "process")
+                              derive_seed(seed, f"mc:{name}"))
     return TableReport(title="table2-sim", rows=rows, metadata=_provenance(config))
 
 
 def _sampled_rows(prefix: str, data: CoincidenceDataset, estimate, metrics: dict,
-                  n: int, seed: int, mc_seed: int, reconstruction: str) -> list[TableRow]:
+                  n: int, seed: int, mc_seed: int) -> list[TableRow]:
     """One row per metric: its value on ``estimate`` and its Monte Carlo std
     over ``n`` resamples of ``data`` drawn from ``mc_seed``."""
-    table = monte_carlo_metric_table(data, n, metrics, mc_seed,
-                                     reconstruction=reconstruction, start=estimate)
+    table = monte_carlo_metric_table(data, n, metrics, mc_seed, start=estimate)
     return [TableRow(f"{prefix}/{name}", float(fn(estimate)), table[name][1], n, seed)
             for name, fn in metrics.items()]
 
@@ -263,46 +260,45 @@ def _success_row(data: CoincidenceDataset, n: int, seed: int, mc_seed: int) -> T
                     float(np.std(values, ddof=1)), n, seed)
 
 
+def _state_demo(config: ExperimentConfig, title: str, settings: GateSettings,
+                rho_in: DensityMatrix, rows: list[TableRow], metrics: dict) -> TableReport:
+    """Send ``rho_in`` through the configured channel, simulate and
+    reconstruct the output-state tomography, and report ``rows`` followed by
+    the sampled ``metrics`` and the sampled success probability."""
+    seed = config.require_seed()
+    chi_used = _noisy_channel(ideal_choi(settings), config.noise)
+    rho_out, prob = apply_choi_channel(rho_in, chi_used)
+    data = simulate_state_counts(rho_out, prob, config.mean_counts,
+                                 derive_seed(seed, f"{title}:data"))
+    n = config.monte_carlo_samples
+    rows = rows + _sampled_rows("sampled", data, mle_density_matrix(data).estimate,
+                                metrics, n, seed, derive_seed(seed, f"{title}:mc"))
+    rows.append(_success_row(data, n, seed, derive_seed(seed, f"{title}:success")))
+    return TableReport(title=title, rows=rows, metadata=_provenance(config))
+
+
 def run_entangler_demo(config: ExperimentConfig) -> TableReport:
     """Feed |--> through the entangling setting; reconstruct the output state."""
-    seed = config.require_seed()
     settings = config.gate_settings("entangler")
-    chi_th = ideal_choi(settings)
-    chi_used = _noisy_channel(chi_th, config)
-
     psi_in = PureState.from_labels("--")
     ideal_out, ideal_prob = apply_gate(settings, psi_in)
     target = ideal_out.density()
-
     rows = [
         TableRow("ideal/success-probability", float(ideal_prob)),
         TableRow("ideal/concurrence", float(concurrence(target))),
         TableRow("ideal/fidelity", float(fidelity(target, target))),
     ]
-
-    rho_out, prob = apply_choi_channel(psi_in.density(), chi_used)
-    data = simulate_state_counts(rho_out, prob, config.mean_counts,
-                                 derive_seed(seed, "entangler:data"))
-    recon = mle_density_matrix(data).estimate
     metrics = {name: metric_function(name, target)
                for name in ("purity", "fidelity", "concurrence")}
-    n = config.monte_carlo_samples
-    rows += _sampled_rows("sampled", data, recon, metrics, n, seed,
-                          derive_seed(seed, "entangler:mc"), "state")
-    rows.append(_success_row(data, n, seed, derive_seed(seed, "entangler:success")))
-    return TableReport(title="entangler", rows=rows, metadata=_provenance(config))
+    return _state_demo(config, "entangler", settings, psi_in.density(), rows, metrics)
 
 
 def run_discord_demo(config: ExperimentConfig) -> TableReport:
     """Feed the mixed separable input through the discord setting; report
     entanglement measures and discord on both measured sides."""
-    seed = config.require_seed()
     settings = config.gate_settings("discord-demo")
-    chi_th = ideal_choi(settings)
-    chi_used = _noisy_channel(chi_th, config)
-
     rho_in = discord_demo_input()
-    ideal_out, ideal_prob = apply_choi_channel(rho_in, chi_th)
+    ideal_out, ideal_prob = apply_choi_channel(rho_in, ideal_choi(settings))
     rows = [
         TableRow("ideal/success-probability", float(ideal_prob)),
         TableRow("ideal/log-negativity", float(log_negativity(ideal_out))),
@@ -310,18 +306,9 @@ def run_discord_demo(config: ExperimentConfig) -> TableReport:
         TableRow("ideal/discord-q1", float(discord(ideal_out, 0))),
         TableRow("ideal/discord-q2", float(discord(ideal_out, 1))),
     ]
-
-    rho_out, prob = apply_choi_channel(rho_in, chi_used)
-    data = simulate_state_counts(rho_out, prob, config.mean_counts,
-                                 derive_seed(seed, "discord:data"))
-    recon = mle_density_matrix(data).estimate
     metrics = {name: metric_function(name)
                for name in ("log-negativity", "concurrence", "discord-q1", "discord-q2")}
-    n = config.monte_carlo_samples
-    rows += _sampled_rows("sampled", data, recon, metrics, n, seed,
-                          derive_seed(seed, "discord:mc"), "state")
-    rows.append(_success_row(data, n, seed, derive_seed(seed, "discord:success")))
-    return TableReport(title="discord", rows=rows, metadata=_provenance(config))
+    return _state_demo(config, "discord", settings, rho_in, rows, metrics)
 
 
 def realistic_cluster_fixture() -> DensityMatrix:
@@ -374,9 +361,7 @@ def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True,
     rows = []
     for name in CONVERSION_PRESET_NAMES:
         chi_th = ideal_choi(preset(name).settings)
-        spec = channel_specs[name]
-        chi_real = chi_th if spec is None or spec.is_zero() else \
-            _noise.apply_channel_noise(chi_th, spec)
+        chi_real = _noisy_channel(chi_th, channel_specs[name])
         out_ideal_fix, out_ideal = output(chi_th), output(chi_th, rho_ideal)
         metrics = {
             "operation-fidelity": lambda chi: fidelity(output(chi), out_ideal_fix),

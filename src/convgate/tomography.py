@@ -16,7 +16,10 @@ Reconstruction runs the R-rho-R fixed point
 
 with relative frequencies f_j, starting at the maximally mixed state; a
 Monte Carlo resample starts instead at the estimate of the dataset it was
-drawn from. For process reconstruction the Choi matrix is treated as a
+drawn from. The dataset picks its reconstruction: one with a single
+preparation (output-state tomography, 9 basis records) gets the 4x4
+density matrix, any other gets the process matrix and must hold all 324
+settings. For process reconstruction the Choi matrix is treated as a
 16x16 density-like object with effective operators E_j = rho_prep^T (x)
 Pi_out, which sum to a multiple of the identity for this
 preparation/measurement set. Reconstructed matrices are unit trace; the
@@ -167,8 +170,7 @@ class CoincidenceDataset:
     def require_full(self):
         """Check all 36 x 9 settings are present exactly once."""
         seen = {(p, b) for p, b in zip(self.preps, self.bases) if p is not None}
-        expected = {(p, b) for p, b in enumerate_settings()}
-        if seen != expected or len(self) != 324:
+        if seen != _SETTING_INDEX.keys() or len(self) != 324:
             raise InvalidArgumentError(
                 f"process tomography needs all 324 settings; dataset has {len(self)} records"
             )
@@ -290,33 +292,28 @@ def _iterate_rho_r(ops: np.ndarray, freqs: np.ndarray, dim: int,
     converged = False
     iterations = 0
 
+    def step(left, right):
+        candidate = left @ rho @ right
+        candidate = (candidate + candidate.conj().T) / 2.0
+        candidate /= np.trace(candidate).real
+        cand_probs = probs_of(candidate)
+        return candidate, cand_probs, likelihood(cand_probs)
+
     for iterations in range(1, options.max_iter + 1):
         weights = np.where(active, freqs / probs, 0.0)
         r_op = (weights @ flat).reshape(dim, dim)
         r_op = (r_op + r_op.conj().T) / 2.0
 
-        candidate = r_op @ rho @ r_op
-        candidate = (candidate + candidate.conj().T) / 2.0
-        candidate /= np.trace(candidate).real
-        cand_probs = probs_of(candidate)
-        cand_like = likelihood(cand_probs)
-
-        if cand_like < current:
-            # dilute toward the identity until the step ascends again
-            accepted = False
-            for eps in (0.5, 0.1, 0.01):
-                damped = (np.eye(dim) + eps * r_op) / (1.0 + eps)
-                candidate = damped @ rho @ damped.conj().T
-                candidate = (candidate + candidate.conj().T) / 2.0
-                candidate /= np.trace(candidate).real
-                cand_probs = probs_of(candidate)
-                cand_like = likelihood(cand_probs)
-                if cand_like >= current:
-                    accepted = True
-                    break
-            if not accepted:
-                converged = True  # numerical floor reached
+        candidate, cand_probs, cand_like = step(r_op, r_op)
+        # dilute toward the identity until the step ascends again
+        for eps in (0.5, 0.1, 0.01):
+            if cand_like >= current:
                 break
+            damped = (np.eye(dim) + eps * r_op) / (1.0 + eps)
+            candidate, cand_probs, cand_like = step(damped, damped.conj().T)
+        if cand_like < current:
+            converged = True  # numerical floor reached
+            break
 
         gain = cand_like - current
         rho, probs, current = candidate, cand_probs, cand_like
@@ -407,13 +404,11 @@ def mle_process_matrix(data: CoincidenceDataset,
     )
 
 
-def _reconstruct(data: CoincidenceDataset, reconstruction: str,
-                 options: MLEOptions | None, start=None):
-    if reconstruction == "process":
-        return mle_process_matrix(data, options, start=start)
-    if reconstruction == "state":
-        return mle_density_matrix(data, options, start=start)
-    raise InvalidArgumentError("reconstruction must be 'state' or 'process'")
+def _reconstruct(data: CoincidenceDataset, start=None) -> ReconstructionReport:
+    """State MLE for a single-preparation dataset, process MLE otherwise."""
+    if len(set(data.preps)) == 1:
+        return mle_density_matrix(data, start=start)
+    return mle_process_matrix(data, start=start)
 
 
 def _resamples(data: CoincidenceDataset, n: int, seed: int, label: str):
@@ -425,8 +420,7 @@ def _resamples(data: CoincidenceDataset, n: int, seed: int, label: str):
 
 
 def monte_carlo_metrics(data: CoincidenceDataset, n_samples: int, metric: str,
-                        seed: int, *, target=None, reconstruction: str = "process",
-                        options: MLEOptions | None = None) -> tuple[float, float]:
+                        seed: int, *, target=None) -> tuple[float, float]:
     """Poisson-resample the counts, re-reconstruct and evaluate one metric.
 
     Returns the sample mean and standard deviation over ``n_samples``
@@ -434,30 +428,28 @@ def monte_carlo_metrics(data: CoincidenceDataset, n_samples: int, metric: str,
     (seed, "sample:i"), so samples may be computed in any order.
     """
     table = monte_carlo_metric_table(
-        data, n_samples, {metric: _metrics.metric_function(metric, target)}, seed,
-        reconstruction=reconstruction, options=options)
+        data, n_samples, {metric: _metrics.metric_function(metric, target)}, seed)
     return table[metric]
 
 
 def monte_carlo_metric_table(data: CoincidenceDataset, n_samples: int,
                              metrics: dict, seed: int, *, label: str = "sample",
-                             reconstruction: str = "process",
-                             options: MLEOptions | None = None,
                              start=None) -> dict[str, tuple[float, float]]:
     """Monte Carlo means/stds of several metrics sharing the same resamples.
 
-    ``metrics`` maps a name to a function of an estimate. Resamples come
-    from ``_resamples(data, n_samples, seed, label)``, and every resample's
-    reconstruction starts at ``start``, the estimate of ``data`` itself;
-    when it is None, ``data`` is reconstructed once here.
+    ``metrics`` maps a name to a function of an estimate: a DensityMatrix
+    when ``data`` holds a single preparation, a ChoiProcess otherwise.
+    Resamples come from ``_resamples(data, n_samples, seed, label)``, and
+    every resample's reconstruction starts at ``start``, the estimate of
+    ``data`` itself; when it is None, ``data`` is reconstructed once here.
     """
     if n_samples < 2:
         raise InvalidArgumentError("Monte Carlo needs n_samples >= 2")
     if start is None:
-        start = _reconstruct(data, reconstruction, options).estimate
+        start = _reconstruct(data).estimate
     values = {name: [] for name in metrics}
     for sample in _resamples(data, n_samples, seed, label):
-        estimate = _reconstruct(sample, reconstruction, options, start=start).estimate
+        estimate = _reconstruct(sample, start=start).estimate
         for name, fn in metrics.items():
             values[name].append(fn(estimate))
     out = {}

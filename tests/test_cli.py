@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convgate
 from convgate import serialize
 from convgate.cli import format_angle, main, parse_angle
 from convgate.errors import InvalidArgumentError
@@ -224,6 +227,27 @@ class TestMetricsCommand:
         assert main(["metrics", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("kind,message", [
+        ("chi", "needs all 324 settings"),
+        ("state", "more than one preparation"),
+    ])
+    def test_monte_carlo_counts_of_the_other_kind(self, tmp_path, capsys, kind, message):
+        from convgate.tomography import simulate_counts, simulate_state_counts
+        chi = ideal_choi(GateSettings(0.0, np.pi / 4))
+        psi = target_state("psi_plus")
+        if kind == "chi":
+            estimate = serialize.choi_to_json(chi)
+            data = simulate_state_counts(psi.density(), 0.5, 1000, seed=5)
+        else:
+            estimate = serialize.state_to_json(psi)
+            data = simulate_counts(chi, 1000, seed=5)
+        serialize.dump_json(estimate, tmp_path / "estimate.json")
+        serialize.dump_json(serialize.dataset_to_json(data), tmp_path / "data.json")
+        assert main(["metrics", f"--{kind}", str(tmp_path / "estimate.json"),
+                     "--metric", "purity", "--monte-carlo", "2",
+                     "--data", str(tmp_path / "data.json"), "--seed", "1"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_requires_metric(self, tmp_path):
         chi_path = tmp_path / "chi.json"
         serialize.dump_json(serialize.choi_to_json(
@@ -265,8 +289,12 @@ class TestReproduceCommand:
 
 
 def test_console_entry_point_runs():
+    # the child imports the same convgate as this process, installed or not
+    src = str(Path(convgate.__file__).parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "convgate.cli", "gate", "--preset", "cluster-identity"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "operator norm = 1" in result.stdout

@@ -142,6 +142,30 @@ class TestPhaseOptimizedFidelity:
         value, _ = phase_optimized_fidelity(shifted, chi_th)
         assert value == pytest.approx(base, abs=1e-9)
 
+    # depolarizing strengths (estimate, target): 0 is pure, 5e-5 leaves a
+    # residual spectrum below 1e-4 of the trace, 0.1 and 0.2 are mixed
+    @pytest.mark.parametrize("p_est,p_th", [
+        (0.1, 0.0),    # target pure
+        (0.0, 0.1),    # estimate pure
+        (0.1, 5e-5),   # near-pure target
+        (0.1, 0.2),    # mixed-mixed
+    ], ids=["target-pure", "estimate-pure", "near-pure", "mixed-mixed"])
+    def test_planted_phases_in_every_purity_regime(self, rng, p_est, p_th):
+        chi = ideal_choi(preset("ghz").settings)
+        chi_th = depolarize_choi(chi, p_th) if p_th else chi
+        planted_phases = PhaseCorrection(tuple(rng.uniform(0, 2 * np.pi, 4)))
+        planted = phase_conjugate_choi(depolarize_choi(chi, p_est) if p_est else chi,
+                                       planted_phases)
+        value, correction = phase_optimized_fidelity(planted, chi_th)
+        undone = process_fidelity(
+            phase_conjugate_choi(planted, planted_phases.scaled(-1)), chi_th)
+        assert value >= undone - 1e-9
+        swapped, _ = phase_optimized_fidelity(chi_th, planted)
+        assert swapped == pytest.approx(value, abs=1e-9)
+        # the returned phases reach the returned value
+        reached = process_fidelity(phase_conjugate_choi(planted, correction), chi_th)
+        assert reached == pytest.approx(value, abs=1e-9)
+
 
 class TestConcurrence:
     def test_bell_states(self):

@@ -310,8 +310,7 @@ class TestMonteCarlo:
     def test_state_metric_path(self):
         psi = target_state("psi_plus")
         data = simulate_state_counts(psi.density(), 0.5, 1e4, seed=37)
-        mean, std = monte_carlo_metrics(data, 3, "concurrence", seed=38,
-                                        reconstruction="state")
+        mean, std = monte_carlo_metrics(data, 3, "concurrence", seed=38)
         assert mean > 0.98
         assert std < 0.05
 
@@ -319,8 +318,8 @@ class TestMonteCarlo:
         psi = target_state("psi_plus")
         data = simulate_state_counts(psi.density(), 0.5, 1e3, seed=45)
         metrics = {"purity": purity, "concurrence": concurrence}
-        own = monte_carlo_metric_table(data, 3, metrics, 46, reconstruction="state")
-        given = monte_carlo_metric_table(data, 3, metrics, 46, reconstruction="state",
+        own = monte_carlo_metric_table(data, 3, metrics, 46)
+        given = monte_carlo_metric_table(data, 3, metrics, 46,
                                          start=mle_density_matrix(data).estimate)
         assert own == given
 
@@ -329,12 +328,11 @@ class TestMonteCarlo:
         data = simulate_state_counts(psi.density(), 0.5, 1e3, seed=47)
         base = mle_density_matrix(data).estimate
         table = monte_carlo_metric_table(data, 4, {"purity": purity}, 48,
-                                         label="custom", reconstruction="state")
+                                         label="custom")
         values = np.asarray([purity(mle_density_matrix(sample, start=base).estimate)
                              for sample in _resamples(data, 4, 48, "custom")])
         assert table == {"purity": (float(values.mean()), float(values.std(ddof=1)))}
-        default = monte_carlo_metric_table(data, 4, {"purity": purity}, 48,
-                                           reconstruction="state")
+        default = monte_carlo_metric_table(data, 4, {"purity": purity}, 48)
         assert default != table
 
     def test_unknown_metric(self, chi_ghz):
