@@ -6,9 +6,13 @@ multiples of pi written like ``3pi/8``. Qubit targets on the command line are
 1-based (the library API is 0-based). Exit codes: 0 success, 2 invalid
 arguments, 3 numerical-domain errors, 4 degenerate post-selection outcomes.
 
-Every command that writes an artifact also writes a ``<name>.meta.json``
-sibling recording the command line, seed and tool version needed to re-run
-it exactly.
+Input files name their own kind: ``tomo reconstruct`` fits a state to a
+single-preparation dataset and a process to any other, and ``metrics
+--estimate`` takes a state or a Choi file. Artifacts written by ``gate``,
+``convert``, ``tomo`` and ``metrics`` get a ``<name>.meta.json`` sibling with
+the command line, seed and tool version; ``reproduce`` reports carry their
+provenance (version, config, config hash and seed) in their own ``metadata``
+block.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from . import noise as _noise
 from . import pipeline, serialize, tomography
 from ._version import __version__
 from .core import (
+    ChoiProcess,
     PureState,
     apply_choi_channel,
     apply_operator,
@@ -167,18 +172,13 @@ def cmd_tomo_simulate(args) -> int:
 
 def cmd_tomo_reconstruct(args) -> int:
     data = serialize.dataset_from_json(serialize.load_json(args.data))
+    if args.prep:
+        data = data.restrict_to(tuple(args.prep.split(",")))
     options = tomography.MLEOptions(tol=args.tol, max_iter=args.max_iter)
-    if args.type == "process":
-        data.require_full()
-        report = tomography.mle_process_matrix(data, options)
-        payload = serialize.choi_to_json(report.estimate)
-    else:
-        if args.prep:
-            labels = tuple(args.prep.split(","))
-            data = data.restrict_to(labels)
-        report = tomography.mle_density_matrix(data, options)
-        payload = serialize.state_to_json(report.estimate)
-    _write_with_metadata(payload, args.out, args)
+    report = tomography.reconstruct(data, options)
+    to_json = (serialize.choi_to_json if isinstance(report.estimate, ChoiProcess)
+               else serialize.state_to_json)
+    _write_with_metadata(to_json(report.estimate), args.out, args)
     info = {
         "iterations": report.iterations,
         "final_log_likelihood": report.final_log_likelihood,
@@ -193,16 +193,7 @@ def cmd_tomo_reconstruct(args) -> int:
     return 0
 
 
-def _load_estimate(args):
-    if args.chi:
-        return serialize.choi_from_json(serialize.load_json(args.chi))
-    if args.state:
-        obj = serialize.state_from_json(serialize.load_json(args.state))
-        return obj.density() if isinstance(obj, PureState) else obj
-    raise InvalidArgumentError("give --chi or --state")
-
-
-def _load_target(path):
+def _load_state_or_choi(path):
     obj = serialize.load_json(path)
     if obj.get("kind") == "choi":
         return serialize.choi_from_json(obj)
@@ -211,11 +202,9 @@ def _load_target(path):
 
 
 def cmd_metrics(args) -> int:
-    estimate = _load_estimate(args)
-    target = _load_target(args.target) if args.target else None
+    estimate = _load_state_or_choi(args.estimate)
+    target = _load_state_or_choi(args.target) if args.target else None
     names = list(args.metric or [])
-    if args.optimize_phases and "process-fidelity-optimized" not in names:
-        names.append("process-fidelity-optimized")
     if not names:
         raise InvalidArgumentError("request at least one --metric")
 
@@ -236,7 +225,7 @@ def cmd_metrics(args) -> int:
         data = serialize.dataset_from_json(serialize.load_json(args.data))
         # the counts must be of the estimate's kind: the dataset picks its
         # reconstruction from its preparations
-        if args.chi:
+        if isinstance(estimate, ChoiProcess):
             data.require_full()
         else:
             data.single_preparation()
@@ -338,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = tomo_sub.add_parser("reconstruct", help="maximum-likelihood reconstruction")
     p_rec.add_argument("--data", required=True, help="coincidence dataset JSON")
-    p_rec.add_argument("--type", choices=["state", "process"], required=True)
-    p_rec.add_argument("--prep", help="restrict to one preparation, e.g. H,+ (state type)")
+    p_rec.add_argument("--prep", help="fit the output state of one preparation, e.g. H,+")
     p_rec.add_argument("--tol", type=float, default=1e-10)
     p_rec.add_argument("--max-iter", type=int, default=5000)
     p_rec.add_argument("--out", required=True)
@@ -347,12 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.set_defaults(func=cmd_tomo_reconstruct)
 
     p_met = sub.add_parser("metrics", help="evaluate figures of merit")
-    p_met.add_argument("--chi", help="process JSON")
-    p_met.add_argument("--state", help="state JSON")
+    p_met.add_argument("--estimate", required=True, help="state or process JSON")
     p_met.add_argument("--target", help="target state/process JSON for fidelity metrics")
     p_met.add_argument("--metric", action="append", choices=list(METRIC_NAMES))
-    p_met.add_argument("--optimize-phases", action="store_true",
-                       help="include the phase-optimized process fidelity")
     p_met.add_argument("--monte-carlo", type=int, metavar="N",
                        help="attach stds from N Poisson resamples (needs --data)")
     p_met.add_argument("--data", help="counts used for Monte Carlo resampling")

@@ -16,10 +16,15 @@ import numpy as np
 
 from .core import PAULI_Z, ChoiProcess, DensityMatrix, expand_operator
 from .errors import InvalidArgumentError, NumericalDomainError
-from .metrics import PhaseCorrection, phase_conjugate_choi, process_fidelity
+from .metrics import PhaseCorrection, fidelity, phase_conjugate_choi, process_fidelity
 
 #: Unit-trace Choi matrix of the completely depolarizing two-qubit channel.
 CHI_WHITE = ChoiProcess(np.eye(16, dtype=complex) / 16.0, success_scale=1.0, validate=False)
+
+#: Tolerance on the raw process fidelity reached by channel calibration.
+CHANNEL_CALIBRATION_TOL = 1e-4
+#: Tolerance on the state fidelity reached by state calibration.
+STATE_CALIBRATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -150,9 +155,9 @@ def _bisect_magnitude(achieved, target: float, tol: float, what: str) -> float:
 
 
 def calibrate_noise_to_fidelity(target_raw_fidelity: float, chi_th: ChoiProcess,
-                                template: NoiseSpec, *, tol: float = 1e-4) -> NoiseSpec:
+                                template: NoiseSpec) -> NoiseSpec:
     """Scale the template so the noisy channel's raw process fidelity hits
-    the target within ``tol``."""
+    the target within ``CHANNEL_CALIBRATION_TOL``."""
     if not 0.5 < target_raw_fidelity <= 1.0:
         raise InvalidArgumentError("target fidelity must lie in (0.5, 1]")
     if target_raw_fidelity == 1.0:
@@ -161,23 +166,25 @@ def calibrate_noise_to_fidelity(target_raw_fidelity: float, chi_th: ChoiProcess,
     def achieved(m: float) -> float:
         return process_fidelity(apply_channel_noise(chi_th, template.scaled(m)), chi_th)
 
-    magnitude = _bisect_magnitude(achieved, target_raw_fidelity, tol, "channel calibration")
+    magnitude = _bisect_magnitude(achieved, target_raw_fidelity, CHANNEL_CALIBRATION_TOL,
+                                  "channel calibration")
     return template.scaled(magnitude)
 
 
 def calibrate_state_noise(target_fidelity: float, rho_ideal: DensityMatrix,
-                          template: NoiseSpec, *, tol: float = 1e-9) -> NoiseSpec:
-    """Scale the template so the degraded state hits the target fidelity."""
+                          template: NoiseSpec) -> NoiseSpec:
+    """Scale the template so the degraded state hits the target fidelity
+    within ``STATE_CALIBRATION_TOL``."""
     if not 0.5 < target_fidelity <= 1.0:
         raise InvalidArgumentError("target fidelity must lie in (0.5, 1]")
     if target_fidelity == 1.0:
         return template.scaled(0.0)
-    from .metrics import fidelity  # local import to keep module load cheap
 
     def achieved(m: float) -> float:
         return fidelity(apply_state_noise(rho_ideal, template.scaled(m)), rho_ideal)
 
-    magnitude = _bisect_magnitude(achieved, target_fidelity, tol, "state calibration")
+    magnitude = _bisect_magnitude(achieved, target_fidelity, STATE_CALIBRATION_TOL,
+                                  "state calibration")
     return template.scaled(magnitude)
 
 

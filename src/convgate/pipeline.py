@@ -56,9 +56,8 @@ from .tomography import (
     CoincidenceDataset,
     _resamples,
     derive_seed,
-    mle_density_matrix,
-    mle_process_matrix,
     monte_carlo_metric_table,
+    reconstruct,
     simulate_counts,
     simulate_state_counts,
 )
@@ -236,16 +235,16 @@ def run_tomography_suite(config: ExperimentConfig) -> TableReport:
             "fidelity-raw": metric_function("process-fidelity", chi_th),
             "fidelity-optimized": metric_function("process-fidelity-optimized", chi_th),
         }
-        rows += _sampled_rows(name, data, mle_process_matrix(data).estimate, metrics,
-                              config.monte_carlo_samples, seed,
+        rows += _sampled_rows(name, data, metrics, config.monte_carlo_samples, seed,
                               derive_seed(seed, f"mc:{name}"))
     return TableReport(title="table2-sim", rows=rows, metadata=_provenance(config))
 
 
-def _sampled_rows(prefix: str, data: CoincidenceDataset, estimate, metrics: dict,
+def _sampled_rows(prefix: str, data: CoincidenceDataset, metrics: dict,
                   n: int, seed: int, mc_seed: int) -> list[TableRow]:
-    """One row per metric: its value on ``estimate`` and its Monte Carlo std
-    over ``n`` resamples of ``data`` drawn from ``mc_seed``."""
+    """One row per metric: its value on the reconstruction of ``data`` and its
+    Monte Carlo std over ``n`` resamples of ``data`` drawn from ``mc_seed``."""
+    estimate = reconstruct(data).estimate
     table = monte_carlo_metric_table(data, n, metrics, mc_seed, start=estimate)
     return [TableRow(f"{prefix}/{name}", float(fn(estimate)), table[name][1], n, seed)
             for name, fn in metrics.items()]
@@ -271,8 +270,8 @@ def _state_demo(config: ExperimentConfig, title: str, settings: GateSettings,
     data = simulate_state_counts(rho_out, prob, config.mean_counts,
                                  derive_seed(seed, f"{title}:data"))
     n = config.monte_carlo_samples
-    rows = rows + _sampled_rows("sampled", data, mle_density_matrix(data).estimate,
-                                metrics, n, seed, derive_seed(seed, f"{title}:mc"))
+    rows = rows + _sampled_rows("sampled", data, metrics, n, seed,
+                                derive_seed(seed, f"{title}:mc"))
     rows.append(_success_row(data, n, seed, derive_seed(seed, f"{title}:success")))
     return TableReport(title=title, rows=rows, metadata=_provenance(config))
 
@@ -319,16 +318,16 @@ def realistic_cluster_fixture() -> DensityMatrix:
     return _noise.apply_state_noise(ideal, spec)
 
 
-def calibrated_channel_noise(template: _noise.NoiseSpec | None = None,
-                             targets: dict[str, float] | None = None,
+def calibrated_channel_noise(targets: dict[str, float] | None = None,
                              ) -> dict[str, _noise.NoiseSpec]:
-    """Per-preset noise specs calibrated to the documented raw fidelities."""
-    template = template or _noise.DEFAULT_CHANNEL_TEMPLATE
+    """Per-preset scalings of the default channel template calibrated to the
+    documented raw fidelities."""
     targets = targets or RAW_FIDELITY_TARGETS
     specs = {}
     for name, target in targets.items():
         chi_th = ideal_choi(preset(name).settings)
-        specs[name] = _noise.calibrate_noise_to_fidelity(target, chi_th, template)
+        specs[name] = _noise.calibrate_noise_to_fidelity(
+            target, chi_th, _noise.DEFAULT_CHANNEL_TEMPLATE)
     return specs
 
 

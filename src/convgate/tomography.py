@@ -16,10 +16,10 @@ Reconstruction runs the R-rho-R fixed point
 
 with relative frequencies f_j, starting at the maximally mixed state; a
 Monte Carlo resample starts instead at the estimate of the dataset it was
-drawn from. The dataset picks its reconstruction: one with a single
-preparation (output-state tomography, 9 basis records) gets the 4x4
-density matrix, any other gets the process matrix and must hold all 324
-settings. For process reconstruction the Choi matrix is treated as a
+drawn from. The dataset picks its reconstruction in ``reconstruct``: one
+with a single preparation (output-state tomography, 9 basis records) gets
+the 4x4 density matrix, any other gets the process matrix and must hold all
+324 settings. For process reconstruction the Choi matrix is treated as a
 16x16 density-like object with effective operators E_j = rho_prep^T (x)
 Pi_out, which sum to a multiple of the identity for this
 preparation/measurement set. Reconstructed matrices are unit trace; the
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -199,6 +199,20 @@ def _expected_counts(chi: ChoiProcess, mean_counts: float) -> np.ndarray:
     return np.clip(lam.reshape(324, 4), 0.0, None)
 
 
+def _poisson_dataset(preps, bases, lam: np.ndarray, mean_counts: float,
+                     seed: int) -> CoincidenceDataset:
+    """Counts drawn from Poisson means ``lam`` with ``PCG64(seed)``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return CoincidenceDataset(
+        preps=preps,
+        bases=bases,
+        counts=rng.poisson(lam),
+        mean_counts=float(mean_counts),
+        seed=int(seed),
+        metadata={"generator": GENERATOR_NOTE},
+    )
+
+
 def simulate_counts(chi: ChoiProcess, mean_counts: float, seed: int) -> CoincidenceDataset:
     """Simulate the full 324-setting coincidence experiment.
 
@@ -208,18 +222,9 @@ def simulate_counts(chi: ChoiProcess, mean_counts: float, seed: int) -> Coincide
     """
     if mean_counts <= 0:
         raise InvalidArgumentError("mean_counts must be positive")
-    lam = _expected_counts(chi, mean_counts)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    counts = rng.poisson(lam)
     settings = enumerate_settings()
-    return CoincidenceDataset(
-        preps=[p for p, _ in settings],
-        bases=[b for _, b in settings],
-        counts=counts,
-        mean_counts=float(mean_counts),
-        seed=int(seed),
-        metadata={"generator": GENERATOR_NOTE},
-    )
+    return _poisson_dataset([p for p, _ in settings], [b for _, b in settings],
+                            _expected_counts(chi, mean_counts), mean_counts, seed)
 
 
 def simulate_state_counts(rho: DensityMatrix, success_probability: float,
@@ -235,15 +240,7 @@ def simulate_state_counts(rho: DensityMatrix, success_probability: float,
         raise InvalidArgumentError("state tomography records are two-qubit")
     probs = np.einsum("boij,ji->bo", _BASIS_PROJECTORS, rho.matrix).real
     lam = mean_counts * success_probability * np.clip(probs, 0.0, None)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return CoincidenceDataset(
-        preps=[None] * 9,
-        bases=enumerate_bases(),
-        counts=rng.poisson(lam),
-        mean_counts=float(mean_counts),
-        seed=int(seed),
-        metadata={"generator": GENERATOR_NOTE},
-    )
+    return _poisson_dataset([None] * 9, enumerate_bases(), lam, mean_counts, seed)
 
 
 @dataclass
@@ -262,16 +259,23 @@ class ReconstructionReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _iterate_rho_r(ops: np.ndarray, freqs: np.ndarray, dim: int,
-                   options: MLEOptions, start: np.ndarray | None = None):
+def _iterate_rho_r(ops: np.ndarray, counts: np.ndarray, options: MLEOptions | None,
+                   start: np.ndarray | None) -> ReconstructionReport:
     """Shared R-rho-R fixed point with a monotonicity safeguard.
 
-    ``ops`` has shape (n, dim, dim); ``freqs`` are relative frequencies.
-    Log-likelihoods are mean natural-log likelihood per count; the recorded
-    sequence is non-decreasing by construction (steps that would lower it are
-    diluted toward the identity, and the iteration stops at the numerical
-    floor if no ascent direction remains).
+    ``ops`` has shape (n, dim, dim) and ``counts`` shape (n,). Log-likelihoods
+    are mean natural-log likelihood per count; the recorded sequence is
+    non-decreasing by construction (steps that would lower it are diluted
+    toward the identity, and the iteration stops at the numerical floor if no
+    ascent direction remains). The report's estimate is the fitted matrix;
+    callers wrap it in their estimate type and add their own metadata.
     """
+    options = options or MLEOptions()
+    total = counts.sum()
+    if total <= 0:
+        raise InvalidArgumentError("dataset holds no counts")
+    freqs = counts / total
+    dim = ops.shape[-1]
     flat = ops.reshape(len(ops), dim * dim)            # row-major op entries
     flat_t = ops.transpose(0, 2, 1).reshape(len(ops), dim * dim)
     active = freqs > 0.0
@@ -322,7 +326,14 @@ def _iterate_rho_r(ops: np.ndarray, freqs: np.ndarray, dim: int,
             converged = True
             break
 
-    return rho, iterations, current, converged, trace_log
+    return ReconstructionReport(
+        estimate=rho,
+        iterations=iterations,
+        final_log_likelihood=current,
+        converged=converged,
+        log_likelihoods=trace_log,
+        metadata={"total_counts": int(total)},
+    )
 
 
 def _state_operators(data: CoincidenceDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -336,23 +347,11 @@ def mle_density_matrix(data: CoincidenceDataset,
                        options: MLEOptions | None = None,
                        start: DensityMatrix | None = None) -> ReconstructionReport:
     """Maximum-likelihood two-qubit state from single-preparation counts."""
-    options = options or MLEOptions()
     data.single_preparation()
-    ops, counts = _state_operators(data)
-    total = counts.sum()
-    if total <= 0:
-        raise InvalidArgumentError("dataset holds no counts")
-    freqs = counts / total
-    rho, iters, final, converged, trace_log = _iterate_rho_r(
-        ops, freqs, 4, options, start=None if start is None else start.matrix)
-    return ReconstructionReport(
-        estimate=DensityMatrix(rho),
-        iterations=iters,
-        final_log_likelihood=final,
-        converged=converged,
-        log_likelihoods=trace_log,
-        metadata={"kind": "state", "total_counts": int(total)},
-    )
+    fit = _iterate_rho_r(*_state_operators(data), options,
+                         None if start is None else start.matrix)
+    return replace(fit, estimate=DensityMatrix(fit.estimate),
+                   metadata={"kind": "state", **fit.metadata})
 
 
 def _process_operators(data: CoincidenceDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -372,43 +371,29 @@ def mle_process_matrix(data: CoincidenceDataset,
     post-selected and trace-decreasing. The success scale is estimated from
     the grand total counts relative to the dataset's nominal mean counts.
     """
-    options = options or MLEOptions()
     data.require_full()
-    ops, counts = _process_operators(data)
-    total = counts.sum()
-    if total <= 0:
-        raise InvalidArgumentError("dataset holds no counts")
-    freqs = counts / total
-    chi, iters, final, converged, trace_log = _iterate_rho_r(
-        ops, freqs, 16, options, start=None if start is None else start.choi)
-
+    fit = _iterate_rho_r(*_process_operators(data), options,
+                         None if start is None else start.choi)
     if data.mean_counts:
         # grand total = 324 * mean_counts * scale for this measurement set
-        scale = float(total / (324.0 * data.mean_counts))
+        scale = data.total() / (324.0 * data.mean_counts)
         scale_note = "estimated from grand total counts relative to mean_counts"
     else:
         scale = 1.0
         scale_note = "mean_counts unavailable; success scale left at 1"
-    return ReconstructionReport(
-        estimate=ChoiProcess(chi, success_scale=scale),
-        iterations=iters,
-        final_log_likelihood=final,
-        converged=converged,
-        log_likelihoods=trace_log,
-        metadata={
-            "kind": "process",
-            "total_counts": int(total),
-            "success_scale_note": scale_note,
-            "rate_normalization": "relative total counts per preparation",
-        },
-    )
+    return replace(fit, estimate=ChoiProcess(fit.estimate, success_scale=scale), metadata={
+        "kind": "process",
+        **fit.metadata,
+        "success_scale_note": scale_note,
+        "rate_normalization": "relative total counts per preparation",
+    })
 
 
-def _reconstruct(data: CoincidenceDataset, start=None) -> ReconstructionReport:
+def reconstruct(data: CoincidenceDataset, options: MLEOptions | None = None,
+                start=None) -> ReconstructionReport:
     """State MLE for a single-preparation dataset, process MLE otherwise."""
-    if len(set(data.preps)) == 1:
-        return mle_density_matrix(data, start=start)
-    return mle_process_matrix(data, start=start)
+    fit = mle_density_matrix if len(set(data.preps)) == 1 else mle_process_matrix
+    return fit(data, options, start)
 
 
 def _resamples(data: CoincidenceDataset, n: int, seed: int, label: str):
@@ -446,10 +431,10 @@ def monte_carlo_metric_table(data: CoincidenceDataset, n_samples: int,
     if n_samples < 2:
         raise InvalidArgumentError("Monte Carlo needs n_samples >= 2")
     if start is None:
-        start = _reconstruct(data).estimate
+        start = reconstruct(data).estimate
     values = {name: [] for name in metrics}
     for sample in _resamples(data, n_samples, seed, label):
-        estimate = _reconstruct(sample, start=start).estimate
+        estimate = reconstruct(sample, start=start).estimate
         for name, fn in metrics.items():
             values[name].append(fn(estimate))
     out = {}

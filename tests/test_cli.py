@@ -88,7 +88,7 @@ class TestTomoCommands:
                      "--seed", "7", "--out", str(data)]) == 0
         chi_out = tmp_path / "chi.json"
         report = tmp_path / "report.json"
-        assert main(["tomo", "reconstruct", "--data", str(data), "--type", "process",
+        assert main(["tomo", "reconstruct", "--data", str(data),
                      "--out", str(chi_out), "--report", str(report)]) == 0
         est = serialize.choi_from_json(serialize.load_json(chi_out))
         from convgate.metrics import process_fidelity
@@ -109,7 +109,7 @@ class TestTomoCommands:
             {"prep": ["H", "H"], "basis": ["Z", "Z"],
              "counts": {"00": 1, "01": 0, "10": 0, "11": 0}}]}, data)
         out = tmp_path / "x.json"
-        assert main(["tomo", "reconstruct", "--data", str(data), "--type", "process",
+        assert main(["tomo", "reconstruct", "--data", str(data),
                      "--out", str(out)]) == 2
 
     def test_state_reconstruction_with_prep_restriction(self, tmp_path):
@@ -117,12 +117,38 @@ class TestTomoCommands:
         main(["tomo", "simulate", "--preset", "cluster-identity", "--mean-counts",
               "20000", "--seed", "5", "--out", str(data)])
         out = tmp_path / "rho.json"
-        assert main(["tomo", "reconstruct", "--data", str(data), "--type", "state",
+        assert main(["tomo", "reconstruct", "--data", str(data),
                      "--prep", "R,L", "--out", str(out)]) == 0
         rho = serialize.state_from_json(serialize.load_json(out))
         from convgate.core import PureState
         from convgate.metrics import fidelity
         assert fidelity(rho, PureState.from_labels("RL").density()) > 0.99
+
+    @pytest.mark.parametrize("kind,written", [("state", "density"), ("process", "choi")])
+    def test_reconstruction_follows_the_dataset(self, tmp_path, kind, written):
+        from convgate.tomography import simulate_counts, simulate_state_counts
+        if kind == "state":
+            data = simulate_state_counts(target_state("psi_plus").density(), 0.5, 1000, seed=3)
+        else:
+            data = simulate_counts(ideal_choi(GateSettings(0.0, np.pi / 4)), 1000, seed=3)
+        serialize.dump_json(serialize.dataset_to_json(data), tmp_path / "data.json")
+        out = tmp_path / "estimate.json"
+        assert main(["tomo", "reconstruct", "--data", str(tmp_path / "data.json"),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["kind"] == written
+
+
+@pytest.mark.parametrize("argv", [
+    ["tomo", "reconstruct", "--data", "d.json", "--type", "process", "--out", "x.json"],
+    ["metrics", "--estimate", "e.json", "--chi", "chi.json", "--metric", "purity"],
+    ["metrics", "--estimate", "e.json", "--state", "rho.json", "--metric", "purity"],
+    ["metrics", "--estimate", "chi.json", "--optimize-phases"],
+], ids=["type", "chi", "state", "optimize-phases"])
+def test_removed_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMetricsCommand:
@@ -131,9 +157,9 @@ class TestMetricsCommand:
         serialize.dump_json(serialize.choi_to_json(
             ideal_choi(GateSettings(0.0, np.pi / 4))), chi_path)
         out = tmp_path / "metrics.json"
-        assert main(["metrics", "--chi", str(chi_path), "--target", str(chi_path),
+        assert main(["metrics", "--estimate", str(chi_path), "--target", str(chi_path),
                      "--metric", "process-fidelity", "--metric", "purity",
-                     "--optimize-phases", "--out", str(out)]) == 0
+                     "--metric", "process-fidelity-optimized", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "process-fidelity = 1.000000000" in printed
         payload = json.loads(out.read_text())
@@ -155,8 +181,8 @@ class TestMetricsCommand:
         serialize.dump_json(serialize.choi_to_json(
             ideal_choi(GateSettings(0.0, np.pi / 4))), chi_path)
         out = tmp_path / "metrics.json"
-        assert main(["metrics", "--chi", str(chi_path), "--target", str(chi_path),
-                     "--optimize-phases", "--out", str(out)]) == 0
+        assert main(["metrics", "--estimate", str(chi_path), "--target", str(chi_path),
+                     "--metric", "process-fidelity-optimized", "--out", str(out)]) == 0
         assert len(calls) == 1
         (report,) = json.loads(out.read_text())["metrics"]
         assert report["name"] == "process-fidelity-optimized"
@@ -171,7 +197,7 @@ class TestMetricsCommand:
         serialize.dump_json(serialize.dataset_to_json(data), data_path)
         state_path = tmp_path / "state.json"
         serialize.dump_json(serialize.state_to_json(psi), state_path)
-        assert main(["metrics", "--state", str(state_path), "--metric", "concurrence",
+        assert main(["metrics", "--estimate", str(state_path), "--metric", "concurrence",
                      "--monte-carlo", "3", "--data", str(data_path),
                      "--seed", "2"]) == 0
         assert "±" in capsys.readouterr().out
@@ -188,7 +214,7 @@ class TestMetricsCommand:
     def test_monte_carlo_draws_one_seed_on_stderr(self, tmp_path, capsys):
         state, data = self._state_inputs(tmp_path)
         out = tmp_path / "m.json"
-        assert main(["metrics", "--state", state, "--metric", "concurrence",
+        assert main(["metrics", "--estimate", state, "--metric", "concurrence",
                      "--metric", "purity", "--monte-carlo", "3", "--data", data,
                      "--out", str(out)]) == 0
         captured = capsys.readouterr()
@@ -212,7 +238,7 @@ class TestMetricsCommand:
         out = tmp_path / "m.json"
         if kind == "state":
             state, data = self._state_inputs(tmp_path)
-            argv = ["--state", state, "--target", state, "--metric", "concurrence",
+            argv = ["--estimate", state, "--target", state, "--metric", "concurrence",
                     "--metric", "purity", "--metric", "fidelity", "--monte-carlo", "3",
                     "--data", data, "--seed", "2"]
         else:
@@ -221,9 +247,9 @@ class TestMetricsCommand:
             serialize.dump_json(serialize.choi_to_json(chi), chi_path)
             serialize.dump_json(serialize.dataset_to_json(simulate_counts(chi, 1000, seed=4)),
                                 data)
-            argv = ["--chi", chi_path, "--target", chi_path, "--metric", "process-fidelity",
-                    "--metric", "purity", "--optimize-phases", "--monte-carlo", "2",
-                    "--data", data, "--seed", "4"]
+            argv = ["--estimate", chi_path, "--target", chi_path, "--metric", "process-fidelity",
+                    "--metric", "purity", "--metric", "process-fidelity-optimized",
+                    "--monte-carlo", "2", "--data", data, "--seed", "4"]
         assert main(["metrics", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -243,7 +269,7 @@ class TestMetricsCommand:
             data = simulate_counts(chi, 1000, seed=5)
         serialize.dump_json(estimate, tmp_path / "estimate.json")
         serialize.dump_json(serialize.dataset_to_json(data), tmp_path / "data.json")
-        assert main(["metrics", f"--{kind}", str(tmp_path / "estimate.json"),
+        assert main(["metrics", "--estimate", str(tmp_path / "estimate.json"),
                      "--metric", "purity", "--monte-carlo", "2",
                      "--data", str(tmp_path / "data.json"), "--seed", "1"]) == 2
         assert message in capsys.readouterr().err
@@ -252,13 +278,13 @@ class TestMetricsCommand:
         chi_path = tmp_path / "chi.json"
         serialize.dump_json(serialize.choi_to_json(
             ideal_choi(GateSettings(0.0, 0.0))), chi_path)
-        assert main(["metrics", "--chi", str(chi_path)]) == 2
+        assert main(["metrics", "--estimate", str(chi_path)]) == 2
 
     def test_numerical_domain_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         matrix = serialize.matrix_to_json(np.diag([1.2, -0.2, 0.0, 0.0]))
         serialize.dump_json({"qubits": 2, "kind": "density", "data": matrix}, bad)
-        assert main(["metrics", "--state", str(bad), "--metric", "purity"]) == 3
+        assert main(["metrics", "--estimate", str(bad), "--metric", "purity"]) == 3
 
 
 class TestReproduceCommand:

@@ -3,7 +3,7 @@ import pytest
 from convgate.errors import InvalidArgumentError
 from convgate.gate import cluster_state_c4
 from convgate.metrics import fidelity
-from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, NoiseSpec
+from convgate.noise import NoiseSpec
 from convgate.pipeline import (
     RAW_FIDELITY_TARGETS,
     ExperimentConfig,
@@ -106,7 +106,7 @@ class TestTomographySuite:
             run_tomography_suite(ExperimentConfig(preset="ghz"))
 
     def test_mode_phases_open_optimized_gap(self):
-        specs = calibrated_channel_noise(DEFAULT_CHANNEL_TEMPLATE)
+        specs = calibrated_channel_noise()
         config = ExperimentConfig(preset="ghz", seed=23, mean_counts=2e4,
                                   monte_carlo_samples=2, noise=specs["ghz"])
         report = run_tomography_suite(config)
@@ -152,7 +152,7 @@ class TestFixtures:
         assert fidelity(rho, ideal) == pytest.approx(0.915, abs=1e-7)
 
     def test_calibrated_channel_noise_targets(self):
-        specs = calibrated_channel_noise(DEFAULT_CHANNEL_TEMPLATE)
+        specs = calibrated_channel_noise()
         assert set(specs) == set(RAW_FIDELITY_TARGETS)
         assert all(not spec.is_zero() for spec in specs.values())
 
