@@ -204,7 +204,7 @@ def _load_state_or_choi(path):
 def cmd_metrics(args) -> int:
     estimate = _load_state_or_choi(args.estimate)
     target = _load_state_or_choi(args.target) if args.target else None
-    names = list(args.metric or [])
+    names = list(dict.fromkeys(args.metric or []))
     if not names:
         raise InvalidArgumentError("request at least one --metric")
 
@@ -328,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = tomo_sub.add_parser("reconstruct", help="maximum-likelihood reconstruction")
     p_rec.add_argument("--data", required=True, help="coincidence dataset JSON")
     p_rec.add_argument("--prep", help="fit the output state of one preparation, e.g. H,+")
-    p_rec.add_argument("--tol", type=float, default=1e-10)
-    p_rec.add_argument("--max-iter", type=int, default=5000)
+    p_rec.add_argument("--tol", type=float, default=tomography.MLEOptions.tol)
+    p_rec.add_argument("--max-iter", type=int, default=tomography.MLEOptions.max_iter)
     p_rec.add_argument("--out", required=True)
     p_rec.add_argument("--report", help="write the reconstruction report here")
     p_rec.set_defaults(func=cmd_tomo_reconstruct)

@@ -20,9 +20,10 @@ drawn from. The dataset picks its reconstruction in ``reconstruct``: one
 with a single preparation (output-state tomography, 9 basis records) gets
 the 4x4 density matrix, any other gets the process matrix and must hold all
 324 settings. For process reconstruction the Choi matrix is treated as a
-16x16 density-like object with effective operators E_j = rho_prep^T (x)
+16x16 density-like object with effective operators E = rho_prep^T (x)
 Pi_out, which sum to a multiple of the identity for this
-preparation/measurement set. Reconstructed matrices are unit trace; the
+preparation/measurement set; only the simulation forms them, the fit
+contracts the two factor stacks. Reconstructed matrices are unit trace; the
 trace-decreasing success scale of a process is recovered separately from
 the relative total counts per preparation.
 """
@@ -115,15 +116,6 @@ _BASIS_INDEX = {b: i for i, b in enumerate(enumerate_bases())}
 _SETTING_INDEX = {s: i for i, s in enumerate(enumerate_settings())}
 
 
-def _operator_table() -> np.ndarray:
-    """(1296, 16, 16) setting operators E = rho_prep^T (x) Pi_out.
-
-    Rows follow ``enumerate_settings()`` with the four outcomes innermost.
-    """
-    table = np.einsum("pij,bokl->pboikjl", _PREP_TRANSPOSES, _BASIS_PROJECTORS)
-    return table.reshape(1296, 16, 16)
-
-
 @dataclass
 class CoincidenceDataset:
     """Counts indexed by (preparation pair, basis pair, two-photon outcome).
@@ -194,8 +186,12 @@ class CoincidenceDataset:
 
 
 def _expected_counts(chi: ChoiProcess, mean_counts: float) -> np.ndarray:
-    """(324, 4) expected counts: mean * 4 * scale * Tr[(prep^T (x) Pi) chi]."""
-    lam = mean_counts * np.einsum("nij,ji->n", _operator_table(), chi.unnormalized()).real
+    """(324, 4) expected counts: mean * 4 * scale * Tr[(prep^T (x) Pi) chi],
+    over the 1296 formed products: a Poisson draw uses the generator for any
+    mean above 0, so a mean that rounds to 9e-34 rather than 0 must keep it."""
+    table = np.einsum("pij,bokl->pboikjl", _PREP_TRANSPOSES, _BASIS_PROJECTORS)
+    lam = mean_counts * np.einsum("nij,ji->n", table.reshape(1296, 16, 16),
+                                  chi.unnormalized()).real
     return np.clip(lam.reshape(324, 4), 0.0, None)
 
 
@@ -259,45 +255,48 @@ class ReconstructionReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _iterate_rho_r(ops: np.ndarray, counts: np.ndarray, options: MLEOptions | None,
-                   start: np.ndarray | None) -> ReconstructionReport:
+def _iterate_rho_r(left: np.ndarray, right: np.ndarray, counts: np.ndarray,
+                   options: MLEOptions | None, start: np.ndarray | None) -> ReconstructionReport:
     """Shared R-rho-R fixed point with a monotonicity safeguard.
 
-    ``ops`` has shape (n, dim, dim) and ``counts`` shape (n,). Log-likelihoods
-    are mean natural-log likelihood per count; the recorded sequence is
-    non-decreasing by construction (steps that would lower it are diluted
-    toward the identity, and the iteration stops at the numerical floor if no
-    ascent direction remains). The report's estimate is the fitted matrix;
-    callers wrap it in their estimate type and add their own metadata.
+    The operators E_pm = left_p (x) right_m of ``left`` (P, a, a), ``right``
+    (M, b, b) and ``counts`` (P, M) are never formed: with the realignment
+    S[(j i), (l k)] = rho[(j l), (i k)], Tr[E_pm rho] = vec(left_p^T) S
+    vec(right_m^T), and sum_pm w_pm E_pm realigns vec(left)^T W vec(right).
+    Log-likelihoods are mean natural-log likelihood per count; the recorded
+    sequence is non-decreasing by construction (steps that would lower it are
+    diluted toward the identity, and the iteration stops at the numerical
+    floor if no ascent direction remains). The report's estimate is the fitted
+    matrix; callers wrap it in their estimate type and add their own metadata.
     """
     options = options or MLEOptions()
     total = counts.sum()
     if total <= 0:
         raise InvalidArgumentError("dataset holds no counts")
     freqs = counts / total
-    dim = ops.shape[-1]
-    flat = ops.reshape(len(ops), dim * dim)            # row-major op entries
-    flat_t = ops.transpose(0, 2, 1).reshape(len(ops), dim * dim)
+    (n_left, a, _), (n_right, b, _) = left.shape, right.shape
+    dim = a * b
+    left_vec, right_vec = left.reshape(n_left, a * a), right.reshape(n_right, b * b)
+    left_t_vec = left.transpose(0, 2, 1).reshape(n_left, a * a)
+    right_t_vec = right.transpose(0, 2, 1).reshape(n_right, b * b).T
+    realign = np.arange(dim * dim).reshape(a, b, a, b).transpose(0, 2, 1, 3).reshape(a * a, b * b)
+    unalign = np.arange(dim * dim).reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(dim, dim)
     active = freqs > 0.0
 
     def probs_of(rho):
-        return np.maximum((flat_t @ rho.ravel()).real, 1e-300)
+        return np.maximum((left_t_vec @ rho.ravel()[realign] @ right_t_vec).real, 1e-300)
 
     def likelihood(p):
         return float(freqs[active] @ np.log(p[active]))
 
-    if start is None:
-        rho = np.eye(dim, dtype=complex) / dim
-    else:
-        rho = start.copy()
+    rho = np.eye(dim, dtype=complex) / dim if start is None else start.copy()
     probs = probs_of(rho)
     current = likelihood(probs)
     trace_log = [current]
-    converged = False
-    iterations = 0
+    converged, iterations = False, 0
 
-    def step(left, right):
-        candidate = left @ rho @ right
+    def step(before, after):
+        candidate = before @ rho @ after
         candidate = (candidate + candidate.conj().T) / 2.0
         candidate /= np.trace(candidate).real
         cand_probs = probs_of(candidate)
@@ -305,7 +304,7 @@ def _iterate_rho_r(ops: np.ndarray, counts: np.ndarray, options: MLEOptions | No
 
     for iterations in range(1, options.max_iter + 1):
         weights = np.where(active, freqs / probs, 0.0)
-        r_op = (weights @ flat).reshape(dim, dim)
+        r_op = (left_vec.T @ weights @ right_vec).ravel()[unalign]
         r_op = (r_op + r_op.conj().T) / 2.0
 
         candidate, cand_probs, cand_like = step(r_op, r_op)
@@ -336,11 +335,12 @@ def _iterate_rho_r(ops: np.ndarray, counts: np.ndarray, options: MLEOptions | No
     )
 
 
-def _state_operators(data: CoincidenceDataset) -> tuple[np.ndarray, np.ndarray]:
+def _state_operators(data: CoincidenceDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A trivial 1x1 preparation, the records' projectors and counts as one row."""
     if set(data.bases) != set(_BASIS_INDEX):
         raise InvalidArgumentError("state tomography needs counts for all 9 basis pairs")
-    ops = _BASIS_PROJECTORS[[_BASIS_INDEX[b] for b in data.bases]].reshape(-1, 4, 4)
-    return ops, data.counts.reshape(-1).astype(float)
+    projectors = _BASIS_PROJECTORS[[_BASIS_INDEX[b] for b in data.bases]].reshape(-1, 4, 4)
+    return np.ones((1, 1, 1), complex), projectors, data.counts.reshape(1, -1).astype(float)
 
 
 def mle_density_matrix(data: CoincidenceDataset,
@@ -354,12 +354,12 @@ def mle_density_matrix(data: CoincidenceDataset,
                    metadata={"kind": "state", **fit.metadata})
 
 
-def _process_operators(data: CoincidenceDataset) -> tuple[np.ndarray, np.ndarray]:
-    """The operator table and a full dataset's counts permuted into its order."""
+def _process_operators(data: CoincidenceDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Preparation and projector stacks and the counts as a 36 x 36 array."""
     order = [_SETTING_INDEX[setting] for setting in zip(data.preps, data.bases)]
     counts = np.empty((324, 4))
     counts[order] = data.counts
-    return _operator_table(), counts.reshape(-1)
+    return _PREP_TRANSPOSES, _BASIS_PROJECTORS.reshape(36, 4, 4), counts.reshape(36, 36)
 
 
 def mle_process_matrix(data: CoincidenceDataset,

@@ -14,6 +14,19 @@ from convgate.errors import InvalidArgumentError
 from convgate.gate import GateSettings, build_gate, ideal_choi, target_state
 
 
+def process_monte_carlo_argv(tmp_path):
+    """``metrics`` arguments of a seeded two-sample Monte Carlo over ideal GHZ
+    process counts, with the estimate and dataset written under ``tmp_path``."""
+    from convgate.tomography import simulate_counts
+    chi = ideal_choi(GateSettings(0.0, np.pi / 4))
+    chi_path, data = str(tmp_path / "chi.json"), str(tmp_path / "data.json")
+    serialize.dump_json(serialize.choi_to_json(chi), chi_path)
+    serialize.dump_json(serialize.dataset_to_json(simulate_counts(chi, 1000, seed=4)), data)
+    return ["--estimate", chi_path, "--target", chi_path, "--metric", "process-fidelity",
+            "--metric", "purity", "--metric", "process-fidelity-optimized",
+            "--monte-carlo", "2", "--data", data, "--seed", "4"]
+
+
 class TestAngleParsing:
     @pytest.mark.parametrize("text,expected", [
         ("0", 0.0),
@@ -137,6 +150,13 @@ class TestTomoCommands:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["kind"] == written
 
+    def test_reconstruct_defaults_are_the_mle_options(self):
+        from convgate.cli import build_parser
+        from convgate.tomography import MLEOptions
+        args = build_parser().parse_args(["tomo", "reconstruct", "--data", "d.json",
+                                          "--out", "x.json"])
+        assert (args.tol, args.max_iter) == (MLEOptions.tol, MLEOptions.max_iter)
+
 
 @pytest.mark.parametrize("argv", [
     ["tomo", "reconstruct", "--data", "d.json", "--type", "process", "--out", "x.json"],
@@ -165,6 +185,16 @@ class TestMetricsCommand:
         payload = json.loads(out.read_text())
         names = {m["name"] for m in payload["metrics"]}
         assert names == {"process-fidelity", "purity", "process-fidelity-optimized"}
+
+    def test_repeated_metric_reported_once(self, tmp_path, capsys):
+        chi_path = tmp_path / "chi.json"
+        serialize.dump_json(serialize.choi_to_json(
+            ideal_choi(GateSettings(0.0, np.pi / 4))), chi_path)
+        out = tmp_path / "metrics.json"
+        assert main(["metrics", "--estimate", str(chi_path), "--metric", "purity",
+                     "--metric", "purity", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.count("purity = ") == 1
+        assert [m["name"] for m in json.loads(out.read_text())["metrics"]] == ["purity"]
 
     def test_optimize_phases_runs_one_optimization(self, tmp_path, monkeypatch):
         from convgate import cli, metrics
@@ -226,15 +256,16 @@ class TestMetricsCommand:
         metrics = json.loads(out.read_text())["metrics"]
         assert [m["metadata"]["seed"] for m in metrics] == [seed, seed]
 
-    # sha256 of the --out files written by the per-metric Monte Carlo loop this
-    # command replaced; one shared table must reproduce them byte for byte
+    # sha256 of the --out files. The state digest is that of the per-metric
+    # Monte Carlo loop this command replaced. The process digest was
+    # re-recorded when the R-rho-R fit began contracting the preparation and
+    # projector stacks; test_report_values.py bounds how far its values moved.
     @pytest.mark.parametrize("kind,digest", [
         ("state", "6371627212226d3d6deb84ca69e532603445f7bafd3e60e6fc4ffada27d6da0e"),
-        ("process", "d53dd14f563a0b8e318b08396e6cf506a2a793c468b521a135541c201ba3c543"),
+        ("process", "9449f1f188d8c27cb202239494febd524e900f94980dac0351e20bc45b70be54"),
     ])
     def test_seeded_monte_carlo_report_bytes(self, tmp_path, kind, digest):
         import hashlib
-        from convgate.tomography import simulate_counts
         out = tmp_path / "m.json"
         if kind == "state":
             state, data = self._state_inputs(tmp_path)
@@ -242,14 +273,7 @@ class TestMetricsCommand:
                     "--metric", "purity", "--metric", "fidelity", "--monte-carlo", "3",
                     "--data", data, "--seed", "2"]
         else:
-            chi = ideal_choi(GateSettings(0.0, np.pi / 4))
-            chi_path, data = str(tmp_path / "chi.json"), str(tmp_path / "data.json")
-            serialize.dump_json(serialize.choi_to_json(chi), chi_path)
-            serialize.dump_json(serialize.dataset_to_json(simulate_counts(chi, 1000, seed=4)),
-                                data)
-            argv = ["--estimate", chi_path, "--target", chi_path, "--metric", "process-fidelity",
-                    "--metric", "purity", "--metric", "process-fidelity-optimized",
-                    "--monte-carlo", "2", "--data", data, "--seed", "4"]
+            argv = process_monte_carlo_argv(tmp_path)
         assert main(["metrics", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

@@ -22,7 +22,18 @@ from convgate.metrics import (
     process_fidelity,
 )
 from convgate.noise import NoiseSpec, apply_channel_noise, depolarize_choi
-from convgate.tomography import CoincidenceDataset, enumerate_bases, reconstruct
+from convgate.tomography import (
+    CoincidenceDataset,
+    MLEOptions,
+    _iterate_rho_r,
+    _process_operators,
+    _state_operators,
+    enumerate_bases,
+    enumerate_settings,
+    outcome_projectors,
+    prep_state,
+    reconstruct,
+)
 
 
 # hypothesis caches constants parsed from local sources in its home directory
@@ -115,3 +126,47 @@ def test_state_mle_is_a_unit_trace_psd_matrix(counts):
     assert isinstance(rho, DensityMatrix)
     assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
+
+
+def _fit_reference(ops, counts, rho):
+    """Log-likelihood at ``rho`` and one undiluted R-rho-R step from it, with
+    the operators given one per record."""
+    freqs = counts / counts.sum()
+    active = freqs > 0.0
+    probs = np.einsum("jab,ba->j", ops, rho).real
+    r_op = np.einsum("j,jab->ab", freqs[active] / probs[active], ops[active])
+    r_op = (r_op + r_op.conj().T) / 2.0
+    step = r_op @ rho @ r_op
+    step = (step + step.conj().T) / 2.0
+    return float(freqs[active] @ np.log(probs[active])), step / np.trace(step).real
+
+
+@_settings(20)
+@given(seeds, st.sampled_from(["process", "state"]), st.floats(0.0, 0.8))
+def test_factored_fit_matches_per_setting_kron_products(seed, kind, zero_fraction):
+    rng = np.random.default_rng(seed)
+    if kind == "process":
+        records = enumerate_settings()
+        ops = np.stack([np.kron(prep_state(prep).density().matrix.T, projector)
+                        for prep, basis in records for projector in outcome_projectors(basis)])
+        operators, dim = _process_operators, 16
+    else:
+        records = [(None, basis) for basis in enumerate_bases()]
+        ops = np.concatenate([outcome_projectors(basis) for _, basis in records])
+        operators, dim = _state_operators, 4
+    counts = rng.integers(0, 1000, size=(len(records), 4))
+    counts[rng.random(counts.shape) < zero_fraction] = 0
+    assume(counts.sum() > 0)
+    order = rng.permutation(len(records))  # record order must not matter
+    data = CoincidenceDataset(preps=[records[i][0] for i in order],
+                              bases=[records[i][1] for i in order], counts=counts[order])
+    start = _ginibre(seed, dim, dim)
+    left, right, factored_counts = operators(data)
+    assert (left.shape[0], right.shape[0]) == ((36, 36) if kind == "process" else (1, 36))
+
+    like, step = _fit_reference(ops, counts.reshape(-1).astype(float), start)
+    fit = _iterate_rho_r(left, right, factored_counts, MLEOptions(tol=0.0, max_iter=1), start)
+    assert abs(fit.log_likelihoods[0] - like) <= 1e-12
+    step_like, _ = _fit_reference(ops, counts.reshape(-1).astype(float), step)
+    assume(step_like > like + 1e-9)  # the undiluted step ascends, so the fit takes it
+    assert np.abs(fit.estimate - step).max() <= 1e-12

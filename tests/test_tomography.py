@@ -10,7 +10,6 @@ from convgate.tomography import (
     CoincidenceDataset,
     MLEOptions,
     _expected_counts,
-    _process_operators,
     _resamples,
     derive_seed,
     enumerate_bases,
@@ -247,14 +246,6 @@ class TestProcessMLE:
 
 
 class TestOperatorTable:
-    def test_rows_are_kron_products(self, chi_ghz):
-        table, _ = _process_operators(simulate_counts(chi_ghz, 100, seed=41))
-        assert table.shape == (1296, 16, 16)
-        for i, (prep, basis) in enumerate(enumerate_settings()):
-            rho_t = prep_state(prep).density().matrix.T
-            for o, projector in enumerate(outcome_projectors(basis)):
-                assert np.array_equal(table[4 * i + o], np.kron(rho_t, projector))
-
     def test_expected_counts_match_per_setting_loop(self):
         chi = apply_channel_noise(ideal_choi(preset("dicke").settings),
                                   DEFAULT_CHANNEL_TEMPLATE.scaled(0.3))
