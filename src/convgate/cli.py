@@ -219,7 +219,7 @@ def cmd_metrics(args) -> int:
             value = fn(estimate)
         values[name] = float(value)
     stds, seed = {}, None
-    if args.monte_carlo:
+    if args.monte_carlo is not None:
         if not args.data:
             raise InvalidArgumentError("--monte-carlo needs --data with the counts")
         data = serialize.dataset_from_json(serialize.load_json(args.data))
@@ -236,7 +236,7 @@ def cmd_metrics(args) -> int:
     reports = []
     for name in names:
         value, std = values[name], stds.get(name)
-        metadata = {"n_samples": args.monte_carlo, "seed": seed} if args.monte_carlo else {}
+        metadata = {"n_samples": args.monte_carlo, "seed": seed} if args.monte_carlo is not None else {}
         if name == "process-fidelity-optimized":
             metadata["phases"] = phases
         reports.append({"name": name, "value": value, "std": std, "metadata": metadata})

@@ -28,7 +28,7 @@ from .errors import InvalidArgumentError, NumericalDomainError
 TWO_PI = 2.0 * np.pi
 #: Points per phase axis of the coarse phase-optimization grid.
 PHASE_GRID_POINTS = 16
-#: Phase resolution of the golden-section refinement.
+#: Phase resolution (Nelder-Mead ``xatol``) of the phase-optimization refinement.
 PHASE_TOL = 1e-8
 
 
@@ -213,22 +213,28 @@ def _dominant_vector(mat: np.ndarray, deficit: float) -> np.ndarray | None:
     return None
 
 
-def _make_phase_objective(chi: ChoiProcess, chi_th: ChoiProcess):
-    """Return (exact, grid) evaluators of the fidelity as a function of the
-    16-component phase vector w.
+def _phase_objective(chi: ChoiProcess, chi_th: ChoiProcess):
+    """Return (screen, exact) evaluators of the fidelity for a stack of
+    16-component phase vectors w, one per row.
 
-    With a pure argument the fidelity is a quadratic form in w and both
-    evaluators are exact and cheap. A matrix whose residual spectrum carries
-    less than 1e-4 of the trace still uses the quadratic form for grid
-    screening (error bounded by the residual mass) while the exact evaluator
-    runs the full Uhlmann formula. Fully mixed pairs batch the grid
-    eigendecompositions in chunks.
+    With a pure argument the fidelity is a quadratic form in w, and both
+    evaluators are that form. A matrix whose residual spectrum carries less
+    than 1e-4 of the trace still screens with the quadratic form (error
+    bounded by the residual mass), while the exact evaluator runs the full
+    Uhlmann formula, as both do for a mixed pair.
     """
-    def evaluate_exact(w: np.ndarray) -> float:
-        conj = chi.choi * np.outer(w, w.conj())
-        return _uhlmann(conj, chi_th.choi)
+    # F(w) = ||sqrt(D chi D^dag) sqrt(chi_th)||_tr^2 and sqrt(D chi D^dag) =
+    # D sqrt(chi) D^dag, so F(w) is the squared trace norm of
+    # (sqrt(chi) D^dag) sqrt(chi_th) up to a unitary factor
+    root_chi = matrix_sqrt(chi.choi)
 
-    for deficit, exact in ((1e-9, True), (1e-4, False)):
+    def uhlmann(ws: np.ndarray) -> np.ndarray:
+        p = root_chi[None, :, :] * ws.conj()[:, None, :]
+        t = p @ chi_th.choi @ p.conj().transpose(0, 2, 1)
+        vals = np.clip(np.linalg.eigvalsh(t), 0.0, None)
+        return np.sqrt(vals).sum(axis=1) ** 2
+
+    for deficit, quadratic_is_exact in ((1e-9, True), (1e-4, False)):
         # pure target |v>: F = <v| D chi D^dag |v>; pure estimate |v>:
         # F = <v| D^dag chi_th D |v> = <v*| D chi_th^T D^dag |v*>, so with
         # both transposed it is the same form sum_jk w_j B_jk conj(w_k)
@@ -238,31 +244,11 @@ def _make_phase_objective(chi: ChoiProcess, chi_th: ChoiProcess):
                 continue
             quad = np.outer(v.conj(), v) * other
 
-            def evaluate(w: np.ndarray) -> float:
-                return float(np.einsum("j,jk,k->", w, quad, w.conj()).real)
+            def quadratic(ws: np.ndarray) -> np.ndarray:
+                return np.einsum("gj,gj->g", ws @ quad, ws.conj()).real
 
-            def evaluate_grid(ws: np.ndarray) -> np.ndarray:
-                return np.einsum("gj,jk,gk->g", ws, quad, ws.conj()).real
-
-            return (evaluate if exact else evaluate_exact), evaluate_grid
-
-    # mixed-mixed case: F(w) = ||sqrt(D chi D^dag) sqrt(chi_th)||_tr^2 and
-    # sqrt(D chi D^dag) = D sqrt(chi) D^dag, so F(w) is the squared trace
-    # norm of (sqrt(chi) D^dag) sqrt(chi_th) up to a unitary factor
-    root_chi = matrix_sqrt(chi.choi)
-    th_mat = chi_th.choi
-
-    def evaluate_grid(ws: np.ndarray) -> np.ndarray:
-        out = np.empty(len(ws))
-        for start in range(0, len(ws), 2048):
-            block = ws[start:start + 2048]
-            p = root_chi[None, :, :] * block.conj()[:, None, :]
-            t = p @ th_mat @ p.conj().transpose(0, 2, 1)
-            vals = np.clip(np.linalg.eigvalsh(t), 0.0, None)
-            out[start:start + 2048] = np.sqrt(vals).sum(axis=1) ** 2
-        return out
-
-    return evaluate_exact, evaluate_grid
+            return quadratic, (quadratic if quadratic_is_exact else uhlmann)
+    return uhlmann, uhlmann
 
 
 def _phase_vectors(phases_grid: np.ndarray) -> np.ndarray:
@@ -274,70 +260,34 @@ def _phase_vectors(phases_grid: np.ndarray) -> np.ndarray:
     return np.exp(1j * theta)
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
-
-
 def phase_optimized_fidelity(chi: ChoiProcess,
                              chi_th: ChoiProcess) -> tuple[float, PhaseCorrection]:
     """Maximum process fidelity over the four local mode phases applied to chi.
 
-    A coarse ``PHASE_GRID_POINTS``^4 search (always containing the zero-phase
-    point) seeds coordinate-wise golden-section refinement down to
-    ``PHASE_TOL`` phase resolution. The result is never below the raw
-    fidelity.
+    A coarse ``PHASE_GRID_POINTS``^4 screen (always containing the zero-phase
+    point), run in blocks of 2048 phase vectors, seeds one Nelder-Mead
+    refinement of the exact fidelity down to ``PHASE_TOL`` phase resolution.
+    The result is never below the raw fidelity.
     """
     raw = process_fidelity(chi, chi_th)
-    evaluate, evaluate_grid = _make_phase_objective(chi, chi_th)
+    screen, exact = _phase_objective(chi, chi_th)
 
     axis = np.linspace(0.0, TWO_PI, PHASE_GRID_POINTS, endpoint=False)
-    mesh = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1)
-    grid = mesh.reshape(-1, 4)
-    values = evaluate_grid(_phase_vectors(grid))
-    best_idx = int(np.argmax(values))
-    phases = grid[best_idx].copy()
-    best = float(values[best_idx])
+    place = PHASE_GRID_POINTS ** np.arange(3, -1, -1)  # the first phase varies slowest
 
-    def along(coord, x):
-        trial = phases.copy()
-        trial[coord] = x
-        return evaluate(_phase_vectors(trial[None, :])[0])
+    def grid_phases(index):
+        return axis[index // place % PHASE_GRID_POINTS]
 
-    # per-coordinate resample + local golden section; each axis restriction of
-    # the objective is a single trigonometric harmonic, so this is exact
-    spacing = TWO_PI / PHASE_GRID_POINTS
-    for _ in range(60):
-        improved = best
-        for coord in range(4):
-            samples = [(along(coord, x), x) for x in axis]
-            _, x0 = max(samples)
-            x_opt, f_opt = _golden_section_max(lambda x: along(coord, x),
-                                               x0 - spacing, x0 + spacing, PHASE_TOL)
-            if f_opt > best:
-                best = f_opt
-                phases[coord] = x_opt % TWO_PI
-        if best - improved < 1e-14:
-            break
-
+    points = np.arange(PHASE_GRID_POINTS**4)
+    values = np.concatenate([screen(_phase_vectors(grid_phases(points[start:start + 2048, None])))
+                             for start in range(0, len(points), 2048)])
+    res = minimize(lambda x: -exact(_phase_vectors(x[None, :]))[0],
+                   x0=grid_phases(np.argmax(values)),
+                   method="Nelder-Mead", options={"xatol": PHASE_TOL})
+    best = float(-res.fun)
     if best <= raw:
         return raw, PhaseCorrection.zero()
-    return best, PhaseCorrection(tuple(phases))
+    return best, PhaseCorrection(tuple(res.x))
 
 
 #: CLI / Monte Carlo metric names.

@@ -87,7 +87,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.monte_carlo_samples < 2:
             raise InvalidArgumentError("monte_carlo_samples must be at least 2")
-        if self.mean_counts <= 0:
+        if not 0.0 < self.mean_counts < np.inf:
             raise InvalidArgumentError("mean_counts must be positive")
         if self.preset is not None:
             preset(self.preset)  # validates the name

@@ -175,6 +175,9 @@ def dump_json(obj: dict, path) -> None:
 
 def load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError(f"{path} must hold a JSON object, not {type(obj).__name__}")
+    return obj

@@ -198,6 +198,8 @@ def _expected_counts(chi: ChoiProcess, mean_counts: float) -> np.ndarray:
 def _poisson_dataset(preps, bases, lam: np.ndarray, mean_counts: float,
                      seed: int) -> CoincidenceDataset:
     """Counts drawn from Poisson means ``lam`` with ``PCG64(seed)``."""
+    if not 0.0 < mean_counts < np.inf:
+        raise InvalidArgumentError("mean_counts must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
     return CoincidenceDataset(
         preps=preps,
@@ -216,8 +218,6 @@ def simulate_counts(chi: ChoiProcess, mean_counts: float, seed: int) -> Coincide
     is ``mean_counts`` scaled by the preparation's success probability and
     the conditional outcome probability.
     """
-    if mean_counts <= 0:
-        raise InvalidArgumentError("mean_counts must be positive")
     settings = enumerate_settings()
     return _poisson_dataset([p for p, _ in settings], [b for _, b in settings],
                             _expected_counts(chi, mean_counts), mean_counts, seed)
@@ -230,8 +230,6 @@ def simulate_state_counts(rho: DensityMatrix, success_probability: float,
     The nine basis settings are measured with expected counts
     ``mean_counts * success_probability * p(outcome)``.
     """
-    if mean_counts <= 0:
-        raise InvalidArgumentError("mean_counts must be positive")
     if rho.qubits != 2:
         raise InvalidArgumentError("state tomography records are two-qubit")
     probs = np.einsum("boij,ji->bo", _BASIS_PROJECTORS, rho.matrix).real

@@ -171,6 +171,31 @@ def test_removed_options_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mean", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["tomo", "simulate", "--preset", "ghz", "--seed", "1", "--out", "x.json"],
+    ["reproduce", "table2-sim", "--seed", "1", "--samples", "2", "--out-dir", "out"],
+], ids=["tomo-simulate", "reproduce"])
+def test_mean_counts_must_be_finite(tmp_path, monkeypatch, capsys, command, mean):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--mean-counts", mean]) == 2
+    assert "mean_counts must be positive" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*.json")) == []
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"chi"', "null"])
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--estimate", "input.json", "--metric", "purity"],
+    ["tomo", "simulate", "--preset", "ghz", "--mean-counts", "10", "--seed", "1",
+     "--noise", "input.json", "--out", "x.json"],
+], ids=["metrics-estimate", "tomo-simulate-noise"])
+def test_json_that_is_not_an_object_exits_2(tmp_path, monkeypatch, capsys, argv, text):
+    monkeypatch.chdir(tmp_path)
+    Path("input.json").write_text(text)
+    assert main(argv) == 2
+    assert "input.json must hold a JSON object" in capsys.readouterr().err
+
+
 class TestMetricsCommand:
     def test_process_metrics(self, tmp_path, capsys):
         chi_path = tmp_path / "chi.json"
@@ -259,10 +284,12 @@ class TestMetricsCommand:
     # sha256 of the --out files. The state digest is that of the per-metric
     # Monte Carlo loop this command replaced. The process digest was
     # re-recorded when the R-rho-R fit began contracting the preparation and
-    # projector stacks; test_report_values.py bounds how far its values moved.
+    # projector stacks, and again when the phase search became one Nelder-Mead
+    # refinement (the process-fidelity-optimized std moved by 7.9e-17);
+    # test_report_values.py bounds how far its values moved.
     @pytest.mark.parametrize("kind,digest", [
         ("state", "6371627212226d3d6deb84ca69e532603445f7bafd3e60e6fc4ffada27d6da0e"),
-        ("process", "9449f1f188d8c27cb202239494febd524e900f94980dac0351e20bc45b70be54"),
+        ("process", "8661b70241c5892f926072570f850045d86c2ebfc66d274ee56324c35a9c0a9a"),
     ])
     def test_seeded_monte_carlo_report_bytes(self, tmp_path, kind, digest):
         import hashlib
@@ -297,6 +324,12 @@ class TestMetricsCommand:
                      "--metric", "purity", "--monte-carlo", "2",
                      "--data", str(tmp_path / "data.json"), "--seed", "1"]) == 2
         assert message in capsys.readouterr().err
+
+    def test_monte_carlo_of_zero_samples_is_rejected(self, tmp_path, capsys):
+        state, data = self._state_inputs(tmp_path)
+        assert main(["metrics", "--estimate", state, "--metric", "purity",
+                     "--monte-carlo", "0", "--data", data, "--seed", "1"]) == 2
+        assert "n_samples >= 2" in capsys.readouterr().err
 
     def test_requires_metric(self, tmp_path):
         chi_path = tmp_path / "chi.json"

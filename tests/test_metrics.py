@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
@@ -165,6 +167,19 @@ class TestPhaseOptimizedFidelity:
         # the returned phases reach the returned value
         reached = process_fidelity(phase_conjugate_choi(planted, correction), chi_th)
         assert reached == pytest.approx(value, abs=1e-9)
+
+    def test_pure_target_search_allocates_little(self):
+        # the 16^4-point screen runs in blocks; holding all 65,536 phase
+        # vectors (16 MiB complex) at once would raise the peak several-fold
+        chi_th = ideal_choi(preset("ghz").settings)
+        noisy = depolarize_choi(chi_th, 1e-3)
+        tracemalloc.start()
+        try:
+            phase_optimized_fidelity(noisy, chi_th)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestConcurrence:

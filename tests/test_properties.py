@@ -114,6 +114,7 @@ def test_phase_optimized_fidelity_is_at_least_raw(theta1, theta2, p, planted):
     chi = phase_conjugate_choi(depolarize_choi(chi_th, p), planted)
     value, _ = phase_optimized_fidelity(chi, chi_th)
     assert value >= process_fidelity(chi, chi_th) - 1e-12
+    assert value >= process_fidelity(phase_conjugate_choi(chi, planted.scaled(-1)), chi_th) - 1e-9
 
 
 @_settings(40)
