@@ -236,7 +236,8 @@ def cmd_metrics(args) -> int:
     reports = []
     for name in names:
         value, std = values[name], stds.get(name)
-        metadata = {"n_samples": args.monte_carlo, "seed": seed} if args.monte_carlo is not None else {}
+        metadata = ({} if args.monte_carlo is None
+                    else {"n_samples": args.monte_carlo, "seed": seed})
         if name == "process-fidelity-optimized":
             metadata["phases"] = phases
         reports.append({"name": name, "value": value, "std": std, "metadata": metadata})
