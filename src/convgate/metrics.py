@@ -138,57 +138,60 @@ def log_negativity(m: DensityMatrix) -> float:
     return float(np.log2(np.abs(vals).sum()))
 
 
-def _measurement_kets(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def _conditional_entropies(rho: np.ndarray, measured_qubit: int, theta: np.ndarray,
+                           phi: np.ndarray) -> np.ndarray:
+    """sum_b p_b S(rho_other|b) for the projective measurements along each
+    Bloch direction (theta[g], phi[g]) on one qubit, one value per direction."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    m0 = np.array([c, s * np.exp(1j * phi)], dtype=complex)
-    m1 = np.array([-s, c * np.exp(1j * phi)], dtype=complex)
-    return m0, m1
-
-
-def _conditional_entropy(rho: np.ndarray, measured_qubit: int, theta: float,
-                         phi: float) -> float:
-    """sum_b p_b S(rho_other|b) for a projective measurement on one qubit."""
-    t = rho.reshape(2, 2, 2, 2)
-    total = 0.0
-    for ket in _measurement_kets(theta, phi):
-        if measured_qubit == 0:
-            cond = np.einsum("a,abcd,c->bd", ket.conj(), t, ket)
-        else:
-            cond = np.einsum("b,abcd,d->ac", ket.conj(), t, ket)
-        p = float(np.trace(cond).real)
-        if p > 1e-12:
-            total += p * von_neumann_entropy(cond / p)
-    return total
+    e = np.exp(1j * phi)
+    kets = np.empty((len(theta), 2, 2), dtype=complex)  # (direction, outcome, component)
+    kets[:, 0, 0], kets[:, 0, 1] = c, s * e
+    kets[:, 1, 0], kets[:, 1, 1] = -s, c * e
+    spec = "gka,abcd,gkc->gkbd" if measured_qubit == 0 else "gkb,abcd,gkd->gkac"
+    cond = np.einsum(spec, kets.conj(), rho.reshape(2, 2, 2, 2), kets)
+    p = (cond[..., 0, 0] + cond[..., 1, 1]).real
+    kept = p > 1e-12
+    scale = np.where(kept, p, 1.0)[..., None]
+    # an outcome below the cut gets the spectrum (0, 1): zero entropy
+    vals = np.where(kept[..., None], np.linalg.eigvalsh(cond / scale[..., None]), [0.0, 1.0])
+    # the clamp window applies to the spectrum of p_b rho_other|b, a compression
+    # of rho: dividing by a small p_b scales its rounding up by 1/p_b
+    clamp_spectrum(scale * vals)
+    vals = np.clip(vals, 0.0, None)
+    positive = vals > 1e-15
+    logs = np.log2(np.where(positive, vals, 1.0))
+    entropies = -np.where(positive, vals * logs, 0.0).sum(axis=-1)
+    return np.where(kept, p * entropies, 0.0).sum(axis=-1)
 
 
 def discord(m: DensityMatrix, measured_qubit: int, *, grid: tuple[int, int] = (20, 40),
             refine: bool = True) -> float:
     """Quantum discord with projective measurements on the chosen qubit.
 
-    The minimization over measurement directions runs a coarse Bloch-sphere
-    grid (``grid`` points in (theta, phi)) followed by a deterministic
-    Nelder-Mead refinement from the best grid point.
+    The minimization over measurement directions screens a coarse Bloch-sphere
+    grid (``grid`` points in (theta, phi)) in one batched evaluation, then runs
+    a deterministic Nelder-Mead refinement from the first best grid point with
+    the same evaluator on one direction at a time.
     """
     if not isinstance(m, DensityMatrix) or m.qubits != 2:
         raise InvalidArgumentError("discord is defined for two-qubit density matrices")
     if measured_qubit not in (0, 1):
         raise InvalidArgumentError("measured_qubit must be 0 or 1")
-    other = 1 - measured_qubit
     s_measured = von_neumann_entropy(partial_trace(m, {measured_qubit}))
     s_total = von_neumann_entropy(m)
 
     rho = m.matrix
     n_theta, n_phi = grid
-    best_val, best_angles = np.inf, (0.0, 0.0)
-    for theta in np.linspace(0.0, np.pi, n_theta):
-        for phi in np.linspace(0.0, TWO_PI, n_phi, endpoint=False):
-            val = _conditional_entropy(rho, measured_qubit, theta, phi)
-            if val < best_val:
-                best_val, best_angles = val, (theta, phi)
+    theta, phi = np.meshgrid(np.linspace(0.0, np.pi, n_theta),
+                             np.linspace(0.0, TWO_PI, n_phi, endpoint=False), indexing="ij")
+    theta, phi = theta.ravel(), phi.ravel()
+    values = _conditional_entropies(rho, measured_qubit, theta, phi)
+    best = int(np.argmin(values))
+    best_val = float(values[best])
     if refine:
         res = minimize(
-            lambda x: _conditional_entropy(rho, measured_qubit, x[0], x[1]),
-            x0=np.array(best_angles),
+            lambda x: _conditional_entropies(rho, measured_qubit, x[:1], x[1:])[0],
+            x0=np.array([theta[best], phi[best]]),
             method="Nelder-Mead",
             options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},
         )

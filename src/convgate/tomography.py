@@ -52,6 +52,9 @@ BASIS_OUTCOME_STATES = {"Z": ("H", "V"), "X": ("+", "-"), "Y": ("R", "L")}
 OUTCOME_KEYS = ("00", "01", "10", "11")
 
 GENERATOR_NOTE = "numpy.random.Generator(PCG64).poisson"
+#: Largest Poisson mean a simulation draws from; numpy's generator rejects
+#: means above ~9.2e18.
+MAX_POISSON_MEAN = 1e18
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -195,11 +198,18 @@ def _expected_counts(chi: ChoiProcess, mean_counts: float) -> np.ndarray:
     return np.clip(lam.reshape(324, 4), 0.0, None)
 
 
+def _check_mean_counts(mean_counts: float):
+    if not 0.0 < mean_counts < np.inf:
+        raise InvalidArgumentError("mean_counts must be positive")
+
+
 def _poisson_dataset(preps, bases, lam: np.ndarray, mean_counts: float,
                      seed: int) -> CoincidenceDataset:
     """Counts drawn from Poisson means ``lam`` with ``PCG64(seed)``."""
-    if not 0.0 < mean_counts < np.inf:
-        raise InvalidArgumentError("mean_counts must be positive")
+    if lam.max() > MAX_POISSON_MEAN:
+        raise InvalidArgumentError(
+            f"Poisson mean {lam.max():.3g} exceeds MAX_POISSON_MEAN = {MAX_POISSON_MEAN:g}; "
+            "lower mean_counts")
     rng = np.random.Generator(np.random.PCG64(seed))
     return CoincidenceDataset(
         preps=preps,
@@ -218,6 +228,7 @@ def simulate_counts(chi: ChoiProcess, mean_counts: float, seed: int) -> Coincide
     is ``mean_counts`` scaled by the preparation's success probability and
     the conditional outcome probability.
     """
+    _check_mean_counts(mean_counts)
     settings = enumerate_settings()
     return _poisson_dataset([p for p, _ in settings], [b for _, b in settings],
                             _expected_counts(chi, mean_counts), mean_counts, seed)
@@ -232,6 +243,7 @@ def simulate_state_counts(rho: DensityMatrix, success_probability: float,
     """
     if rho.qubits != 2:
         raise InvalidArgumentError("state tomography records are two-qubit")
+    _check_mean_counts(mean_counts)
     probs = np.einsum("boij,ji->bo", _BASIS_PROJECTORS, rho.matrix).real
     lam = mean_counts * success_probability * np.clip(probs, 0.0, None)
     return _poisson_dataset([None] * 9, enumerate_bases(), lam, mean_counts, seed)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,29 @@ def test_mean_counts_must_be_finite(tmp_path, monkeypatch, capsys, command, mean
     monkeypatch.chdir(tmp_path)
     assert main([*command, "--mean-counts", mean]) == 2
     assert "mean_counts must be positive" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*.json")) == []
+
+
+def test_infinite_mean_counts_is_rejected_before_any_means_are_formed(tmp_path, monkeypatch,
+                                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["tomo", "simulate", "--preset", "ghz", "--seed", "1", "--out", "x.json",
+                     "--mean-counts", "inf"]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["tomo", "simulate", "--preset", "ghz", "--seed", "1", "--out", "x.json"],
+    ["reproduce", "entangler", "--seed", "1", "--samples", "2", "--out-dir", "out"],
+], ids=["tomo-simulate", "reproduce"])
+def test_poisson_means_beyond_the_generator_range_exit_2(tmp_path, monkeypatch, capsys,
+                                                         command):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--mean-counts", "1e30"]) == 2
+    assert "exceeds MAX_POISSON_MEAN" in capsys.readouterr().err
     assert list(tmp_path.rglob("*.json")) == []
 
 

@@ -1,14 +1,18 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
+from scipy.optimize import minimize
 
-from convgate.core import DensityMatrix, PureState, apply_choi_channel
+from convgate.core import DensityMatrix, PureState, apply_choi_channel, partial_trace
 from convgate.errors import InvalidArgumentError
 from convgate.gate import GateSettings, build_gate, ideal_choi, preset, target_state
 from convgate.metrics import (
+    TWO_PI,
     PhaseCorrection,
+    _conditional_entropies,
     concurrence,
     discord,
     fidelity,
@@ -22,7 +26,7 @@ from convgate.metrics import (
 )
 from convgate.noise import depolarize_choi
 
-from conftest import random_density_matrix, random_pure_state
+from conftest import random_density_matrix, random_pure_state, random_unitary
 
 # regression constant for the discord-demo output measured on qubit 2,
 # frozen from a dense (theta, phi) grid search refined by Nelder-Mead
@@ -230,6 +234,84 @@ class TestLogNegativity:
             assert log_negativity(rho) <= 1e-9
 
 
+def _reference_conditional_entropy(rho, measured_qubit, theta, phi):
+    """Per-point sum_b p_b S(rho_other|b), one measurement direction at a time."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    kets = (np.array([c, s * np.exp(1j * phi)], dtype=complex),
+            np.array([-s, c * np.exp(1j * phi)], dtype=complex))
+    t = rho.reshape(2, 2, 2, 2)
+    total = 0.0
+    for ket in kets:
+        if measured_qubit == 0:
+            cond = np.einsum("a,abcd,c->bd", ket.conj(), t, ket)
+        else:
+            cond = np.einsum("b,abcd,d->ac", ket.conj(), t, ket)
+        p = float(np.trace(cond).real)
+        if p > 1e-12:
+            total += p * von_neumann_entropy(cond / p)
+    return total
+
+
+def _reference_grid(n_theta=20, n_phi=40):
+    return [(theta, phi) for theta in np.linspace(0.0, np.pi, n_theta)
+            for phi in np.linspace(0.0, TWO_PI, n_phi, endpoint=False)]
+
+
+def _reference_discord(m, measured_qubit):
+    """Per-point grid loop (first strict minimum) and Nelder-Mead refinement."""
+    rho = m.matrix
+    best_val, best_angles = np.inf, (0.0, 0.0)
+    for theta, phi in _reference_grid():
+        val = _reference_conditional_entropy(rho, measured_qubit, theta, phi)
+        if val < best_val:
+            best_val, best_angles = val, (theta, phi)
+    res = minimize(lambda x: _reference_conditional_entropy(rho, measured_qubit, x[0], x[1]),
+                   x0=np.array(best_angles), method="Nelder-Mead",
+                   options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
+    if res.fun < best_val:
+        best_val = float(res.fun)
+    value = (von_neumann_entropy(partial_trace(m, {measured_qubit}))
+             - von_neumann_entropy(m) + best_val)
+    return float(max(0.0, value)) if value > -1e-9 else float(value)
+
+
+def _oracle_states():
+    chi = ideal_choi(preset("discord-demo").settings)
+    demo, _ = apply_choi_channel(
+        DensityMatrix(np.kron(np.eye(2) / 2, np.full((2, 2), 0.5)), validate=False), chi)
+    states = {
+        "demo": demo,
+        "bell": target_state("phi_plus").density(),
+        "classical": DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]), validate=False),
+        "pure-00": PureState.from_labels("HH").density(),
+    }
+    for seed in range(6):
+        states[f"ginibre-{seed}"] = random_density_matrix(np.random.default_rng(seed), 2)
+    return states
+
+
+ORACLE_STATES = _oracle_states()
+
+
+class TestDiscordOracle:
+    """The batched evaluator against the per-point loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("measured_qubit", [0, 1])
+    @pytest.mark.parametrize("name", list(ORACLE_STATES))
+    def test_batched_grid_and_discord_equal_per_point_loop(self, name, measured_qubit):
+        m = ORACLE_STATES[name]
+        theta, phi = np.array(_reference_grid()).T
+        with warnings.catch_warnings():
+            # |00> has outcomes of probability exactly 0: no division or log of zero
+            warnings.simplefilter("error")
+            batched = _conditional_entropies(m.matrix, measured_qubit, theta, phi)
+            value = discord(m, measured_qubit)
+        reference = [_reference_conditional_entropy(m.matrix, measured_qubit, t, p)
+                     for t, p in zip(theta, phi)]
+        assert np.array_equal(batched, reference)
+        assert value == _reference_discord(m, measured_qubit)
+
+
 class TestDiscord:
     def test_classically_correlated_state(self):
         rho = DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]), validate=False)
@@ -254,6 +336,17 @@ class TestDiscord:
     def test_measured_side_asymmetry(self, demo_state):
         assert discord(demo_state, 0) == pytest.approx(0.0, abs=1e-6)
         assert discord(demo_state, 1) > 0.01
+
+    @pytest.mark.parametrize("weight", [1e-7, 1e-9, 1e-11])
+    def test_rare_outcome_stays_inside_the_clamp_window(self, weight):
+        # measured along its own basis, the rare branch has probability
+        # ``weight``; its conditional state carries rounding of order 1e-17 / weight
+        rng = np.random.default_rng(1)
+        basis = random_unitary(rng, 2)
+        mat = sum(w * np.kron(np.outer(basis[:, i], basis[:, i].conj()),
+                              random_density_matrix(rng, 1, rank=1).matrix)
+                  for i, w in enumerate((weight, 1.0 - weight)))
+        assert discord(DensityMatrix(mat, validate=False), 0) == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_state_discord_is_one(self):
         rho = target_state("phi_plus").density()

@@ -17,6 +17,7 @@ from convgate.core import ChoiProcess, DensityMatrix, PureState
 from convgate.gate import GateSettings, build_gate, ideal_choi
 from convgate.metrics import (
     PhaseCorrection,
+    discord,
     phase_conjugate_choi,
     phase_optimized_fidelity,
     process_fidelity,
@@ -61,6 +62,16 @@ def _ginibre(seed, d, rank):
     a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     m = a @ a.conj().T
     return m / np.trace(m).real
+
+
+def _qubit_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _on_qubit(op, qubit):
+    """The single-qubit operator ``op`` acting on ``qubit`` of two."""
+    return np.kron(op, np.eye(2)) if qubit == 0 else np.kron(np.eye(2), op)
 
 
 def _nondegenerate_channel(theta1, theta2):
@@ -115,6 +126,48 @@ def test_phase_optimized_fidelity_is_at_least_raw(theta1, theta2, p, planted):
     value, _ = phase_optimized_fidelity(chi, chi_th)
     assert value >= process_fidelity(chi, chi_th) - 1e-12
     assert value >= process_fidelity(phase_conjugate_choi(chi, planted.scaled(-1)), chi_th) - 1e-9
+
+
+measured_qubits = st.sampled_from([0, 1])
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+@_settings(30)
+@given(seeds, st.integers(1, 4), measured_qubits)
+def test_discord_is_nonnegative(seed, rank, qubit):
+    assert discord(DensityMatrix(_ginibre(seed, 4, rank), validate=False), qubit) >= 0.0
+
+
+@_settings(30)
+@given(seeds, probabilities, st.integers(1, 2), st.integers(1, 2), measured_qubits)
+def test_discord_vanishes_on_classical_quantum_states(seed, p, rank0, rank1, qubit):
+    # sum_i p_i |e_i><e_i| on the measured qubit (x) rho_i on the other, with a
+    # random orthonormal basis e_i
+    rng = np.random.default_rng(seed)
+    basis = _qubit_unitary(rng)
+    mat = np.zeros((4, 4), dtype=complex)
+    for i, (weight, rank) in enumerate(((p, rank0), (1.0 - p, rank1))):
+        other = _ginibre(seed + 1 + i, 2, rank)
+        outer = np.outer(basis[:, i], basis[:, i].conj())
+        mat += weight * (np.kron(outer, other) if qubit == 0 else np.kron(other, outer))
+    assert abs(discord(DensityMatrix(mat, validate=False), qubit)) <= 1e-6
+
+
+@_settings(30)
+@given(seeds, st.integers(1, 4), measured_qubits)
+def test_discord_is_invariant_under_unitaries_on_the_unmeasured_qubit(seed, rank, qubit):
+    rho = _ginibre(seed, 4, rank)
+    u = _on_qubit(_qubit_unitary(np.random.default_rng(seed)), 1 - qubit)
+    rotated = DensityMatrix(u @ rho @ u.conj().T, validate=False)
+    assert abs(discord(rotated, qubit) - discord(DensityMatrix(rho, validate=False), qubit)) <= 1e-6
+
+
+@_settings(30)
+@given(seeds, st.integers(1, 4), measured_qubits)
+def test_discord_follows_the_measured_qubit_under_swap(seed, rank, qubit):
+    rho = _ginibre(seed, 4, rank)
+    swapped = DensityMatrix(SWAP @ rho @ SWAP, validate=False)
+    assert abs(discord(swapped, 1 - qubit) - discord(DensityMatrix(rho, validate=False), qubit)) <= 1e-6
 
 
 @_settings(40)
