@@ -33,13 +33,17 @@ from conftest import random_density_matrix, random_pure_state, random_unitary
 DISCORD_DEMO_Q2 = 0.082133339713
 
 
-@pytest.fixture(scope="module")
-def demo_state() -> DensityMatrix:
+def _demo_state() -> DensityMatrix:
     chi = ideal_choi(preset("discord-demo").settings)
     inp = DensityMatrix(np.kron(np.eye(2) / 2,
                                 np.full((2, 2), 0.5)), validate=False)
     out, _ = apply_choi_channel(inp, chi)
     return out
+
+
+@pytest.fixture(scope="module")
+def demo_state() -> DensityMatrix:
+    return _demo_state()
 
 
 class TestPurity:
@@ -276,11 +280,8 @@ def _reference_discord(m, measured_qubit):
 
 
 def _oracle_states():
-    chi = ideal_choi(preset("discord-demo").settings)
-    demo, _ = apply_choi_channel(
-        DensityMatrix(np.kron(np.eye(2) / 2, np.full((2, 2), 0.5)), validate=False), chi)
     states = {
-        "demo": demo,
+        "demo": _demo_state(),
         "bell": target_state("phi_plus").density(),
         "classical": DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]), validate=False),
         "pure-00": PureState.from_labels("HH").density(),
@@ -302,7 +303,8 @@ class TestDiscordOracle:
         m = ORACLE_STATES[name]
         theta, phi = np.array(_reference_grid()).T
         with warnings.catch_warnings():
-            # |00> has outcomes of probability exactly 0: no division or log of zero
+            # |00> has outcomes of probability exactly 0: no division or log of
+            # zero may warn
             warnings.simplefilter("error")
             batched = _conditional_entropies(m.matrix, measured_qubit, theta, phi)
             value = discord(m, measured_qubit)

@@ -36,6 +36,8 @@ from convgate.tomography import (
     reconstruct,
 )
 
+from conftest import random_unitary
+
 
 # hypothesis caches constants parsed from local sources in its home directory
 # (./.hypothesis by default) while collecting; a temporary one, removed at
@@ -62,16 +64,6 @@ def _ginibre(seed, d, rank):
     a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     m = a @ a.conj().T
     return m / np.trace(m).real
-
-
-def _qubit_unitary(rng):
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _on_qubit(op, qubit):
-    """The single-qubit operator ``op`` acting on ``qubit`` of two."""
-    return np.kron(op, np.eye(2)) if qubit == 0 else np.kron(np.eye(2), op)
 
 
 def _nondegenerate_channel(theta1, theta2):
@@ -144,7 +136,7 @@ def test_discord_vanishes_on_classical_quantum_states(seed, p, rank0, rank1, qub
     # sum_i p_i |e_i><e_i| on the measured qubit (x) rho_i on the other, with a
     # random orthonormal basis e_i
     rng = np.random.default_rng(seed)
-    basis = _qubit_unitary(rng)
+    basis = random_unitary(rng, 2)
     mat = np.zeros((4, 4), dtype=complex)
     for i, (weight, rank) in enumerate(((p, rank0), (1.0 - p, rank1))):
         other = _ginibre(seed + 1 + i, 2, rank)
@@ -157,9 +149,11 @@ def test_discord_vanishes_on_classical_quantum_states(seed, p, rank0, rank1, qub
 @given(seeds, st.integers(1, 4), measured_qubits)
 def test_discord_is_invariant_under_unitaries_on_the_unmeasured_qubit(seed, rank, qubit):
     rho = _ginibre(seed, 4, rank)
-    u = _on_qubit(_qubit_unitary(np.random.default_rng(seed)), 1 - qubit)
+    v = random_unitary(np.random.default_rng(seed), 2)
+    u = np.kron(np.eye(2), v) if qubit == 0 else np.kron(v, np.eye(2))
     rotated = DensityMatrix(u @ rho @ u.conj().T, validate=False)
-    assert abs(discord(rotated, qubit) - discord(DensityMatrix(rho, validate=False), qubit)) <= 1e-6
+    original = DensityMatrix(rho, validate=False)
+    assert abs(discord(rotated, qubit) - discord(original, qubit)) <= 1e-6
 
 
 @_settings(30)
@@ -167,7 +161,8 @@ def test_discord_is_invariant_under_unitaries_on_the_unmeasured_qubit(seed, rank
 def test_discord_follows_the_measured_qubit_under_swap(seed, rank, qubit):
     rho = _ginibre(seed, 4, rank)
     swapped = DensityMatrix(SWAP @ rho @ SWAP, validate=False)
-    assert abs(discord(swapped, 1 - qubit) - discord(DensityMatrix(rho, validate=False), qubit)) <= 1e-6
+    original = DensityMatrix(rho, validate=False)
+    assert abs(discord(swapped, 1 - qubit) - discord(original, qubit)) <= 1e-6
 
 
 @_settings(40)
