@@ -9,7 +9,6 @@ from .core import (
     DensityMatrix,
     PureState,
     apply_choi_channel,
-    embed_two_qubit_channel,
     matrix_sqrt,
     normalize_state,
     partial_trace,

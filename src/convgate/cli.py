@@ -34,7 +34,6 @@ from .core import (
     PureState,
     apply_choi_channel,
     apply_operator,
-    embed_two_qubit_channel,
     normalize_state,
 )
 from .errors import InvalidArgumentError, ToolkitError
@@ -142,17 +141,11 @@ def cmd_convert(args) -> int:
 
     if isinstance(state, PureState):
         out, prob = normalize_state(apply_operator(state, build_gate(settings), targets))
-        payload = serialize.state_to_json(out)
     else:
-        chi = ideal_choi(settings)
-        if state.qubits == 2 and targets == (0, 1):
-            out, prob = apply_choi_channel(state, chi)
-        else:
-            out, prob = embed_two_qubit_channel(state, chi, targets)
-        payload = serialize.state_to_json(out)
+        out, prob = apply_choi_channel(state, ideal_choi(settings), targets)
     print(f"success probability = {prob:.12f}")
     if args.out:
-        _write_with_metadata(payload, args.out, args)
+        _write_with_metadata(serialize.state_to_json(out), args.out, args)
         print(f"wrote {args.out}")
     return 0
 

@@ -8,7 +8,9 @@ Conventions used throughout the package:
 * Choi matrices live on H_in (x) H_out with basis |ab>_in |cd>_out and are
   stored with unit trace next to a separate success scale, so that the
   channel action is rho_out = Tr_in[(rho_in^T (x) 1) chi_unnormalized] and
-  the identity channel succeeds with probability 1 on every input.
+  the identity channel succeeds with probability 1 on every input,
+* that one contraction applies a channel to any ordered qubit pair of an
+  n-qubit register, identity on the rest (``channel_output_unnormalized``).
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ class ChoiProcess:
         m = np.asarray(choi, dtype=complex)
         if m.shape != (16, 16):
             raise InvalidArgumentError(f"Choi matrix must be 16x16, got shape {m.shape}")
-        if success_scale < 0:
-            raise InvalidArgumentError("success_scale must be nonnegative")
+        if not 0.0 <= success_scale < np.inf:
+            raise InvalidArgumentError("success_scale must be finite and nonnegative")
         if validate:
             defect = hermiticity_defect(m)
             if defect > ATOL_HERMITIAN:
@@ -178,16 +180,6 @@ class ChoiProcess:
     def unnormalized(self) -> np.ndarray:
         """Choi matrix scaled so that rho_out = Tr_in[(rho^T (x) 1) chi]."""
         return 4.0 * self.success_scale * self.choi
-
-    def kraus_operators(self) -> list[np.ndarray]:
-        """Kraus decomposition of the (unnormalized) channel action."""
-        vals, vecs = np.linalg.eigh(self.unnormalized())
-        vals = clamp_spectrum(vals)
-        ops = []
-        for lam, vec in zip(vals, vecs.T):
-            if lam > 1e-12:
-                ops.append(np.sqrt(lam) * vec.reshape(4, 4).T)
-        return ops
 
     def __repr__(self):
         return f"ChoiProcess(success_scale={self.success_scale:.6g})"
@@ -295,40 +287,38 @@ def normalize_state(s: PureState) -> tuple[PureState, float]:
     return PureState(s.amplitudes / np.sqrt(norm_sq)), norm_sq
 
 
-def channel_output_unnormalized(rho_in: DensityMatrix, chi: ChoiProcess) -> np.ndarray:
-    """Tr_in[(rho^T (x) 1) chi_unnormalized]; its trace is the success probability."""
-    if rho_in.qubits != 2:
-        raise InvalidArgumentError("Choi channels act on two-qubit inputs")
-    m = tensor_product(rho_in.matrix.T, np.eye(4)) @ chi.unnormalized()
-    return np.einsum("acad->cd", m.reshape(4, 4, 4, 4))
+def channel_output_unnormalized(rho_in: DensityMatrix, chi: ChoiProcess,
+                                targets=(0, 1)) -> np.ndarray:
+    """Tr_in[(rho^T (x) 1) chi_unnormalized] on the ``targets`` pair, identity on
+    every other qubit; its trace is the success probability.
 
-
-def channel_success_probability(rho_in: DensityMatrix, chi: ChoiProcess) -> float:
-    """Probability that the post-selected channel fires on this input."""
-    return float(np.trace(channel_output_unnormalized(rho_in, chi)).real)
-
-
-def apply_choi_channel(rho_in: DensityMatrix, chi: ChoiProcess) -> tuple[DensityMatrix, float]:
-    """Normalized channel output and the success probability of post-selection."""
-    out = channel_output_unnormalized(rho_in, chi)
-    prob = float(np.trace(out).real)
-    if prob < NORM_FLOOR:
-        raise DegenerateOutcomeError("channel annihilates this input", 0.0)
-    return DensityMatrix(out / prob, validate=False), prob
-
-
-def embed_two_qubit_channel(rho: DensityMatrix, chi: ChoiProcess,
-                            targets) -> tuple[DensityMatrix, float]:
-    """Apply a two-qubit channel to the target qubits, identity on the rest."""
+    With the targets moved to the front, rho is a (4, R, 4, R) stack of 4x4
+    blocks X_rs over the R = 2^(n-2) basis states of the other qubits. The
+    two-qubit action maps all R^2 blocks in one matrix product; the qubit
+    order is then restored.
+    """
+    n = rho_in.qubits
     targets = tuple(int(t) for t in targets)
     if len(targets) != 2 or targets[0] == targets[1]:
         raise InvalidArgumentError(f"targets must be two distinct qubit indices, got {targets}")
-    if rho.qubits < 2:
-        raise InvalidArgumentError("embedding needs at least two qubits")
-    out = np.zeros_like(rho.matrix)
-    for kraus in chi.kraus_operators():
-        full = expand_operator(kraus, rho.qubits, targets)
-        out += full @ rho.matrix @ full.conj().T
+    if any(t < 0 or t >= n for t in targets):
+        raise InvalidArgumentError(f"targets {targets} out of range for {n} qubits")
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    r = 2 ** (n - 2)
+    front = rho_in.matrix.reshape((2,) * (2 * n)).transpose(order + [n + q for q in order])
+    blocks_t = front.reshape(4, r, 4, r).transpose(1, 3, 2, 0)  # (r, s) -> X_rs^T
+    m = np.kron(blocks_t, np.eye(4, dtype=complex)).reshape(-1, 16) @ chi.unnormalized()
+    out = np.einsum("...acad->...cd", m.reshape(r, r, 4, 4, 4, 4)).transpose(2, 0, 3, 1)
+    pos = list(np.argsort(order))
+    out = out.reshape((2,) * (2 * n)).transpose(pos + [n + p for p in pos])
+    return out.reshape(2**n, 2**n)
+
+
+def apply_choi_channel(rho_in: DensityMatrix, chi: ChoiProcess,
+                       targets=(0, 1)) -> tuple[DensityMatrix, float]:
+    """Normalized channel output on ``targets`` and the success probability of
+    post-selection."""
+    out = channel_output_unnormalized(rho_in, chi, targets)
     prob = float(np.trace(out).real)
     if prob < NORM_FLOOR:
         raise DegenerateOutcomeError("channel annihilates this input", 0.0)

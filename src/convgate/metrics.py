@@ -30,6 +30,8 @@ TWO_PI = 2.0 * np.pi
 PHASE_GRID_POINTS = 16
 #: Phase resolution (Nelder-Mead ``xatol``) of the phase-optimization refinement.
 PHASE_TOL = 1e-8
+#: (theta, phi) points of the Bloch-sphere grid the discord search screens.
+DISCORD_GRID = (20, 40)
 
 
 @dataclass(frozen=True)
@@ -164,14 +166,13 @@ def _conditional_entropies(rho: np.ndarray, measured_qubit: int, theta: np.ndarr
     return np.where(kept, p * entropies, 0.0).sum(axis=-1)
 
 
-def discord(m: DensityMatrix, measured_qubit: int, *, grid: tuple[int, int] = (20, 40),
-            refine: bool = True) -> float:
+def discord(m: DensityMatrix, measured_qubit: int) -> float:
     """Quantum discord with projective measurements on the chosen qubit.
 
-    The minimization over measurement directions screens a coarse Bloch-sphere
-    grid (``grid`` points in (theta, phi)) in one batched evaluation, then runs
-    a deterministic Nelder-Mead refinement from the first best grid point with
-    the same evaluator on one direction at a time.
+    The minimization over measurement directions screens the Bloch-sphere grid
+    ``DISCORD_GRID`` in one batched evaluation, then runs a deterministic
+    Nelder-Mead refinement from the first best grid point with the same
+    evaluator on one direction at a time.
     """
     if not isinstance(m, DensityMatrix) or m.qubits != 2:
         raise InvalidArgumentError("discord is defined for two-qubit density matrices")
@@ -181,23 +182,19 @@ def discord(m: DensityMatrix, measured_qubit: int, *, grid: tuple[int, int] = (2
     s_total = von_neumann_entropy(m)
 
     rho = m.matrix
-    n_theta, n_phi = grid
+    n_theta, n_phi = DISCORD_GRID
     theta, phi = np.meshgrid(np.linspace(0.0, np.pi, n_theta),
                              np.linspace(0.0, TWO_PI, n_phi, endpoint=False), indexing="ij")
     theta, phi = theta.ravel(), phi.ravel()
     values = _conditional_entropies(rho, measured_qubit, theta, phi)
     best = int(np.argmin(values))
-    best_val = float(values[best])
-    if refine:
-        res = minimize(
-            lambda x: _conditional_entropies(rho, measured_qubit, x[:1], x[1:])[0],
-            x0=np.array([theta[best], phi[best]]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-    value = s_measured - s_total + best_val
+    res = minimize(
+        lambda x: _conditional_entropies(rho, measured_qubit, x[:1], x[1:])[0],
+        x0=np.array([theta[best], phi[best]]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},
+    )
+    value = s_measured - s_total + min(float(values[best]), float(res.fun))
     # the conditional-entropy minimum can undershoot by optimizer noise only
     return float(max(0.0, value)) if value > -1e-9 else float(value)
 

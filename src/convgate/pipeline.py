@@ -26,7 +26,7 @@ import numpy as np
 
 from . import noise as _noise
 from ._version import __version__
-from .core import DensityMatrix, apply_choi_channel, embed_two_qubit_channel
+from .core import DensityMatrix, apply_choi_channel
 from .errors import InvalidArgumentError
 from .gate import (
     CLUSTER_TARGETS,
@@ -355,7 +355,7 @@ def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True,
         channel_specs = {name: None for name in CONVERSION_PRESET_NAMES}
 
     def output(chi, rho=rho_fix):
-        return embed_two_qubit_channel(rho, chi, CLUSTER_TARGETS)[0]
+        return apply_choi_channel(rho, chi, CLUSTER_TARGETS)[0]
 
     rows = []
     for name in CONVERSION_PRESET_NAMES:

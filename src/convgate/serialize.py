@@ -38,10 +38,15 @@ def _entries(matrix: np.ndarray) -> list[list[float]]:
 
 
 def _from_entries(entries, rows: int, cols: int) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed [re, im] entries: {exc}") from None
     if arr.shape != (rows * cols, 2):
         raise InvalidArgumentError(
             f"expected {rows * cols} [re, im] entries, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError("matrix entries must be finite")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
 
 
@@ -53,7 +58,7 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         return _from_entries(obj["entries"], int(obj["rows"]), int(obj["cols"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed matrix object: {exc}") from None
 
 
@@ -78,7 +83,7 @@ def state_from_json(obj: dict) -> PureState | DensityMatrix:
         kind = obj["kind"]
         qubits = int(obj["qubits"])
         data = obj["data"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed state object: {exc}") from None
     if kind == "pure":
         amps = _from_entries(data, 2**qubits, 1).ravel()
@@ -101,7 +106,7 @@ def choi_from_json(obj: dict) -> ChoiProcess:
         matrix = matrix_from_json(obj["matrix"])
         scale = float(obj["success_scale"])
         normalized = bool(obj.get("trace_normalized", True))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed process object: {exc}") from None
     if not normalized:
         trace = float(np.trace(matrix).real)
@@ -136,16 +141,19 @@ def dataset_from_json(obj: dict) -> CoincidenceDataset:
             preps.append(tuple(prep) if prep is not None else None)
             bases.append(tuple(rec["basis"]))
             counts.append([int(rec["counts"][key]) for key in OUTCOME_KEYS])
-    except (KeyError, TypeError) as exc:
+        counts = np.asarray(counts, dtype=np.int64)
+        mean_counts = obj.get("mean_counts")
+        mean_counts = float(mean_counts) if mean_counts is not None else None
+        metadata = dict(obj.get("metadata", {}))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed dataset object: {exc}") from None
-    mean_counts = obj.get("mean_counts")
     return CoincidenceDataset(
         preps=preps,
         bases=bases,
-        counts=np.asarray(counts, dtype=np.int64),
-        mean_counts=float(mean_counts) if mean_counts is not None else None,
+        counts=counts,
+        mean_counts=mean_counts,
         seed=obj.get("seed"),
-        metadata=dict(obj.get("metadata", {})),
+        metadata=metadata,
     )
 
 

@@ -142,6 +142,8 @@ class CoincidenceDataset:
             raise InvalidArgumentError("record field lengths disagree")
         if (self.counts < 0).any():
             raise InvalidArgumentError("counts must be nonnegative")
+        if self.mean_counts is not None:
+            _check_mean_counts(self.mean_counts)
 
     def __len__(self):
         return self.counts.shape[0]
@@ -181,7 +183,7 @@ class CoincidenceDataset:
         return CoincidenceDataset(
             preps=list(self.preps),
             bases=list(self.bases),
-            counts=rng.poisson(self.counts),
+            counts=_poisson(rng, self.counts),
             mean_counts=self.mean_counts,
             seed=self.seed,
             metadata=dict(self.metadata),
@@ -203,18 +205,22 @@ def _check_mean_counts(mean_counts: float):
         raise InvalidArgumentError("mean_counts must be positive")
 
 
+def _poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
+    """Poisson draws with means ``lam``, none above ``MAX_POISSON_MEAN``."""
+    if (lam > MAX_POISSON_MEAN).any():
+        raise InvalidArgumentError(
+            f"Poisson mean {lam.max():.3g} exceeds MAX_POISSON_MEAN = {MAX_POISSON_MEAN:g}")
+    return rng.poisson(lam)
+
+
 def _poisson_dataset(preps, bases, lam: np.ndarray, mean_counts: float,
                      seed: int) -> CoincidenceDataset:
     """Counts drawn from Poisson means ``lam`` with ``PCG64(seed)``."""
-    if lam.max() > MAX_POISSON_MEAN:
-        raise InvalidArgumentError(
-            f"Poisson mean {lam.max():.3g} exceeds MAX_POISSON_MEAN = {MAX_POISSON_MEAN:g}; "
-            "lower mean_counts")
     rng = np.random.Generator(np.random.PCG64(seed))
     return CoincidenceDataset(
         preps=preps,
         bases=bases,
-        counts=rng.poisson(lam),
+        counts=_poisson(rng, lam),
         mean_counts=float(mean_counts),
         seed=int(seed),
         metadata={"generator": GENERATOR_NOTE},

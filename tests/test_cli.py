@@ -220,6 +220,52 @@ def test_json_that_is_not_an_object_exits_2(tmp_path, monkeypatch, capsys, argv,
     assert "input.json must hold a JSON object" in capsys.readouterr().err
 
 
+def _set_entry(obj, value):
+    obj["entries"][0][0] = value
+
+
+#: name -> (file kind, edit that makes the file malformed, command reading it)
+MALFORMED_INPUTS = {
+    "count-abc": ("dataset", lambda o: o["records"][0]["counts"].update({"00": "abc"})),
+    "mean-counts-abc": ("dataset", lambda o: o.update(mean_counts="abc")),
+    "mean-counts-nan": ("dataset", lambda o: o.update(mean_counts=float("nan"))),
+    "count-overflow": ("dataset", lambda o: o["records"][0]["counts"].update({"00": 1e30})),
+    "metadata-int": ("dataset", lambda o: o.update(metadata=5)),
+    "success-scale-abc": ("choi", lambda o: o.update(success_scale="abc")),
+    "success-scale-nan": ("choi", lambda o: o.update(success_scale=float("nan"))),
+    "rows-x": ("choi", lambda o: o["matrix"].update(rows="x")),
+    "entry-x": ("choi", lambda o: _set_entry(o["matrix"], "x")),
+    "entry-nan": ("density", lambda o: _set_entry(o["data"], float("nan"))),
+    "qubits-two": ("density", lambda o: o.update(qubits="two")),
+    "convert-qubits-two": ("pure", lambda o: o.update(qubits="two")),
+}
+_READERS = {
+    "dataset": ["tomo", "reconstruct", "--data", "input.json", "--out", "x.json"],
+    "choi": ["metrics", "--estimate", "input.json", "--metric", "trace", "--out", "x.json"],
+    "density": ["metrics", "--estimate", "input.json", "--metric", "trace", "--out", "x.json"],
+    "pure": ["convert", "--preset", "ghz", "--state-in", "input.json", "--out", "x.json"],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_files_exit_2(tmp_path, monkeypatch, capsys, case):
+    from convgate.core import DensityMatrix, PureState
+    from convgate.tomography import simulate_counts
+    kind, edit = MALFORMED_INPUTS[case]
+    chi = ideal_choi(GateSettings(0.0, np.pi / 4))
+    obj = {"dataset": lambda: serialize.dataset_to_json(simulate_counts(chi, 100, seed=1)),
+           "choi": lambda: serialize.choi_to_json(chi),
+           "density": lambda: serialize.state_to_json(DensityMatrix.maximally_mixed(2)),
+           "pure": lambda: serialize.state_to_json(PureState.from_labels("HH"))}[kind]()
+    edit(obj)
+    monkeypatch.chdir(tmp_path)
+    Path("input.json").write_text(json.dumps(obj))
+    assert main(_READERS[kind]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not Path("x.json").exists()
+
+
 class TestMetricsCommand:
     def test_process_metrics(self, tmp_path, capsys):
         chi_path = tmp_path / "chi.json"
@@ -354,6 +400,15 @@ class TestMetricsCommand:
         assert main(["metrics", "--estimate", state, "--metric", "purity",
                      "--monte-carlo", "0", "--data", data, "--seed", "1"]) == 2
         assert "n_samples >= 2" in capsys.readouterr().err
+
+    def test_monte_carlo_counts_beyond_the_generator_range_exit_2(self, tmp_path, capsys):
+        state, data = self._state_inputs(tmp_path)
+        obj = json.loads(Path(data).read_text())
+        obj["records"][0]["counts"]["00"] = 9223372036000000000
+        Path(data).write_text(json.dumps(obj))
+        assert main(["metrics", "--estimate", state, "--metric", "purity",
+                     "--monte-carlo", "2", "--data", data, "--seed", "1"]) == 2
+        assert "exceeds MAX_POISSON_MEAN" in capsys.readouterr().err
 
     def test_requires_metric(self, tmp_path):
         chi_path = tmp_path / "chi.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from convgate.core import (
     DensityMatrix,
     PureState,
     apply_choi_channel,
-    embed_two_qubit_channel,
+    channel_output_unnormalized,
+    clamp_spectrum,
     expand_operator,
     hermiticity_defect,
     matrix_sqrt,
@@ -29,9 +32,12 @@ from convgate.gate import (
     convert_cluster,
     dicke_angles,
     ideal_choi,
+    preset,
     table1_rows,
     target_state,
 )
+from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, apply_channel_noise
+from convgate.tomography import mle_process_matrix, simulate_counts
 
 from conftest import random_density_matrix, random_pure_state, random_unitary
 
@@ -219,17 +225,19 @@ class TestApplyChoiChannel:
 
 
 class TestEmbedTwoQubitChannel:
+    """The channel on a target pair of a larger register, identity elsewhere."""
+
     def test_identity_on_cluster(self):
         chi = ideal_choi(GateSettings(0.0, 0.0))
         rho = cluster_state_c4().density()
-        out, prob = embed_two_qubit_channel(rho, chi, (1, 2))
+        out, prob = apply_choi_channel(rho, chi, (1, 2))
         assert prob == pytest.approx(1.0, abs=1e-10)
         assert np.abs(out.matrix - rho.matrix).max() < 1e-10
 
     def test_ghz_preset_on_cluster(self):
         chi = ideal_choi(GateSettings(0.0, np.pi / 4))
         rho = cluster_state_c4().density()
-        out, prob = embed_two_qubit_channel(rho, chi, (1, 2))
+        out, prob = apply_choi_channel(rho, chi, (1, 2))
         ghz = target_state("ghz4")
         fid = (ghz.amplitudes.conj() @ out.matrix @ ghz.amplitudes).real
         assert prob == pytest.approx(0.5, abs=1e-12)
@@ -238,7 +246,7 @@ class TestEmbedTwoQubitChannel:
     def test_bell_preset_on_cluster(self):
         chi = ideal_choi(GateSettings(3 * np.pi / 8, np.pi / 8))
         rho = cluster_state_c4().density()
-        out, prob = embed_two_qubit_channel(rho, chi, (1, 2))
+        out, prob = apply_choi_channel(rho, chi, (1, 2))
         bell = target_state("bell_pair_product")
         fid = (bell.amplitudes.conj() @ out.matrix @ bell.amplitudes).real
         assert prob == pytest.approx(0.25, abs=1e-12)
@@ -256,15 +264,74 @@ class TestEmbedTwoQubitChannel:
         rho_perm = DensityMatrix(p_op @ rho.matrix @ p_op.T, validate=False)
         targets = (0, 2)
         perm_targets = tuple(perm.index(t) for t in targets)
-        out, prob = embed_two_qubit_channel(rho, chi, targets)
-        out_perm, prob_perm = embed_two_qubit_channel(rho_perm, chi, perm_targets)
+        out, prob = apply_choi_channel(rho, chi, targets)
+        out_perm, prob_perm = apply_choi_channel(rho_perm, chi, perm_targets)
         assert prob == pytest.approx(prob_perm, abs=1e-12)
         assert np.abs(p_op @ out.matrix @ p_op.T - out_perm.matrix).max() < 1e-10
 
     def test_rejects_repeated_targets(self):
         chi = ideal_choi(GateSettings(0.0, 0.0))
         with pytest.raises(InvalidArgumentError):
-            embed_two_qubit_channel(cluster_state_c4().density(), chi, (1, 1))
+            apply_choi_channel(cluster_state_c4().density(), chi, (1, 1))
+
+    @pytest.mark.parametrize("qubits,targets", [(4, (0, 4)), (4, (-1, 2)), (3, (0, 1, 2)),
+                                                (1, (0, 1))])
+    def test_rejects_targets_outside_the_register(self, rng, qubits, targets):
+        chi = ideal_choi(GateSettings(0.0, 0.0))
+        with pytest.raises(InvalidArgumentError):
+            apply_choi_channel(random_density_matrix(rng, qubits), chi, targets)
+
+    def test_accepts_a_choi_spectrum_inside_the_clamp_window(self):
+        # the identity channel with one eigenvalue at -5e-11, as ChoiProcess
+        # admits; a Kraus decomposition of 4 chi would see -2e-10 and fail
+        pair = np.zeros(16, dtype=complex)
+        pair[[0, 5, 10, 15]] = 0.5
+        other = np.zeros(16, dtype=complex)
+        other[1] = 1.0
+        chi = ChoiProcess((1 + 5e-11) * np.outer(pair, pair) - 5e-11 * np.outer(other, other))
+        rho = cluster_state_c4().density()
+        out, prob = apply_choi_channel(rho, chi, (1, 2))
+        assert prob == pytest.approx(1.0, abs=1e-9)
+        assert np.abs(out.matrix - rho.matrix).max() < 1e-9
+
+
+def _kraus_embedding(rho, chi, targets):
+    """The Kraus-sum embedding the one contraction replaced: eigenvectors of
+    the unnormalized Choi matrix reshaped into Kraus operators, weights at or
+    below 1e-12 dropped, each operator embedded on ``targets``."""
+    vals, vecs = np.linalg.eigh(chi.unnormalized())
+    out = np.zeros_like(rho.matrix)
+    for lam, vec in zip(clamp_spectrum(vals), vecs.T):
+        if lam > 1e-12:
+            full = expand_operator(np.sqrt(lam) * vec.reshape(4, 4).T, rho.qubits, targets)
+            out += full @ rho.matrix @ full.conj().T
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_channels():
+    chi = ideal_choi(preset("ghz").settings)
+    noisy = apply_channel_noise(chi, DEFAULT_CHANNEL_TEMPLATE.scaled(0.3))
+    fitted = mle_process_matrix(simulate_counts(noisy, 1e3, seed=5)).estimate
+    assert np.linalg.eigvalsh(fitted.choi).min() > 1e-7  # full rank
+    return {"ideal": chi, "template": noisy, "mle": fitted}
+
+
+class TestChannelContractionOracle:
+    @pytest.mark.parametrize("channel", ["ideal", "template", "mle"])
+    @pytest.mark.parametrize("qubits", [2, 3, 4, 5])
+    def test_equals_kraus_embedding_on_every_ordered_pair(self, oracle_channels, channel,
+                                                          qubits):
+        chi = oracle_channels[channel]
+        rng = np.random.default_rng(qubits)
+        for targets in itertools.permutations(range(qubits), 2):
+            rho = random_density_matrix(rng, qubits)
+            expected = _kraus_embedding(rho, chi, targets)
+            got = channel_output_unnormalized(rho, chi, targets)
+            assert np.abs(got - expected).max() < 1e-12, targets
+            out, prob = apply_choi_channel(rho, chi, targets)
+            assert prob == pytest.approx(np.trace(expected).real, abs=1e-12)
+            assert np.abs(out.matrix - expected / prob).max() < 1e-12, targets
 
 
 class TestNormalizeState:

@@ -331,8 +331,13 @@ class TestDiscord:
         assert discord(demo_state, 1) == pytest.approx(DISCORD_DEMO_Q2, abs=1e-6)
 
     def test_demo_state_frozen_value_against_coarse_grid_oracle(self, demo_state):
-        # independent check of the frozen constant: pure grid, no refinement
-        value = discord(demo_state, 1, grid=(60, 120), refine=False)
+        # independent check of the frozen constant: a denser 60 x 120 grid
+        # screened without refinement
+        theta, phi = np.meshgrid(np.linspace(0.0, np.pi, 60),
+                                 np.linspace(0.0, TWO_PI, 120, endpoint=False), indexing="ij")
+        conditional = _conditional_entropies(demo_state.matrix, 1, theta.ravel(), phi.ravel())
+        value = (von_neumann_entropy(partial_trace(demo_state, {1}))
+                 - von_neumann_entropy(demo_state) + conditional.min())
         assert value == pytest.approx(DISCORD_DEMO_Q2, abs=1e-3)
 
     def test_measured_side_asymmetry(self, demo_state):

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from convgate import serialize
-from convgate.core import ChoiProcess, DensityMatrix, PureState
+from convgate.core import (
+    ChoiProcess,
+    DensityMatrix,
+    PureState,
+    channel_output_unnormalized,
+    partial_trace,
+)
 from convgate.gate import GateSettings, build_gate, ideal_choi
 from convgate.metrics import (
     PhaseCorrection,
@@ -118,6 +124,18 @@ def test_phase_optimized_fidelity_is_at_least_raw(theta1, theta2, p, planted):
     value, _ = phase_optimized_fidelity(chi, chi_th)
     assert value >= process_fidelity(chi, chi_th) - 1e-12
     assert value >= process_fidelity(phase_conjugate_choi(chi, planted.scaled(-1)), chi_th) - 1e-9
+
+
+@_settings(50)
+@given(seeds, st.integers(3, 5), angles, angles, probabilities, st.data())
+def test_success_probability_depends_only_on_the_targets_marginal(seed, qubits, theta1,
+                                                                  theta2, dep, data):
+    targets = tuple(sorted(data.draw(st.permutations(range(qubits)))[:2]))
+    chi = depolarize_choi(_nondegenerate_channel(theta1, theta2), dep)
+    rho = DensityMatrix(_ginibre(seed, 2**qubits, int(seed % 2**qubits) + 1), validate=False)
+    on_register = np.trace(channel_output_unnormalized(rho, chi, targets)).real
+    on_marginal = np.trace(channel_output_unnormalized(partial_trace(rho, targets), chi)).real
+    assert abs(on_register - on_marginal) <= 1e-12
 
 
 measured_qubits = st.sampled_from([0, 1])

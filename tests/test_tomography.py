@@ -110,11 +110,12 @@ class TestSimulateCounts:
     def test_empirical_frequencies_match_model(self, chi_ghz):
         mean = 1e5
         data = simulate_counts(chi_ghz, mean, seed=3)
-        from convgate.core import channel_success_probability
+        from convgate.core import channel_output_unnormalized
         within = 0
         total = 0
         for i, (prep, basis) in enumerate(enumerate_settings()):
-            success = channel_success_probability(prep_state(prep).density(), chi_ghz)
+            out = channel_output_unnormalized(prep_state(prep).density(), chi_ghz)
+            success = float(np.trace(out).real)
             if success < 1e-12:
                 continue
             probs = outcome_probabilities(chi_ghz, prep, basis)
@@ -222,11 +223,11 @@ class TestProcessMLE:
         chi = ideal_choi(preset("dicke").settings)
         data = simulate_counts(chi, 1e5, seed=24)
         estimate = mle_process_matrix(data).estimate
-        from convgate.core import channel_success_probability
+        from convgate.core import channel_output_unnormalized
         for prep in enumerate_preparations()[::7]:
             rho = prep_state(prep).density()
-            true = channel_success_probability(rho, chi)
-            got = channel_success_probability(rho, estimate)
+            true = np.trace(channel_output_unnormalized(rho, chi)).real
+            got = np.trace(channel_output_unnormalized(rho, estimate)).real
             assert got == pytest.approx(true, rel=0.05)
 
     def test_estimate_within_choi_invariants(self, chi_ghz):
