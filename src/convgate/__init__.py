@@ -47,13 +47,8 @@ from .metrics import (
 )
 from .noise import (
     NoiseSpec,
-    apply_channel_noise,
-    apply_mode_phases,
-    apply_state_noise,
+    apply_noise,
     calibrate_noise_to_fidelity,
-    calibrate_state_noise,
-    dephase_state,
-    depolarize_choi,
 )
 from .pipeline import (
     ExperimentConfig,

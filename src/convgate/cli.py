@@ -155,7 +155,7 @@ def cmd_tomo_simulate(args) -> int:
     chi = ideal_choi(settings)
     if args.noise:
         spec = serialize.noise_spec_from_json(serialize.load_json(args.noise))
-        chi = _noise.apply_channel_noise(chi, spec)
+        chi = _noise.apply_noise(chi, spec)
     seed = _ensure_seed(args)
     data = tomography.simulate_counts(chi, args.mean_counts, seed)
     _write_with_metadata(serialize.dataset_to_json(data), args.out, args, seed=seed)
@@ -246,6 +246,10 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    if args.noise and args.target == "table1":
+        raise InvalidArgumentError("table1 is exact: --noise does not apply")
+    if args.ideal_channels and (args.target != "table3" or args.noise):
+        raise InvalidArgumentError("--ideal-channels applies to table3 without --noise")
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     needs_seed = args.target != "table1"
@@ -256,7 +260,7 @@ def cmd_reproduce(args) -> int:
         seed=seed,
         monte_carlo_samples=args.samples,
     )
-    if args.noise and args.target != "table1":
+    if args.noise:
         spec = serialize.noise_spec_from_json(serialize.load_json(args.noise))
         config = dataclasses.replace(config, noise=spec)
     if args.target == "table1":

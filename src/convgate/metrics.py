@@ -45,10 +45,12 @@ class PhaseCorrection:
     phases: tuple[float, float, float, float]
 
     def __post_init__(self):
-        canon = tuple(float(p) % TWO_PI for p in self.phases)
-        if len(canon) != 4:
+        phases = tuple(float(p) for p in self.phases)
+        if len(phases) != 4:
             raise InvalidArgumentError("a phase correction needs exactly four phases")
-        object.__setattr__(self, "phases", canon)
+        if not all(np.isfinite(phases)):
+            raise InvalidArgumentError(f"phases must be finite, got {phases}")
+        object.__setattr__(self, "phases", tuple(p % TWO_PI for p in phases))
 
     @classmethod
     def zero(cls) -> "PhaseCorrection":
@@ -197,13 +199,6 @@ def discord(m: DensityMatrix, measured_qubit: int) -> float:
     value = s_measured - s_total + min(float(values[best]), float(res.fun))
     # the conditional-entropy minimum can undershoot by optimizer noise only
     return float(max(0.0, value)) if value > -1e-9 else float(value)
-
-
-def phase_conjugate_choi(chi: ChoiProcess, correction: PhaseCorrection) -> ChoiProcess:
-    """Conjugate a Choi matrix by the four local diagonal phase unitaries."""
-    w = correction.phase_vector()
-    conjugated = chi.choi * np.outer(w, w.conj())
-    return ChoiProcess(conjugated, success_scale=chi.success_scale, validate=False)
 
 
 def _dominant_vector(mat: np.ndarray, deficit: float) -> np.ndarray | None:

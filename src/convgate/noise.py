@@ -1,11 +1,15 @@
-"""Phenomenological imperfection models for channels and states.
+"""Phenomenological imperfection model shared by channels and states.
 
-The template family (depolarizing + output dephasing + systematic mode
-phases) is the minimal one able to reproduce both an overall purity loss and
-a gap between raw and phase-optimized process fidelity. Channel mixing acts
-at the unnormalized-Choi level so that success probabilities combine
-linearly; the white-noise component is the completely depolarizing (trace
-preserving) two-qubit channel.
+The template family (depolarizing + dephasing + systematic mode phases) is
+the minimal one able to reproduce both an overall purity loss and a gap
+between raw and phase-optimized process fidelity. One body, ``apply_noise``,
+applies it to both kinds of input:
+
+* a ``ChoiProcess`` is a four-qubit operator on (in1, in2, out1, out2) with
+  its success scale, and only the two output qubits dephase. Depolarizing
+  mixes the unnormalized channels, so success probabilities combine linearly
+  with the probability 1 of the completely depolarizing channel;
+* an n-qubit ``DensityMatrix`` has scale 1, and every qubit dephases.
 """
 
 from __future__ import annotations
@@ -16,10 +20,7 @@ import numpy as np
 
 from .core import PAULI_Z, ChoiProcess, DensityMatrix, expand_operator
 from .errors import InvalidArgumentError, NumericalDomainError
-from .metrics import PhaseCorrection, fidelity, phase_conjugate_choi, process_fidelity
-
-#: Unit-trace Choi matrix of the completely depolarizing two-qubit channel.
-CHI_WHITE = ChoiProcess(np.eye(16, dtype=complex) / 16.0, success_scale=1.0, validate=False)
+from .metrics import PhaseCorrection, fidelity
 
 #: Tolerance on the raw process fidelity reached by channel calibration.
 CHANNEL_CALIBRATION_TOL = 1e-4
@@ -58,134 +59,81 @@ class NoiseSpec:
                      or all(p == 0.0 for p in self.mode_phases.phases)))
 
 
-def depolarize_choi(chi: ChoiProcess, p: float) -> ChoiProcess:
-    """Mix the channel with the completely depolarizing channel.
+def _kind(x):
+    """(matrix, success scale, dephased qubits, rebuild, calibration
+    tolerance) of a Choi process or a state: the one place the kinds differ."""
+    if isinstance(x, ChoiProcess):
+        # Choi-space qubits: in1, in2, out1, out2
+        return (x.choi, x.success_scale, (2, 3),
+                lambda mat, scale: ChoiProcess(mat, success_scale=scale, validate=False),
+                CHANNEL_CALIBRATION_TOL)
+    if isinstance(x, DensityMatrix):
+        return (x.matrix, 1.0, range(x.qubits),
+                lambda mat, _: DensityMatrix(mat, validate=False), STATE_CALIBRATION_TOL)
+    raise InvalidArgumentError(
+        f"noise applies to a ChoiProcess or a DensityMatrix, got {type(x).__name__}")
 
-    The mixture is taken between the physical (unnormalized) channels, so
-    the returned success scale is (1-p) * scale + p and success
-    probabilities combine linearly with the white component's probability 1.
+
+def apply_noise(x: ChoiProcess | DensityMatrix, spec: NoiseSpec) -> ChoiProcess | DensityMatrix:
+    """Depolarize, dephase by Z conjugation, then apply the mode phases.
+
+    Depolarizing mixes with the white operator 1/d (d x d identity over d) at
+    the unnormalized level, so the success scale becomes (1-p) * scale + p. Dephasing maps
+    M <- (1-q) M + q Z M Z on each dephased qubit and keeps the scale. The
+    mode phases multiply M entrywise by w w^dag, w the phase vector of the
+    first n phases, which leaves spectrum and purity untouched.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"depolarizing probability must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return chi
-    scale = chi.success_scale
-    new_scale = (1.0 - p) * scale + p
-    stored = ((1.0 - p) * scale * chi.choi + p * CHI_WHITE.choi) / new_scale
-    return ChoiProcess(stored, success_scale=new_scale, validate=False)
-
-
-def dephase_state(rho: DensityMatrix, p: float, qubit: int) -> DensityMatrix:
-    """rho <- (1-p) rho + p Z rho Z on the chosen qubit."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"dephasing probability must lie in [0, 1], got {p}")
-    z = expand_operator(PAULI_Z, rho.qubits, (qubit,))
-    return DensityMatrix((1.0 - p) * rho.matrix + p * (z @ rho.matrix @ z), validate=False)
-
-
-def dephase_choi_outputs(chi: ChoiProcess, p: float) -> ChoiProcess:
-    """Compose the channel with single-qubit dephasing on both output modes.
-
-    Dephasing is trace preserving, so the success scale is untouched.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"dephasing probability must lie in [0, 1], got {p}")
-    mat = chi.choi
-    for out_qubit in (2, 3):  # Choi-space qubits: in1, in2, out1, out2
-        z = expand_operator(PAULI_Z, 4, (out_qubit,))
-        mat = (1.0 - p) * mat + p * (z @ mat @ z)
-    return ChoiProcess(mat, success_scale=chi.success_scale, validate=False)
-
-
-def apply_mode_phases(chi: ChoiProcess, phases: PhaseCorrection) -> ChoiProcess:
-    """Systematic phase errors: conjugation by the four local diagonal
-    unitaries. Spectrum and purity are untouched."""
-    return phase_conjugate_choi(chi, phases)
-
-
-def apply_channel_noise(chi: ChoiProcess, spec: NoiseSpec) -> ChoiProcess:
-    """Depolarize, dephase the outputs, then apply systematic mode phases."""
-    noisy = depolarize_choi(chi, spec.depolarizing_p)
-    noisy = dephase_choi_outputs(noisy, spec.dephasing_p)
+    mat, scale, dephased, rebuild, _ = _kind(x)
+    d = mat.shape[0]
+    n = d.bit_length() - 1
+    p = spec.depolarizing_p
+    if p != 0.0:
+        new_scale = (1.0 - p) * scale + p
+        mat = ((1.0 - p) * scale * mat + p * np.eye(d) / d) / new_scale
+        scale = new_scale
+    q = spec.dephasing_p
+    for qubit in dephased:
+        z = expand_operator(PAULI_Z, n, (qubit,))
+        mat = (1.0 - q) * mat + q * (z @ mat @ z)
     if spec.mode_phases is not None:
-        noisy = apply_mode_phases(noisy, spec.mode_phases)
-    return noisy
+        w = spec.mode_phases.phase_vector(n)
+        mat = mat * np.outer(w, w.conj())
+    return rebuild(mat, scale)
 
 
-def apply_state_noise(rho: DensityMatrix, spec: NoiseSpec) -> DensityMatrix:
-    """Per-qubit version of the template for n-qubit states.
-
-    Depolarizing mixes with the maximally mixed state, dephasing acts on
-    every qubit, and the first n mode phases act as local diag(1, e^{i phi})
-    unitaries.
-    """
-    d = 2**rho.qubits
-    mat = (1.0 - spec.depolarizing_p) * rho.matrix + spec.depolarizing_p * np.eye(d) / d
-    out = DensityMatrix(mat, validate=False)
-    for qubit in range(rho.qubits):
-        out = dephase_state(out, spec.dephasing_p, qubit)
-    if spec.mode_phases is not None:
-        w = spec.mode_phases.phase_vector(rho.qubits)
-        out = DensityMatrix(out.matrix * np.outer(w, w.conj()), validate=False)
-    return out
-
-
-def _bisect_magnitude(achieved, target: float, tol: float, what: str) -> float:
-    """Find m in [0, 1] with achieved(m) = target for a continuous map with
-    achieved(0) = 1 >= target."""
-    f_full = achieved(1.0)
-    if f_full > target:
-        raise NumericalDomainError(
-            f"{what}: target {target} unreachable; full-magnitude template only "
-            f"reaches {f_full:.6f}")
-    lo, hi = 0.0, 1.0
-    f_mid, mid = f_full, 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        f_mid = achieved(mid)
-        if abs(f_mid - target) <= tol:
-            return mid
-        if f_mid > target:
-            lo = mid
-        else:
-            hi = mid
-    if abs(f_mid - target) > tol:
-        raise NumericalDomainError(f"{what}: bisection stalled at {f_mid} for target {target}")
-    return mid
-
-
-def calibrate_noise_to_fidelity(target_raw_fidelity: float, chi_th: ChoiProcess,
+def calibrate_noise_to_fidelity(target_fidelity: float, ideal: ChoiProcess | DensityMatrix,
                                 template: NoiseSpec) -> NoiseSpec:
-    """Scale the template so the noisy channel's raw process fidelity hits
-    the target within ``CHANNEL_CALIBRATION_TOL``."""
-    if not 0.5 < target_raw_fidelity <= 1.0:
-        raise InvalidArgumentError("target fidelity must lie in (0.5, 1]")
-    if target_raw_fidelity == 1.0:
-        return template.scaled(0.0)
-
-    def achieved(m: float) -> float:
-        return process_fidelity(apply_channel_noise(chi_th, template.scaled(m)), chi_th)
-
-    magnitude = _bisect_magnitude(achieved, target_raw_fidelity, CHANNEL_CALIBRATION_TOL,
-                                  "channel calibration")
-    return template.scaled(magnitude)
-
-
-def calibrate_state_noise(target_fidelity: float, rho_ideal: DensityMatrix,
-                          template: NoiseSpec) -> NoiseSpec:
-    """Scale the template so the degraded state hits the target fidelity
-    within ``STATE_CALIBRATION_TOL``."""
+    """Scale the template by the magnitude m in [0, 1] at which
+    ``fidelity(apply_noise(ideal, template.scaled(m)), ideal)`` hits the
+    target, within ``CHANNEL_CALIBRATION_TOL`` for a ``ChoiProcess`` and
+    ``STATE_CALIBRATION_TOL`` for a ``DensityMatrix``; bisection assumes the
+    fidelity falls continuously from 1 at m = 0."""
+    tol = _kind(ideal)[4]
     if not 0.5 < target_fidelity <= 1.0:
         raise InvalidArgumentError("target fidelity must lie in (0.5, 1]")
     if target_fidelity == 1.0:
         return template.scaled(0.0)
 
     def achieved(m: float) -> float:
-        return fidelity(apply_state_noise(rho_ideal, template.scaled(m)), rho_ideal)
+        return fidelity(apply_noise(ideal, template.scaled(m)), ideal)
 
-    magnitude = _bisect_magnitude(achieved, target_fidelity, STATE_CALIBRATION_TOL,
-                                  "state calibration")
-    return template.scaled(magnitude)
+    f_mid = achieved(1.0)
+    if f_mid > target_fidelity:
+        raise NumericalDomainError(
+            f"calibration: target {target_fidelity} unreachable; full-magnitude template "
+            f"only reaches {f_mid:.6f}")
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        f_mid = achieved(mid)
+        if abs(f_mid - target_fidelity) <= tol:
+            return template.scaled(mid)
+        if f_mid > target_fidelity:
+            lo = mid
+        else:
+            hi = mid
+    raise NumericalDomainError(
+        f"calibration: bisection stalled at {f_mid} for target {target_fidelity}")
 
 
 #: Default channel imperfection shape used by the analysis pipelines.

@@ -216,7 +216,7 @@ def _noisy_channel(chi_th, spec: _noise.NoiseSpec | None):
     """``chi_th`` under ``spec``; no spec or a zero spec leaves it ideal."""
     if spec is None or spec.is_zero():
         return chi_th
-    return _noise.apply_channel_noise(chi_th, spec)
+    return _noise.apply_noise(chi_th, spec)
 
 
 def run_tomography_suite(config: ExperimentConfig) -> TableReport:
@@ -313,18 +313,16 @@ def run_discord_demo(config: ExperimentConfig) -> TableReport:
 def realistic_cluster_fixture() -> DensityMatrix:
     """Noise-degraded cluster state calibrated to REALISTIC_CLUSTER_FIDELITY."""
     ideal = cluster_state_c4().density()
-    spec = _noise.calibrate_state_noise(REALISTIC_CLUSTER_FIDELITY, ideal,
-                                        _noise.DEFAULT_STATE_TEMPLATE)
-    return _noise.apply_state_noise(ideal, spec)
+    spec = _noise.calibrate_noise_to_fidelity(REALISTIC_CLUSTER_FIDELITY, ideal,
+                                              _noise.DEFAULT_STATE_TEMPLATE)
+    return _noise.apply_noise(ideal, spec)
 
 
-def calibrated_channel_noise(targets: dict[str, float] | None = None,
-                             ) -> dict[str, _noise.NoiseSpec]:
+def calibrated_channel_noise() -> dict[str, _noise.NoiseSpec]:
     """Per-preset scalings of the default channel template calibrated to the
     documented raw fidelities."""
-    targets = targets or RAW_FIDELITY_TARGETS
     specs = {}
-    for name, target in targets.items():
+    for name, target in RAW_FIDELITY_TARGETS.items():
         chi_th = ideal_choi(preset(name).settings)
         specs[name] = _noise.calibrate_noise_to_fidelity(
             target, chi_th, _noise.DEFAULT_CHANNEL_TEMPLATE)

@@ -27,14 +27,14 @@ from convgate.metrics import (
     concurrence,
     discord,
     log_negativity,
-    phase_conjugate_choi,
     phase_optimized_fidelity,
     process_fidelity,
     purity,
 )
 from convgate.noise import (
     DEFAULT_CHANNEL_TEMPLATE,
-    apply_channel_noise,
+    NoiseSpec,
+    apply_noise,
     calibrate_noise_to_fidelity,
 )
 from convgate.pipeline import (
@@ -128,7 +128,7 @@ def test_criterion_4_phase_optimization_recovery():
         name = CONVERSION_PRESET_NAMES[trial % 4]
         chi_th = ideal_choi(preset(name).settings)
         correction = PhaseCorrection(tuple(rng.uniform(0.0, 2 * np.pi, 4)))
-        planted = phase_conjugate_choi(chi_th, correction)
+        planted = apply_noise(chi_th, NoiseSpec(mode_phases=correction))
         raw = process_fidelity(planted, chi_th)
         value, _ = phase_optimized_fidelity(planted, chi_th)
         checks[f"trial {trial} ({name}) recovery {value:.8f}"] = value >= 0.999999
@@ -172,7 +172,7 @@ def test_criterion_7_noise_calibration_pipeline():
     for name, target in RAW_FIDELITY_TARGETS.items():
         chi_th = ideal_choi(preset(name).settings)
         spec = calibrate_noise_to_fidelity(target, chi_th, DEFAULT_CHANNEL_TEMPLATE)
-        chi_noisy = apply_channel_noise(chi_th, spec)
+        chi_noisy = apply_noise(chi_th, spec)
         achieved = process_fidelity(chi_noisy, chi_th)
         checks[f"{name} calibration {achieved:.6f} within 1e-4 of {target}"] = (
             abs(achieved - target) <= 1e-4)
@@ -211,7 +211,7 @@ def test_criterion_9_statistical_scaling():
     chi_th = ideal_choi(preset("ghz").settings)
     spec = calibrate_noise_to_fidelity(RAW_FIDELITY_TARGETS["ghz"], chi_th,
                                        DEFAULT_CHANNEL_TEMPLATE)
-    chi_noisy = apply_channel_noise(chi_th, spec)
+    chi_noisy = apply_noise(chi_th, spec)
     stds = {}
     for mean_counts in (1e3, 1e4):
         data = simulate_counts(chi_noisy, mean_counts,

@@ -207,6 +207,44 @@ def test_poisson_means_beyond_the_generator_range_exit_2(tmp_path, monkeypatch, 
     assert list(tmp_path.rglob("*.json")) == []
 
 
+@pytest.mark.parametrize("phase", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", [
+    ["tomo", "simulate", "--preset", "ghz", "--mean-counts", "100", "--seed", "1",
+     "--out", "d.json"],
+    ["reproduce", "table2-sim", "--seed", "1", "--samples", "2", "--out-dir", "out"],
+], ids=["tomo-simulate", "reproduce-table2-sim"])
+def test_non_finite_mode_phases_exit_2(tmp_path, monkeypatch, capsys, command, phase):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(f'{{"mode_phases": [{phase}, 0, 0, 0]}}')
+    assert main([*command, "--noise", "bad.json"]) == 2
+    err = capsys.readouterr().err
+    assert "phases must be finite" in err and "Traceback" not in err
+    assert list(tmp_path.rglob("*.json")) == [tmp_path / "bad.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--noise", "n.json"],
+    ["table1", "--ideal-channels"],
+    ["entangler", "--ideal-channels"],
+    ["table3", "--ideal-channels", "--noise", "n.json"],
+], ids=["table1-noise", "table1-ideal-channels", "entangler-ideal-channels",
+        "table3-ideal-channels-noise"])
+def test_reproduce_flags_that_do_not_apply_exit_2(tmp_path, monkeypatch, capsys, argv):
+    from convgate.noise import NoiseSpec
+    monkeypatch.chdir(tmp_path)
+    serialize.dump_json(serialize.noise_spec_to_json(NoiseSpec(depolarizing_p=0.1)), "n.json")
+    assert main(["reproduce", *argv, "--seed", "1", "--samples", "2", "--out-dir", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not Path("out").exists()
+
+
+def test_reproduce_table3_with_ideal_channels(tmp_path, capsys):
+    assert main(["reproduce", "table3", "--ideal-channels", "--seed", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "table3.json").read_text())["metadata"]["channels"] == "ideal"
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "3", '"chi"', "null"])
 @pytest.mark.parametrize("argv", [
     ["metrics", "--estimate", "input.json", "--metric", "purity"],

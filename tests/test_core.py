@@ -36,7 +36,7 @@ from convgate.gate import (
     table1_rows,
     target_state,
 )
-from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, apply_channel_noise
+from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, apply_noise
 from convgate.tomography import mle_process_matrix, simulate_counts
 
 from conftest import random_density_matrix, random_pure_state, random_unitary
@@ -311,7 +311,7 @@ def _kraus_embedding(rho, chi, targets):
 @pytest.fixture(scope="module")
 def oracle_channels():
     chi = ideal_choi(preset("ghz").settings)
-    noisy = apply_channel_noise(chi, DEFAULT_CHANNEL_TEMPLATE.scaled(0.3))
+    noisy = apply_noise(chi, DEFAULT_CHANNEL_TEMPLATE.scaled(0.3))
     fitted = mle_process_matrix(simulate_counts(noisy, 1e3, seed=5)).estimate
     assert np.linalg.eigvalsh(fitted.choi).min() > 1e-7  # full rank
     return {"ideal": chi, "template": noisy, "mle": fitted}

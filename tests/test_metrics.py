@@ -18,13 +18,12 @@ from convgate.metrics import (
     fidelity,
     log_negativity,
     metric_function,
-    phase_conjugate_choi,
     phase_optimized_fidelity,
     process_fidelity,
     purity,
     von_neumann_entropy,
 )
-from convgate.noise import depolarize_choi
+from convgate.noise import NoiseSpec, apply_noise
 
 from conftest import random_density_matrix, random_pure_state, random_unitary
 
@@ -108,7 +107,7 @@ class TestProcessFidelity:
 
     def test_depolarized_against_scipy_oracle(self):
         chi_th = ideal_choi(preset("ghz").settings)
-        noisy = depolarize_choi(chi_th, 0.1)
+        noisy = apply_noise(chi_th, NoiseSpec(depolarizing_p=0.1))
         root = sqrtm(chi_th.choi)
         oracle = float(np.trace(sqrtm(root @ noisy.choi @ root)).real ** 2)
         # sqrtm on the rank-deficient target limits the oracle to ~1e-7
@@ -128,27 +127,27 @@ class TestPhaseOptimizedFidelity:
     def test_plant_and_recover(self, rng):
         chi_th = ideal_choi(preset("dicke").settings)
         for _ in range(5):
-            planted = phase_conjugate_choi(
-                chi_th, PhaseCorrection(tuple(rng.uniform(0, 2 * np.pi, 4))))
+            planted = apply_noise(chi_th, NoiseSpec(
+                mode_phases=PhaseCorrection(tuple(rng.uniform(0, 2 * np.pi, 4)))))
             value, _ = phase_optimized_fidelity(planted, chi_th)
             assert value >= 0.999999
 
     def test_never_below_raw_on_perturbed_channels(self, rng):
         chi_th = ideal_choi(preset("ghz").settings)
         for _ in range(10):
-            noisy = depolarize_choi(chi_th, rng.uniform(0, 0.5))
-            noisy = phase_conjugate_choi(
-                noisy, PhaseCorrection(tuple(rng.uniform(0, 1.0, 4))))
+            noisy = apply_noise(chi_th, NoiseSpec(depolarizing_p=rng.uniform(0, 0.5)))
+            noisy = apply_noise(noisy, NoiseSpec(
+                mode_phases=PhaseCorrection(tuple(rng.uniform(0, 1.0, 4)))))
             raw = process_fidelity(noisy, chi_th)
             value, _ = phase_optimized_fidelity(noisy, chi_th)
             assert value >= raw - 1e-12
 
     def test_invariant_under_pre_applied_phases(self, rng):
         chi_th = ideal_choi(preset("ghz").settings)
-        noisy = depolarize_choi(chi_th, 0.2)
+        noisy = apply_noise(chi_th, NoiseSpec(depolarizing_p=0.2))
         base, _ = phase_optimized_fidelity(noisy, chi_th)
-        shifted = phase_conjugate_choi(
-            noisy, PhaseCorrection(tuple(rng.uniform(0, 2 * np.pi, 4))))
+        shifted = apply_noise(noisy, NoiseSpec(
+            mode_phases=PhaseCorrection(tuple(rng.uniform(0, 2 * np.pi, 4)))))
         value, _ = phase_optimized_fidelity(shifted, chi_th)
         assert value == pytest.approx(base, abs=1e-9)
 
@@ -162,25 +161,27 @@ class TestPhaseOptimizedFidelity:
     ], ids=["target-pure", "estimate-pure", "near-pure", "mixed-mixed"])
     def test_planted_phases_in_every_purity_regime(self, rng, p_est, p_th):
         chi = ideal_choi(preset("ghz").settings)
-        chi_th = depolarize_choi(chi, p_th) if p_th else chi
+        chi_th = apply_noise(chi, NoiseSpec(depolarizing_p=p_th)) if p_th else chi
         planted_phases = PhaseCorrection(tuple(rng.uniform(0, 2 * np.pi, 4)))
-        planted = phase_conjugate_choi(depolarize_choi(chi, p_est) if p_est else chi,
-                                       planted_phases)
+        planted = apply_noise(
+            apply_noise(chi, NoiseSpec(depolarizing_p=p_est)) if p_est else chi,
+            NoiseSpec(mode_phases=planted_phases))
         value, correction = phase_optimized_fidelity(planted, chi_th)
         undone = process_fidelity(
-            phase_conjugate_choi(planted, planted_phases.scaled(-1)), chi_th)
+            apply_noise(planted, NoiseSpec(mode_phases=planted_phases.scaled(-1))), chi_th)
         assert value >= undone - 1e-9
         swapped, _ = phase_optimized_fidelity(chi_th, planted)
         assert swapped == pytest.approx(value, abs=1e-9)
         # the returned phases reach the returned value
-        reached = process_fidelity(phase_conjugate_choi(planted, correction), chi_th)
+        reached = process_fidelity(apply_noise(planted, NoiseSpec(mode_phases=correction)),
+                                   chi_th)
         assert reached == pytest.approx(value, abs=1e-9)
 
     def test_pure_target_search_allocates_little(self):
         # the 16^4-point screen runs in blocks; holding all 65,536 phase
         # vectors (16 MiB complex) at once would raise the peak several-fold
         chi_th = ideal_choi(preset("ghz").settings)
-        noisy = depolarize_choi(chi_th, 1e-3)
+        noisy = apply_noise(chi_th, NoiseSpec(depolarizing_p=1e-3))
         tracemalloc.start()
         try:
             phase_optimized_fidelity(noisy, chi_th)

@@ -17,6 +17,7 @@ from convgate.core import (
     ChoiProcess,
     DensityMatrix,
     PureState,
+    apply_choi_channel,
     channel_output_unnormalized,
     partial_trace,
 )
@@ -24,11 +25,10 @@ from convgate.gate import GateSettings, build_gate, ideal_choi
 from convgate.metrics import (
     PhaseCorrection,
     discord,
-    phase_conjugate_choi,
     phase_optimized_fidelity,
     process_fidelity,
 )
-from convgate.noise import NoiseSpec, apply_channel_noise, depolarize_choi
+from convgate.noise import NoiseSpec, apply_noise
 from convgate.tomography import (
     CoincidenceDataset,
     MLEOptions,
@@ -112,18 +112,50 @@ def test_success_scale_is_quarter_gate_norm(theta1, theta2):
 @given(angles, angles, probabilities, probabilities, st.none() | phase_corrections)
 def test_noisy_channel_is_a_valid_choi(theta1, theta2, dep, deph, phases):
     chi = _nondegenerate_channel(theta1, theta2)
-    noisy = apply_channel_noise(chi, NoiseSpec(dep, deph, phases))
+    noisy = apply_noise(chi, NoiseSpec(dep, deph, phases))
     ChoiProcess(noisy.choi, success_scale=noisy.success_scale)  # validates
+
+
+@_settings(50)
+@given(seeds, angles, angles, probabilities, probabilities, phase_corrections)
+def test_channel_noise_equals_state_noise_around_the_channel(seed, theta1, theta2, p, q,
+                                                             phases):
+    chi = _nondegenerate_channel(theta1, theta2)
+    rho = DensityMatrix(_ginibre(seed, 4, int(seed % 4) + 1), validate=False)
+    unnormalized = channel_output_unnormalized(rho, chi)
+    prob = np.trace(unnormalized).real
+    assume(prob > 1e-6)
+    out = DensityMatrix(unnormalized / prob, validate=False)
+
+    def close(a, b):
+        return np.abs(a.matrix - b.matrix).max() <= 1e-12
+
+    # dephasing the channel's outputs dephases its output state
+    dephase = NoiseSpec(dephasing_p=q)
+    assert close(apply_choi_channel(rho, apply_noise(chi, dephase))[0], apply_noise(out, dephase))
+    # phases (a, b, c, d) on the channel are (a, b) on its input and (c, d) on its output
+    a, b, c, d = phases.phases
+    before, after = (NoiseSpec(mode_phases=PhaseCorrection(pair + (0.0, 0.0)))
+                     for pair in ((a, b), (c, d)))
+    shifted = apply_choi_channel(apply_noise(rho, before), chi)[0]
+    assert close(apply_choi_channel(rho, apply_noise(chi, NoiseSpec(mode_phases=phases)))[0],
+                 apply_noise(shifted, after))
+    # depolarizing mixes the success probability linearly with the white
+    # channel's 1, and the output state with 1/4 at the white channel's share
+    mixed_out, mixed_prob = apply_choi_channel(rho, apply_noise(chi, NoiseSpec(depolarizing_p=p)))
+    assert abs(mixed_prob - ((1.0 - p) * prob + p)) <= 1e-12
+    assert close(mixed_out, apply_noise(out, NoiseSpec(depolarizing_p=p / mixed_prob)))
 
 
 @_settings(8)
 @given(angles, angles, st.floats(0.0, 0.5), phase_corrections)
 def test_phase_optimized_fidelity_is_at_least_raw(theta1, theta2, p, planted):
     chi_th = _nondegenerate_channel(theta1, theta2)
-    chi = phase_conjugate_choi(depolarize_choi(chi_th, p), planted)
+    chi = apply_noise(chi_th, NoiseSpec(depolarizing_p=p, mode_phases=planted))
     value, _ = phase_optimized_fidelity(chi, chi_th)
     assert value >= process_fidelity(chi, chi_th) - 1e-12
-    assert value >= process_fidelity(phase_conjugate_choi(chi, planted.scaled(-1)), chi_th) - 1e-9
+    undone = apply_noise(chi, NoiseSpec(mode_phases=planted.scaled(-1)))
+    assert value >= process_fidelity(undone, chi_th) - 1e-9
 
 
 @_settings(50)
@@ -131,7 +163,7 @@ def test_phase_optimized_fidelity_is_at_least_raw(theta1, theta2, p, planted):
 def test_success_probability_depends_only_on_the_targets_marginal(seed, qubits, theta1,
                                                                   theta2, dep, data):
     targets = tuple(sorted(data.draw(st.permutations(range(qubits)))[:2]))
-    chi = depolarize_choi(_nondegenerate_channel(theta1, theta2), dep)
+    chi = apply_noise(_nondegenerate_channel(theta1, theta2), NoiseSpec(depolarizing_p=dep))
     rho = DensityMatrix(_ginibre(seed, 2**qubits, int(seed % 2**qubits) + 1), validate=False)
     on_register = np.trace(channel_output_unnormalized(rho, chi, targets)).real
     on_marginal = np.trace(channel_output_unnormalized(partial_trace(rho, targets), chi)).real

@@ -36,7 +36,7 @@ from convgate.pipeline import ExperimentConfig, calibrated_channel_noise
 
 
 def _ghz_calibrated():
-    spec = calibrated_channel_noise(targets={"ghz": 0.875})["ghz"]
+    spec = calibrated_channel_noise()["ghz"]
     return pipeline.run_tomography_suite(ExperimentConfig(
         preset="ghz", noise=spec, mean_counts=1e3, seed=12, monte_carlo_samples=2))
 

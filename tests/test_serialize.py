@@ -8,7 +8,7 @@ from convgate.core import ChoiProcess, DensityMatrix, PureState
 from convgate.errors import DegenerateOutcomeError, InvalidArgumentError
 from convgate.gate import GateSettings, cluster_state_c4, ideal_choi
 from convgate.metrics import PhaseCorrection
-from convgate.noise import NoiseSpec, apply_channel_noise
+from convgate.noise import NoiseSpec, apply_noise
 from convgate.tomography import simulate_counts
 
 from conftest import random_density_matrix
@@ -56,7 +56,7 @@ def test_choi_json_has_no_normalization_flag():
 
 
 def test_legacy_unnormalized_choi_loads_to_same_channel():
-    chi = apply_channel_noise(ideal_choi(GateSettings(np.pi / 3, 0.0)),
+    chi = apply_noise(ideal_choi(GateSettings(np.pi / 3, 0.0)),
                               NoiseSpec(0.2, 0.1, PhaseCorrection((0.1, 0.2, 0.3, 0.4))))
     legacy = chi.unnormalized()
     obj = {"kind": "choi", "matrix": serialize.matrix_to_json(legacy),

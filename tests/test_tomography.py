@@ -5,7 +5,7 @@ from convgate.core import DensityMatrix, PureState
 from convgate.errors import DegenerateOutcomeError, InvalidArgumentError
 from convgate.gate import GateSettings, ideal_choi, preset, target_state
 from convgate.metrics import concurrence, fidelity, process_fidelity, purity
-from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, apply_channel_noise
+from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, apply_noise
 from convgate.tomography import (
     CoincidenceDataset,
     MLEOptions,
@@ -252,7 +252,7 @@ class TestProcessMLE:
 
 class TestOperatorTable:
     def test_expected_counts_match_per_setting_loop(self):
-        chi = apply_channel_noise(ideal_choi(preset("dicke").settings),
+        chi = apply_noise(ideal_choi(preset("dicke").settings),
                                   DEFAULT_CHANNEL_TEMPLATE.scaled(0.3))
         chi_u = chi.unnormalized()
         reference = np.empty((324, 4))
