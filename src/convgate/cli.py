@@ -246,20 +246,24 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.noise and args.target == "table1":
-        raise InvalidArgumentError("table1 is exact: --noise does not apply")
     if args.ideal_channels and (args.target != "table3" or args.noise):
         raise InvalidArgumentError("--ideal-channels applies to table3 without --noise")
+    # table1 is exact and table3 runs its deterministic mode: a flag they do
+    # not read would still enter the report's config and config hash
+    unread = {"table1": ("noise", "seed", "samples", "mean_counts"),
+              "table3": ("samples", "mean_counts")}
+    for name in unread.get(args.target, ()):
+        if getattr(args, name) is not None:
+            raise InvalidArgumentError(
+                f"{args.target} does not read --{name.replace('_', '-')}")
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     needs_seed = args.target != "table1"
     seed = _ensure_seed(args) if needs_seed else None
 
+    given = {"mean_counts": args.mean_counts, "monte_carlo_samples": args.samples}
     config = pipeline.ExperimentConfig(
-        mean_counts=args.mean_counts,
-        seed=seed,
-        monte_carlo_samples=args.samples,
-    )
+        seed=seed, **{name: value for name, value in given.items() if value is not None})
     if args.noise:
         spec = serialize.noise_spec_from_json(serialize.load_json(args.noise))
         config = dataclasses.replace(config, noise=spec)
@@ -347,9 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("target", choices=["table1", "table2-sim", "entangler", "discord", "table3"])
     p_rep.add_argument("--seed", type=int)
     p_rep.add_argument("--out-dir", default=".")
-    p_rep.add_argument("--mean-counts", type=float, default=1000.0)
-    p_rep.add_argument("--samples", type=int, default=1000,
-                       help="Monte Carlo samples per reported quantity")
+    p_rep.add_argument("--mean-counts", type=float,
+                       help="mean counts per setting (default 1000; not table1 or table3)")
+    p_rep.add_argument("--samples", type=int,
+                       help="Monte Carlo samples per reported quantity "
+                            "(default 1000; not table1 or table3)")
     p_rep.add_argument("--noise", help="noise spec JSON applied to the channels")
     p_rep.add_argument("--ideal-channels", action="store_true",
                        help="table3 only: use ideal channels instead of calibrated ones")

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import metrics as _metrics
 from .core import (
     SINGLE_QUBIT_KETS,
     ChoiProcess,
@@ -418,19 +417,6 @@ def _resamples(data: CoincidenceDataset, n: int, seed: int, label: str):
     for i in range(n):
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"{label}:{i}")))
         yield data.resampled(rng)
-
-
-def monte_carlo_metrics(data: CoincidenceDataset, n_samples: int, metric: str,
-                        seed: int, *, target=None) -> tuple[float, float]:
-    """Poisson-resample the counts, re-reconstruct and evaluate one metric.
-
-    Returns the sample mean and standard deviation over ``n_samples``
-    independent resamples. Sample i derives its generator from
-    (seed, "sample:i"), so samples may be computed in any order.
-    """
-    table = monte_carlo_metric_table(
-        data, n_samples, {metric: _metrics.metric_function(metric, target)}, seed)
-    return table[metric]
 
 
 def monte_carlo_metric_table(data: CoincidenceDataset, n_samples: int,

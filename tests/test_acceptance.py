@@ -27,6 +27,7 @@ from convgate.metrics import (
     concurrence,
     discord,
     log_negativity,
+    metric_function,
     phase_optimized_fidelity,
     process_fidelity,
     purity,
@@ -45,7 +46,7 @@ from convgate.pipeline import (
 from convgate.tomography import (
     derive_seed,
     mle_process_matrix,
-    monte_carlo_metrics,
+    monte_carlo_metric_table,
     simulate_counts,
 )
 
@@ -180,9 +181,9 @@ def test_criterion_7_noise_calibration_pipeline():
         raw = process_fidelity(mle_process_matrix(data).estimate, chi_th)
         checks[f"{name} reconstructed raw {raw:.4f} within 0.02 of {target}"] = (
             abs(raw - target) <= 0.02)
-        mean, std = monte_carlo_metrics(
-            data, 100, "process-fidelity", derive_seed(707, f"calib-mc:{name}"),
-            target=chi_th)
+        mean, std = monte_carlo_metric_table(
+            data, 100, {"process-fidelity": metric_function("process-fidelity", chi_th)},
+            derive_seed(707, f"calib-mc:{name}"))["process-fidelity"]
         checks[f"{name} Monte Carlo std {std:.2e} reported from 100 resamples"] = (
             np.isfinite(std) and std > 0.0 and np.isfinite(mean))
     _report(7, "noise calibration and simulated tomography", checks,
@@ -216,9 +217,9 @@ def test_criterion_9_statistical_scaling():
     for mean_counts in (1e3, 1e4):
         data = simulate_counts(chi_noisy, mean_counts,
                                seed=derive_seed(2026, f"scaling:{mean_counts}"))
-        _, std = monte_carlo_metrics(
-            data, 100, "process-fidelity",
-            derive_seed(2026, f"scaling-mc:{mean_counts}"), target=chi_th)
+        _, std = monte_carlo_metric_table(
+            data, 100, {"process-fidelity": metric_function("process-fidelity", chi_th)},
+            derive_seed(2026, f"scaling-mc:{mean_counts}"))["process-fidelity"]
         stds[mean_counts] = std
     ratio = stds[1e3] / stds[1e4]
     lo, hi = 0.7 * np.sqrt(10), 1.3 * np.sqrt(10)

@@ -239,6 +239,22 @@ def test_reproduce_flags_that_do_not_apply_exit_2(tmp_path, monkeypatch, capsys,
     assert not Path("out").exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["table1", "--seed", "4"], "seed"),
+    (["table1", "--samples", "3"], "samples"),
+    (["table1", "--mean-counts", "5"], "mean-counts"),
+    (["table3", "--seed", "1", "--samples", "3"], "samples"),
+    (["table3", "--seed", "1", "--mean-counts", "5"], "mean-counts"),
+], ids=["table1-seed", "table1-samples", "table1-mean-counts", "table3-samples",
+        "table3-mean-counts"])
+def test_reproduce_flags_the_target_does_not_read_exit_2(tmp_path, monkeypatch, capsys,
+                                                         argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce", *argv, "--out-dir", "out"]) == 2
+    assert f"does not read --{flag}" in capsys.readouterr().err
+    assert not Path("out").exists()
+
+
 def test_reproduce_table3_with_ideal_channels(tmp_path, capsys):
     assert main(["reproduce", "table3", "--ideal-channels", "--seed", "1",
                  "--out-dir", str(tmp_path)]) == 0
@@ -350,6 +366,26 @@ class TestMetricsCommand:
         (report,) = json.loads(out.read_text())["metrics"]
         assert report["name"] == "process-fidelity-optimized"
         assert len(report["metadata"]["phases"]) == 4
+
+    def test_optimized_phases_reach_the_printed_value(self, tmp_path, capsys):
+        from convgate.metrics import PhaseCorrection, process_fidelity
+        from convgate.noise import NoiseSpec, apply_noise
+        chi = ideal_choi(GateSettings(0.0, np.pi / 4))
+        estimate = apply_noise(chi, NoiseSpec(
+            depolarizing_p=0.1, mode_phases=PhaseCorrection((0.4, 2.5, 1.3, 5.0))))
+        serialize.dump_json(serialize.choi_to_json(estimate), tmp_path / "est.json")
+        serialize.dump_json(serialize.choi_to_json(
+            apply_noise(chi, NoiseSpec(depolarizing_p=0.2))), tmp_path / "target.json")
+        out = tmp_path / "metrics.json"
+        assert main(["metrics", "--estimate", str(tmp_path / "est.json"),
+                     "--target", str(tmp_path / "target.json"),
+                     "--metric", "process-fidelity-optimized", "--out", str(out)]) == 0
+        printed = float(capsys.readouterr().out.split(" = ")[1].split()[0])
+        (report,) = json.loads(out.read_text())["metrics"]
+        corrected = apply_noise(estimate, NoiseSpec(
+            mode_phases=PhaseCorrection(tuple(report["metadata"]["phases"]))))
+        target = serialize.choi_from_json(serialize.load_json(tmp_path / "target.json"))
+        assert abs(process_fidelity(corrected, target) - printed) <= 1e-9
 
     def test_state_metric_with_monte_carlo(self, tmp_path, capsys):
         from convgate.core import PureState

@@ -6,13 +6,33 @@ import pytest
 from scipy.linalg import sqrtm
 from scipy.optimize import minimize
 
-from convgate.core import DensityMatrix, PureState, apply_choi_channel, partial_trace
+from convgate.core import (
+    ChoiProcess,
+    DensityMatrix,
+    PureState,
+    apply_choi_channel,
+    matrix_sqrt,
+    partial_trace,
+)
 from convgate.errors import InvalidArgumentError
-from convgate.gate import GateSettings, build_gate, ideal_choi, preset, target_state
+from convgate.gate import (
+    CONVERSION_PRESET_NAMES,
+    PRESET_NAMES,
+    GateSettings,
+    build_gate,
+    ideal_choi,
+    preset,
+    target_state,
+)
 from convgate.metrics import (
+    PHASE_GRID_POINTS,
+    PHASE_TOL,
     TWO_PI,
     PhaseCorrection,
     _conditional_entropies,
+    _overlap_screen,
+    _phase_objective,
+    _phase_vectors,
     concurrence,
     discord,
     fidelity,
@@ -178,8 +198,8 @@ class TestPhaseOptimizedFidelity:
         assert reached == pytest.approx(value, abs=1e-9)
 
     def test_pure_target_search_allocates_little(self):
-        # the 16^4-point screen runs in blocks; holding all 65,536 phase
-        # vectors (16 MiB complex) at once would raise the peak several-fold
+        # the 16^4-point screen is one FFT of a 1 MiB coefficient array; the
+        # 65,536 phase vectors it replaces would take 16 MiB complex at once
         chi_th = ideal_choi(preset("ghz").settings)
         noisy = apply_noise(chi_th, NoiseSpec(depolarizing_p=1e-3))
         tracemalloc.start()
@@ -189,6 +209,109 @@ class TestPhaseOptimizedFidelity:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+def _reference_screen_function(chi, chi_th):
+    """The screen evaluator the FFT replaced: the quadratic form of a pure or
+    near-pure argument (residual spectrum below 1e-9, then 1e-4, of the
+    trace), else the Uhlmann formula."""
+    for deficit in (1e-9, 1e-4):
+        for pure, other in ((chi_th.choi, chi.choi), (chi.choi.T, chi_th.choi.T)):
+            vals, vecs = np.linalg.eigh(pure)
+            if vals[-1] >= np.trace(pure).real - deficit:
+                quad = np.outer(vecs[:, -1].conj(), vecs[:, -1]) * other
+                return lambda ws: np.einsum("gj,gj->g", ws @ quad, ws.conj()).real
+    root_chi = matrix_sqrt(chi.choi)
+
+    def uhlmann(ws):
+        p = root_chi[None, :, :] * ws.conj()[:, None, :]
+        t = p @ chi_th.choi @ p.conj().transpose(0, 2, 1)
+        return np.sqrt(np.clip(np.linalg.eigvalsh(t), 0.0, None)).sum(axis=1) ** 2
+
+    return uhlmann
+
+
+def _reference_screen(chi, chi_th):
+    """The blocked 16^4 screen the FFT replaced, over blocks of 2048 phase vectors."""
+    screen = _reference_screen_function(chi, chi_th)
+    points = np.arange(PHASE_GRID_POINTS**4)
+    return np.concatenate([screen(_phase_vectors(_reference_grid_phases(points[s:s + 2048, None])))
+                           for s in range(0, len(points), 2048)])
+
+
+def _reference_grid_phases(index):
+    axis = np.linspace(0.0, TWO_PI, PHASE_GRID_POINTS, endpoint=False)
+    place = PHASE_GRID_POINTS ** np.arange(3, -1, -1)  # the first phase varies slowest
+    return axis[index // place % PHASE_GRID_POINTS]
+
+
+def _reference_search(chi, chi_th):
+    """The replaced phase search: the blocked screen's first maximum seeds one
+    Nelder-Mead refinement of the exact fidelity."""
+    exact = _phase_objective(chi, chi_th)
+    res = minimize(lambda x: -exact(_phase_vectors(x[None, :]))[0],
+                   x0=_reference_grid_phases(np.argmax(_reference_screen(chi, chi_th))),
+                   method="Nelder-Mead", options={"xatol": PHASE_TOL})
+    return max(float(-res.fun), process_fidelity(chi, chi_th))
+
+
+def _noisy_gate_channel(rng, settings, planted=True):
+    chi = apply_noise(ideal_choi(settings), NoiseSpec(depolarizing_p=rng.uniform(0.05, 0.4),
+                                                      dephasing_p=rng.uniform(0.0, 0.2)))
+    if planted:
+        chi = apply_noise(chi, NoiseSpec(
+            mode_phases=PhaseCorrection(tuple(rng.uniform(0, 2 * np.pi, 4)))))
+    return chi
+
+
+class TestPhaseScreenOracle:
+    """The FFT screen against the blocked screen it replaced."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_fft_grid_equals_blocked_screen_on_presets(self, name, rng):
+        chi_th = ideal_choi(preset(name).settings)
+        noisy = _noisy_gate_channel(rng, preset(name).settings)
+        # a pure target, then a pure estimate
+        for chi, target in ((noisy, chi_th), (chi_th, noisy)):
+            grid = _overlap_screen(chi, target).ravel()
+            assert np.max(np.abs(grid - _reference_screen(chi, target))) <= 1e-13
+
+    def test_fft_grid_equals_blocked_screen_on_random_pure_settings(self, rng):
+        for _ in range(4):
+            chi, chi_th = (ideal_choi(GateSettings(*rng.uniform(0.0, np.pi, 2)))
+                           for _ in range(2))
+            grid = _overlap_screen(chi, chi_th).ravel()
+            assert np.max(np.abs(grid - _reference_screen(chi, chi_th))) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["noisy-gate", "ginibre"])
+    def test_mixed_pairs_never_below_the_uhlmann_grid_search(self, rng, kind):
+        # noisy channels of a random gate setting against a noisy target of the
+        # same gate, and random Choi matrices of random rank, where the overlap
+        # seeds worst; the exact fidelity re-ranks the screen's best points
+        for _ in range(3):
+            if kind == "noisy-gate":
+                settings = GateSettings(*rng.uniform(0.0, np.pi, 2))
+                chi = _noisy_gate_channel(rng, settings)
+                chi_th = _noisy_gate_channel(rng, settings, planted=False)
+            else:
+                chi, chi_th = (ChoiProcess(random_density_matrix(
+                    rng, 4, rank=int(rng.integers(2, 17))).matrix) for _ in range(2))
+            value, _ = phase_optimized_fidelity(chi, chi_th)
+            assert value >= _reference_search(chi, chi_th) - 1e-9
+
+    @pytest.mark.parametrize("name", CONVERSION_PRESET_NAMES)
+    def test_seed_does_not_follow_last_bit_rounding(self, name):
+        # a conversion channel's phase symmetries tie up to 4096 grid points
+        # at the maximum; a 1e-15 change of the estimate must not pick another
+        chi_th = ideal_choi(preset(name).settings)
+        estimate = apply_noise(chi_th, NoiseSpec(
+            depolarizing_p=0.05, mode_phases=PhaseCorrection((0.3, 1.1, 2.0, 0.7))))
+        h = np.random.default_rng(7).normal(size=(16, 16, 2)) @ [1.0, 1j]
+        perturbed = ChoiProcess(estimate.choi + 1e-15 * (h + h.conj().T) / 2.0)
+        _, correction = phase_optimized_fidelity(estimate, chi_th)
+        _, moved = phase_optimized_fidelity(perturbed, chi_th)
+        turn = np.angle(np.exp(1j * (np.array(moved.phases) - correction.phases)))
+        assert np.max(np.abs(turn)) <= 1e-6
 
 
 class TestConcurrence:

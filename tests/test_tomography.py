@@ -4,7 +4,13 @@ import pytest
 from convgate.core import DensityMatrix, PureState
 from convgate.errors import DegenerateOutcomeError, InvalidArgumentError
 from convgate.gate import GateSettings, ideal_choi, preset, target_state
-from convgate.metrics import concurrence, fidelity, process_fidelity, purity
+from convgate.metrics import (
+    concurrence,
+    fidelity,
+    metric_function,
+    process_fidelity,
+    purity,
+)
 from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, apply_noise
 from convgate.tomography import (
     CoincidenceDataset,
@@ -18,7 +24,6 @@ from convgate.tomography import (
     mle_density_matrix,
     mle_process_matrix,
     monte_carlo_metric_table,
-    monte_carlo_metrics,
     outcome_probabilities,
     outcome_projectors,
     prep_state,
@@ -288,25 +293,28 @@ class TestOperatorTable:
 class TestMonteCarlo:
     def test_trace_metric_degenerate(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=31)
-        mean, std = monte_carlo_metrics(data, 3, "trace", seed=32)
+        mean, std = monte_carlo_metric_table(data, 3, {"trace": metric_function("trace")},
+                                             32)["trace"]
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert std < 1e-12
 
     def test_two_samples_is_enough(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=33)
-        mean, std = monte_carlo_metrics(data, 2, "process-fidelity", seed=34,
-                                        target=chi_ghz)
+        mean, std = monte_carlo_metric_table(
+            data, 2, {"process-fidelity": metric_function("process-fidelity", chi_ghz)},
+            34)["process-fidelity"]
         assert np.isfinite(mean) and np.isfinite(std)
 
     def test_rejects_single_sample(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=35)
         with pytest.raises(InvalidArgumentError):
-            monte_carlo_metrics(data, 1, "purity", seed=36)
+            monte_carlo_metric_table(data, 1, {"purity": metric_function("purity")}, 36)
 
     def test_state_metric_path(self):
         psi = target_state("psi_plus")
         data = simulate_state_counts(psi.density(), 0.5, 1e4, seed=37)
-        mean, std = monte_carlo_metrics(data, 3, "concurrence", seed=38)
+        mean, std = monte_carlo_metric_table(
+            data, 3, {"concurrence": metric_function("concurrence")}, 38)["concurrence"]
         assert mean > 0.98
         assert std < 0.05
 
@@ -334,7 +342,8 @@ class TestMonteCarlo:
     def test_unknown_metric(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=39)
         with pytest.raises(InvalidArgumentError):
-            monte_carlo_metrics(data, 2, "negativity-cubed", seed=40)
+            monte_carlo_metric_table(
+                data, 2, {"negativity-cubed": metric_function("negativity-cubed")}, 40)
 
 
 class TestSeeds:
