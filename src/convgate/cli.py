@@ -251,15 +251,14 @@ def cmd_reproduce(args) -> int:
     # table1 is exact and table3 runs its deterministic mode: a flag they do
     # not read would still enter the report's config and config hash
     unread = {"table1": ("noise", "seed", "samples", "mean_counts"),
-              "table3": ("samples", "mean_counts")}
+              "table3": ("samples", "mean_counts", "seed")}
     for name in unread.get(args.target, ()):
         if getattr(args, name) is not None:
             raise InvalidArgumentError(
                 f"{args.target} does not read --{name.replace('_', '-')}")
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    needs_seed = args.target != "table1"
-    seed = _ensure_seed(args) if needs_seed else None
+    seed = None if "seed" in unread.get(args.target, ()) else _ensure_seed(args)
 
     given = {"mean_counts": args.mean_counts, "monte_carlo_samples": args.samples}
     config = pipeline.ExperimentConfig(

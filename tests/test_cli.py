@@ -245,8 +245,9 @@ def test_reproduce_flags_that_do_not_apply_exit_2(tmp_path, monkeypatch, capsys,
     (["table1", "--mean-counts", "5"], "mean-counts"),
     (["table3", "--seed", "1", "--samples", "3"], "samples"),
     (["table3", "--seed", "1", "--mean-counts", "5"], "mean-counts"),
+    (["table3", "--seed", "1"], "seed"),
 ], ids=["table1-seed", "table1-samples", "table1-mean-counts", "table3-samples",
-        "table3-mean-counts"])
+        "table3-mean-counts", "table3-seed"])
 def test_reproduce_flags_the_target_does_not_read_exit_2(tmp_path, monkeypatch, capsys,
                                                          argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -256,8 +257,7 @@ def test_reproduce_flags_the_target_does_not_read_exit_2(tmp_path, monkeypatch, 
 
 
 def test_reproduce_table3_with_ideal_channels(tmp_path, capsys):
-    assert main(["reproduce", "table3", "--ideal-channels", "--seed", "1",
-                 "--out-dir", str(tmp_path)]) == 0
+    assert main(["reproduce", "table3", "--ideal-channels", "--out-dir", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "table3.json").read_text())["metadata"]["channels"] == "ideal"
 
 

@@ -20,6 +20,15 @@ square roots of eigenvalues near zero, so a change of eps ~ 1e-16 in an
 operand can move a fidelity by sqrt(eps) ~ 1e-8. The bound 1e-7 leaves a
 factor of ten over that, and stays far below the smallest printed Monte
 Carlo std of a fidelity (about 1e-5).
+
+The discord minimization once refined the best grid direction by Nelder-Mead
+and now refines it by stencil-Newton rounds; the ``discord`` values below are
+those of Nelder-Mead, and that case's rows must stay within an absolute 1e-11
+of them. The largest measured shifts are 1.7e-15 in a value and 2.4e-15 in a
+std (``sampled/discord-q1``). Both refinements minimize the same evaluator,
+and the unit tests bound each discord against the Nelder-Mead oracle by
+1e-12, which lets a two-sample std move by at most sqrt(2) 1e-12; the bound
+1e-11 leaves a factor of seven over that.
 """
 
 import json
@@ -31,6 +40,8 @@ from test_report_hashes import CASES
 from convgate.cli import main
 
 TOLERANCE = 1e-7
+#: Per-case tolerances that differ from ``TOLERANCE``.
+TOLERANCES = {"discord": 1e-11}
 
 #: (label, value, std) of every row, as reported before the change.
 RECORDED = {
@@ -73,6 +84,18 @@ RECORDED = {
         ("bell-pair/operation-fidelity", 0.9558641318144527, 0.0019380555354462075),
         ("bell-pair/total-fidelity", 0.8821687316580817, 0.0013153924850091722),
     ],
+    "discord": [
+        ("ideal/success-probability", 0.4374999999999999, None),
+        ("ideal/log-negativity", 0.0, None),
+        ("ideal/concurrence", 0.0, None),
+        ("ideal/discord-q1", 1.1102230246251565e-16, None),
+        ("ideal/discord-q2", 0.08213333971336179, None),
+        ("sampled/log-negativity", 0.06828378034810628, 0.02430238472436721),
+        ("sampled/concurrence", 0.05141688813783801, 0.021836131559063655),
+        ("sampled/discord-q1", 0.003569154680485809, 0.009569482472697411),
+        ("sampled/discord-q2", 0.09939213736402669, 0.007732828871707954),
+        ("sampled/success-probability", 0.4461111111111111, 0.004399775527382975),
+    ],
     "cli-process": [
         ("process-fidelity", 1.0, 4.6091709120815287e-05),
         ("purity", 1.0, 6.446328607617975e-12),
@@ -81,21 +104,22 @@ RECORDED = {
 }
 
 
-def _assert_close(rows, recorded):
+def _assert_close(rows, recorded, tolerance=TOLERANCE):
     assert [label for label, _, _ in rows] == [label for label, _, _ in recorded]
     for (label, value, std), (_, value0, std0) in zip(rows, recorded):
-        assert abs(value - value0) <= TOLERANCE, label
+        assert abs(value - value0) <= tolerance, label
         if std0 is None:
             assert std is None, label
         else:
-            assert abs(std - std0) <= TOLERANCE, label
+            assert abs(std - std0) <= tolerance, label
 
 
 @pytest.mark.parametrize("case", ["table2-ideal", "table2-ghz-calibrated", "table3-deterministic",
-                                  "table3-monte-carlo"])
+                                  "table3-monte-carlo", "discord"])
 def test_report_values_near_recorded(case):
     report = CASES[case][0]()
-    _assert_close([(r.label, r.value, r.std) for r in report.rows], RECORDED[case])
+    _assert_close([(r.label, r.value, r.std) for r in report.rows], RECORDED[case],
+                  TOLERANCES.get(case, TOLERANCE))
 
 
 def test_cli_process_metrics_near_recorded(tmp_path):
