@@ -176,11 +176,14 @@ def cmd_tomo_reconstruct(args) -> int:
         "iterations": report.iterations,
         "final_log_likelihood": report.final_log_likelihood,
         "converged": report.converged,
+        "status": report.status,
+        "gap": report.gap,
         "metadata": report.metadata,
     }
     if args.report:
         _write_with_metadata(info, args.report, args)
-    print(f"iterations = {report.iterations}, converged = {report.converged}")
+    print(f"iterations = {report.iterations}, status = {report.status}, "
+          f"gap = {report.gap:.3g} nats")
     print(f"mean log-likelihood = {report.final_log_likelihood:.12f}")
     print(f"wrote {args.out}")
     return 0
@@ -231,6 +234,8 @@ def cmd_metrics(args) -> int:
         value, std = values[name], stds.get(name)
         metadata = ({} if args.monte_carlo is None
                     else {"n_samples": args.monte_carlo, "seed": seed})
+        if args.monte_carlo is not None and table.uncertified:
+            metadata["uncertified_resamples"] = table.uncertified
         if name == "process-fidelity-optimized":
             metadata["phases"] = phases
         reports.append({"name": name, "value": value, "std": std, "metadata": metadata})
@@ -329,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = tomo_sub.add_parser("reconstruct", help="maximum-likelihood reconstruction")
     p_rec.add_argument("--data", required=True, help="coincidence dataset JSON")
     p_rec.add_argument("--prep", help="fit the output state of one preparation, e.g. H,+")
-    p_rec.add_argument("--tol", type=float, default=tomography.MLEOptions.tol)
+    p_rec.add_argument("--tol", type=float, default=tomography.MLEOptions.tol,
+                       help="certified gap target in total nats")
     p_rec.add_argument("--max-iter", type=int, default=tomography.MLEOptions.max_iter)
     p_rec.add_argument("--out", required=True)
     p_rec.add_argument("--report", help="write the reconstruction report here")

@@ -42,6 +42,9 @@ DISCORD_ROUNDS = 16
 _STENCIL_FLOOR = 1e-4
 # a Newton step this short from the finest stencil would gain ~1e-16
 _STEP_FLOOR = 1e-8
+# nine stencil values within this spread agree to rounding (flat stencils of
+# pure and Bell states spread by at most ~1e-15): the entropy is flat there
+_FLAT_SPREAD = 1e-14
 # tangent-plane offsets (u, v) in {-1, 0, 1}^2 of the nine stencil points, u major
 _STENCIL = np.stack(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], indexing="ij"),
                     axis=-1).reshape(9, 2)
@@ -199,9 +202,10 @@ def _refined_conditional_entropy(rho: np.ndarray, measured_qubit: int, theta: fl
     central-difference gradient and Hessian. A Newton step that stays within the
     stencil half-width from a positive definite Hessian becomes the next
     centre, with the step length as the next half-width; otherwise the centre
-    moves to a better stencil point, or the stencil shrinks fourfold. The chart
-    is rebuilt at every centre, so the poles and the phi = 0 seam are ordinary
-    points.
+    moves to a better stencil point, or the stencil shrinks fourfold. A stencil
+    whose nine values agree to rounding ends the rounds: the entropy is flat
+    there, as on pure and Bell states. The chart is rebuilt at every centre, so
+    the poles and the phi = 0 seam are ordinary points.
     """
     best = np.inf
     for _ in range(DISCORD_ROUNDS):
@@ -214,6 +218,8 @@ def _refined_conditional_entropy(rho: np.ndarray, measured_qubit: int, theta: fl
         thetas, phis = _bloch_angles(centre + h * _STENCIL @ tangent)
         values = _conditional_entropies(rho, measured_qubit, thetas, phis)
         best = min(best, float(values.min()))
+        if np.ptp(values) <= _FLAT_SPREAD:
+            break
         f = values.reshape(3, 3)
         grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
         huu = (f[2, 1] - 2.0 * f[1, 1] + f[0, 1]) / h**2

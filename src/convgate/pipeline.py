@@ -165,7 +165,12 @@ class TableReport:
         return buf.getvalue()
 
 
-def _provenance(config: ExperimentConfig | None, **extra) -> dict:
+def _provenance(config: ExperimentConfig | None, uncertified: dict | None = None,
+                **extra) -> dict:
+    """Version, generator and config of a report; ``uncertified`` maps a Monte
+    Carlo table's row prefix to its count of uncertified resamples and is
+    recorded only when some table has one, so clean reports keep their
+    layout."""
     info = {"version": __version__, "generator": GENERATOR_NOTE}
     if config is not None:
         cfg = config.to_dict()
@@ -173,6 +178,8 @@ def _provenance(config: ExperimentConfig | None, **extra) -> dict:
         canonical = json.dumps(cfg, sort_keys=True)
         info["config_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
     info.update(extra)
+    if uncertified:
+        info["uncertified_resamples"] = uncertified
     return info
 
 
@@ -224,7 +231,7 @@ def run_tomography_suite(config: ExperimentConfig) -> TableReport:
     phase-optimized fidelity with Monte Carlo standard deviations."""
     seed = config.require_seed()
     names = [config.preset] if config.preset else list(CONVERSION_PRESET_NAMES)
-    rows = []
+    rows, uncertified = [], {}
     for name in names:
         chi_th = ideal_choi(preset(name).settings)
         chi_true = _noisy_channel(chi_th, config.noise)
@@ -236,16 +243,20 @@ def run_tomography_suite(config: ExperimentConfig) -> TableReport:
             "fidelity-optimized": metric_function("process-fidelity-optimized", chi_th),
         }
         rows += _sampled_rows(name, data, metrics, config.monte_carlo_samples, seed,
-                              derive_seed(seed, f"mc:{name}"))
-    return TableReport(title="table2-sim", rows=rows, metadata=_provenance(config))
+                              derive_seed(seed, f"mc:{name}"), uncertified)
+    return TableReport(title="table2-sim", rows=rows,
+                       metadata=_provenance(config, uncertified))
 
 
 def _sampled_rows(prefix: str, data: CoincidenceDataset, metrics: dict,
-                  n: int, seed: int, mc_seed: int) -> list[TableRow]:
+                  n: int, seed: int, mc_seed: int, uncertified: dict) -> list[TableRow]:
     """One row per metric: its value on the reconstruction of ``data`` and its
-    Monte Carlo std over ``n`` resamples of ``data`` drawn from ``mc_seed``."""
+    Monte Carlo std over ``n`` resamples of ``data`` drawn from ``mc_seed``.
+    A non-zero count of uncertified resamples goes to ``uncertified[prefix]``."""
     estimate = reconstruct(data).estimate
     table = monte_carlo_metric_table(data, n, metrics, mc_seed, start=estimate)
+    if table.uncertified:
+        uncertified[prefix] = table.uncertified
     return [TableRow(f"{prefix}/{name}", float(fn(estimate)), table[name][1], n, seed)
             for name, fn in metrics.items()]
 
@@ -269,11 +280,11 @@ def _state_demo(config: ExperimentConfig, title: str, settings: GateSettings,
     rho_out, prob = apply_choi_channel(rho_in, chi_used)
     data = simulate_state_counts(rho_out, prob, config.mean_counts,
                                  derive_seed(seed, f"{title}:data"))
-    n = config.monte_carlo_samples
+    n, uncertified = config.monte_carlo_samples, {}
     rows = rows + _sampled_rows("sampled", data, metrics, n, seed,
-                                derive_seed(seed, f"{title}:mc"))
+                                derive_seed(seed, f"{title}:mc"), uncertified)
     rows.append(_success_row(data, n, seed, derive_seed(seed, f"{title}:success")))
-    return TableReport(title=title, rows=rows, metadata=_provenance(config))
+    return TableReport(title=title, rows=rows, metadata=_provenance(config, uncertified))
 
 
 def run_entangler_demo(config: ExperimentConfig) -> TableReport:
@@ -355,7 +366,7 @@ def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True,
     def output(chi, rho=rho_fix):
         return apply_choi_channel(rho, chi, CLUSTER_TARGETS)[0]
 
-    rows = []
+    rows, uncertified = [], {}
     for name in CONVERSION_PRESET_NAMES:
         chi_th = ideal_choi(preset(name).settings)
         chi_real = _noisy_channel(chi_th, channel_specs[name])
@@ -374,6 +385,8 @@ def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True,
             n = config.monte_carlo_samples
             table = monte_carlo_metric_table(data, n, metrics, seed,
                                              label=f"table3:{name}:sample")
+            if table.uncertified:
+                uncertified[name] = table.uncertified
             rows += [TableRow(f"{name}/{key}", mean, std, n, seed)
                      for key, (mean, std) in table.items()]
     return TableReport(
@@ -381,6 +394,7 @@ def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True,
         rows=rows,
         metadata=_provenance(
             config,
+            uncertified,
             fixture_fidelity=REALISTIC_CLUSTER_FIDELITY,
             channels="explicit" if config.noise is not None else
             ("calibrated" if calibrate_channels else "ideal"),

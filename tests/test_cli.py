@@ -13,6 +13,7 @@ from convgate import serialize
 from convgate.cli import format_angle, main, parse_angle
 from convgate.errors import InvalidArgumentError
 from convgate.gate import GateSettings, build_gate, ideal_choi, target_state
+from convgate.tomography import MLEOptions
 
 
 def process_monte_carlo_argv(tmp_path):
@@ -26,6 +27,15 @@ def process_monte_carlo_argv(tmp_path):
     return ["--estimate", chi_path, "--target", chi_path, "--metric", "process-fidelity",
             "--metric", "purity", "--metric", "process-fidelity-optimized",
             "--monte-carlo", "2", "--data", data, "--seed", "4"]
+
+
+def state_monte_carlo_argv(tmp_path):
+    """``metrics`` arguments of a seeded three-sample Monte Carlo over psi_plus
+    state counts, with the state and dataset written under ``tmp_path``."""
+    state, data = TestMetricsCommand._state_inputs(tmp_path)
+    return ["--estimate", state, "--target", state, "--metric", "concurrence",
+            "--metric", "purity", "--metric", "fidelity", "--monte-carlo", "3",
+            "--data", data, "--seed", "2"]
 
 
 class TestAngleParsing:
@@ -109,6 +119,10 @@ class TestTomoCommands:
         assert process_fidelity(est, ideal_choi(GateSettings(0.0, np.pi / 4))) >= 0.999
         rep = json.loads(report.read_text())
         assert rep["converged"] is True
+        assert rep["status"] == "certified"
+        assert 0.0 <= rep["gap"] <= MLEOptions.tol
+        out = capsys.readouterr().out
+        assert "status = certified" in out and "nats" in out
 
     def test_same_seed_same_file(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -425,26 +439,24 @@ class TestMetricsCommand:
         metrics = json.loads(out.read_text())["metrics"]
         assert [m["metadata"]["seed"] for m in metrics] == [seed, seed]
 
-    # sha256 of the --out files. The state digest is that of the per-metric
-    # Monte Carlo loop this command replaced. The process digest was
+    # sha256 of the --out files. The state digest was first that of the
+    # per-metric Monte Carlo loop this command replaced. The process digest was
     # re-recorded when the R-rho-R fit began contracting the preparation and
     # projector stacks, and again when the phase search became one Nelder-Mead
-    # refinement (the process-fidelity-optimized std moved by 7.9e-17);
-    # test_report_values.py bounds how far its values moved.
+    # refinement (the process-fidelity-optimized std moved by 7.9e-17). Both
+    # were re-recorded when the certified projected-gradient fit replaced
+    # R-rho-R (stds moved by at most 1.3e-5). test_report_values.py bounds how
+    # far their values moved.
     @pytest.mark.parametrize("kind,digest", [
-        ("state", "6371627212226d3d6deb84ca69e532603445f7bafd3e60e6fc4ffada27d6da0e"),
-        ("process", "8661b70241c5892f926072570f850045d86c2ebfc66d274ee56324c35a9c0a9a"),
+        pytest.param("state", "8695360beeada27c457ca5d569ca911e6baf20da2c5189690a7ba91e84064e6a",
+                     id="state"),
+        pytest.param("process", "62fcbba0ac328f5bbd9e51b52d9aec957a44dd3f8ff79524d9251ac6e81e10eb",
+                     id="process"),
     ])
     def test_seeded_monte_carlo_report_bytes(self, tmp_path, kind, digest):
         import hashlib
         out = tmp_path / "m.json"
-        if kind == "state":
-            state, data = self._state_inputs(tmp_path)
-            argv = ["--estimate", state, "--target", state, "--metric", "concurrence",
-                    "--metric", "purity", "--metric", "fidelity", "--monte-carlo", "3",
-                    "--data", data, "--seed", "2"]
-        else:
-            argv = process_monte_carlo_argv(tmp_path)
+        argv = (state_monte_carlo_argv if kind == "state" else process_monte_carlo_argv)(tmp_path)
         assert main(["metrics", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

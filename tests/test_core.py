@@ -312,7 +312,7 @@ def _kraus_embedding(rho, chi, targets):
 def oracle_channels():
     chi = ideal_choi(preset("ghz").settings)
     noisy = apply_noise(chi, DEFAULT_CHANNEL_TEMPLATE.scaled(0.3))
-    fitted = mle_process_matrix(simulate_counts(noisy, 1e3, seed=5)).estimate
+    fitted = mle_process_matrix(simulate_counts(noisy, 1e4, seed=5)).estimate
     assert np.linalg.eigvalsh(fitted.choi).min() > 1e-7  # full rank
     return {"ideal": chi, "template": noisy, "mle": fitted}
 

@@ -498,6 +498,24 @@ class TestDiscordRefinement:
         assert abs(value - _reference_discord(m, measured_qubit)) <= DISCORD_REFINEMENT_TOL
 
     @pytest.mark.parametrize("measured_qubit", [0, 1])
+    @pytest.mark.parametrize("name", ["pure", "bell"])
+    def test_flat_entropy_stops_at_the_first_stencil(self, monkeypatch, name, measured_qubit):
+        # every measurement leaves the other qubit pure, so the conditional
+        # entropy is 0 in every direction and the stencil values agree to rounding
+        m = (PureState(np.array([0.6, 0.48j, -0.64, 0.0])).density() if name == "pure"
+             else target_state("phi_plus").density())
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _conditional_entropies(*args)
+
+        monkeypatch.setattr("convgate.metrics._conditional_entropies", counted)
+        value = discord(m, measured_qubit)
+        assert len(calls) <= 3
+        assert abs(value - _reference_discord(m, measured_qubit)) <= DISCORD_REFINEMENT_TOL
+
+    @pytest.mark.parametrize("measured_qubit", [0, 1])
     def test_crosses_the_phi_seam_from_the_nearest_grid_point(self, measured_qubit):
         # the grid screen may pick either of the two antipodal optima, so the
         # refinement starts from the grid point on phi = 0 nearest the optimum

@@ -4,10 +4,12 @@ Examples are derandomized and no example database is kept, so every run
 draws the same inputs.
 """
 
+import functools
 import json
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -21,14 +23,14 @@ from convgate.core import (
     channel_output_unnormalized,
     partial_trace,
 )
-from convgate.gate import GateSettings, build_gate, ideal_choi
+from convgate.gate import PRESET_NAMES, GateSettings, build_gate, ideal_choi, preset
 from convgate.metrics import (
     PhaseCorrection,
     discord,
     phase_optimized_fidelity,
     process_fidelity,
 )
-from convgate.noise import NoiseSpec, apply_noise
+from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, NoiseSpec, apply_noise
 from convgate.tomography import (
     CoincidenceDataset,
     MLEOptions,
@@ -36,10 +38,12 @@ from convgate.tomography import (
     _process_operators,
     _state_operators,
     enumerate_bases,
+    enumerate_preparations,
     enumerate_settings,
     outcome_projectors,
     prep_state,
     reconstruct,
+    simulate_counts,
 )
 
 from conftest import random_unitary
@@ -228,16 +232,36 @@ def test_state_mle_is_a_unit_trace_psd_matrix(counts):
 
 
 def _fit_reference(ops, counts, rho):
-    """Log-likelihood at ``rho`` and one undiluted R-rho-R step from it, with
-    the operators given one per record."""
+    """Log-likelihood per count at ``rho`` and its certified gap
+    (lambda_max(R) - 1) x N, with the operators given one per count."""
     freqs = counts / counts.sum()
     active = freqs > 0.0
-    probs = np.einsum("jab,ba->j", ops, rho).real
-    r_op = np.einsum("j,jab->ab", freqs[active] / probs[active], ops[active])
+    probs = np.einsum("jab,ba->j", ops[active], rho).real
+    r_op = np.einsum("j,jab->ab", freqs[active] / probs, ops[active])
     r_op = (r_op + r_op.conj().T) / 2.0
-    step = r_op @ rho @ r_op
-    step = (step + step.conj().T) / 2.0
-    return float(freqs[active] @ np.log(probs[active])), step / np.trace(step).real
+    return (float(freqs[active] @ np.log(probs)),
+            float(np.linalg.eigvalsh(r_op)[-1] - 1.0) * counts.sum())
+
+
+def _record_operators(data):
+    """One operator per count of ``data``, rebuilt by ``np.kron`` from the
+    public enumeration: Pi_out for a dataset with a single preparation (state
+    tomography), rho_prep^T (x) Pi_out otherwise."""
+    if len(set(data.preps)) == 1:
+        return np.concatenate([outcome_projectors(basis) for basis in data.bases])
+    return np.concatenate([_setting_operators(tuple(prep), tuple(basis))
+                           for prep, basis in zip(data.preps, data.bases)])
+
+
+@functools.cache
+def _setting_operators(prep, basis):
+    return np.stack([np.kron(prep_state(prep).density().matrix.T, projector)
+                     for projector in outcome_projectors(basis)])
+
+
+def _fitted_matrix(report):
+    estimate = report.estimate
+    return estimate.choi if isinstance(estimate, ChoiProcess) else estimate.matrix
 
 
 @_settings(20)
@@ -246,12 +270,9 @@ def test_factored_fit_matches_per_setting_kron_products(seed, kind, zero_fractio
     rng = np.random.default_rng(seed)
     if kind == "process":
         records = enumerate_settings()
-        ops = np.stack([np.kron(prep_state(prep).density().matrix.T, projector)
-                        for prep, basis in records for projector in outcome_projectors(basis)])
         operators, dim = _process_operators, 16
     else:
         records = [(None, basis) for basis in enumerate_bases()]
-        ops = np.concatenate([outcome_projectors(basis) for _, basis in records])
         operators, dim = _state_operators, 4
     counts = rng.integers(0, 1000, size=(len(records), 4))
     counts[rng.random(counts.shape) < zero_fraction] = 0
@@ -263,9 +284,103 @@ def test_factored_fit_matches_per_setting_kron_products(seed, kind, zero_fractio
     left, right, factored_counts = operators(data)
     assert (left.shape[0], right.shape[0]) == ((36, 36) if kind == "process" else (1, 36))
 
-    like, step = _fit_reference(ops, counts.reshape(-1).astype(float), start)
-    fit = _iterate_rho_r(left, right, factored_counts, MLEOptions(tol=0.0, max_iter=1), start)
+    like, gap = _fit_reference(_record_operators(data), data.counts.reshape(-1).astype(float),
+                               start)
+    fit = _iterate_rho_r(left, right, factored_counts, MLEOptions(tol=0.0, max_iter=0), start)
+    assert (fit.iterations, fit.status) == (0, "max_iter")
     assert abs(fit.log_likelihoods[0] - like) <= 1e-12
-    step_like, _ = _fit_reference(ops, counts.reshape(-1).astype(float), step)
-    assume(step_like > like + 1e-9)  # the undiluted step ascends, so the fit takes it
-    assert np.abs(fit.estimate - step).max() <= 1e-12
+    assert abs(fit.gap - gap) <= 1e-9 * max(1.0, abs(gap))
+
+
+@_settings(30)
+@given(st.sampled_from(PRESET_NAMES), st.sampled_from([1e3, 1e5]),
+       st.sampled_from([0.0, 0.01, 0.1, 1.0]), st.sampled_from(["process", "state"]),
+       st.floats(0.0, 0.8), seeds)
+def test_every_fit_certifies_its_gap(name, mean_counts, noise, kind, zero_fraction, seed):
+    # noise scales the channel template; weak noise at many counts leaves
+    # eigenvalues near zero, where the ascent is slowest
+    chi = ideal_choi(preset(name).settings)
+    if noise:
+        chi = apply_noise(chi, DEFAULT_CHANNEL_TEMPLATE.scaled(noise))
+    data = simulate_counts(chi, mean_counts, seed)
+    if kind == "state":
+        preps = enumerate_preparations()
+        data = data.restrict_to(preps[seed % len(preps)])
+    rng = np.random.default_rng(seed)
+    data.counts[rng.random(data.counts.shape) < zero_fraction] = 0
+    assume(data.total() > 0)
+    fit = reconstruct(data)
+    resample = data.resampled(rng)
+    assume(resample.total() > 0)
+    # a Monte Carlo resample starts at the estimate of the dataset it came from
+    fits = [(data, fit), (resample, reconstruct(resample, start=fit.estimate))]
+    for dataset, report in fits:
+        assert report.status == "certified"
+        assert report.gap <= MLEOptions.tol
+        _, gap = _fit_reference(_record_operators(dataset),
+                                dataset.counts.reshape(-1).astype(float), _fitted_matrix(report))
+        assert gap <= MLEOptions.tol + 1e-6
+
+
+def _rho_r_to_floor(ops, counts, max_iter=100_000):
+    """Log-likelihood per count of the R-rho-R fit the projected-gradient fit
+    replaced, run with tol=0 until no step ascends.
+
+    From the maximally mixed state, rho <- N[R rho R]; a step that would lower
+    the likelihood is diluted toward the identity, (1 + eps R) / (1 + eps) for
+    eps = 0.5, 0.1, 0.01, and the loop ends when none of them ascends.
+    """
+    freqs = counts / counts.sum()
+    active = freqs > 0.0
+    flat = ops[active].reshape(int(active.sum()), -1)
+    dim = ops.shape[-1]
+
+    def evaluate(rho):
+        probs = np.maximum((flat @ rho.T.ravel()).real, 1e-300)
+        return probs, float(freqs[active] @ np.log(probs))
+
+    def step(before, after):
+        candidate = before @ rho @ after
+        candidate = (candidate + candidate.conj().T) / 2.0
+        candidate /= np.trace(candidate).real
+        return (candidate, *evaluate(candidate))
+
+    rho = np.eye(dim, dtype=complex) / dim
+    probs, current = evaluate(rho)
+    for _ in range(max_iter):
+        r_op = (freqs[active] / probs @ flat).reshape(dim, dim)
+        r_op = (r_op + r_op.conj().T) / 2.0
+        candidate, cand_probs, cand_like = step(r_op, r_op)
+        for eps in (0.5, 0.1, 0.01):
+            if cand_like >= current:
+                break
+            damped = (np.eye(dim) + eps * r_op) / (1.0 + eps)
+            candidate, cand_probs, cand_like = step(damped, damped.conj().T)
+        if cand_like < current:
+            break
+        rho, probs, current = candidate, cand_probs, cand_like
+    return current
+
+
+def _assert_within_certified_gap_of_oracle(data):
+    fit = reconstruct(data)
+    oracle = _rho_r_to_floor(_record_operators(data), data.counts.reshape(-1).astype(float))
+    assert fit.status == "certified"
+    # L* <= L(fit) + gap / N, and the oracle's likelihood is at most L*
+    assert fit.final_log_likelihood >= oracle - fit.gap / data.total() - 1e-12
+
+
+@_settings(20)
+@given(st.lists(st.just(0) | st.integers(0, 1000), min_size=36, max_size=36))
+def test_state_fit_is_within_its_gap_of_rho_r_at_its_floor(counts):
+    assume(sum(counts) > 0)
+    _assert_within_certified_gap_of_oracle(CoincidenceDataset(
+        preps=[None] * 9, bases=enumerate_bases(), counts=np.reshape(counts, (9, 4))))
+
+
+@pytest.mark.parametrize("name,noisy", [("ghz", True), ("dicke", False)])
+def test_process_fit_is_within_its_gap_of_rho_r_at_its_floor(name, noisy):
+    chi = ideal_choi(preset(name).settings)
+    if noisy:
+        chi = apply_noise(chi, DEFAULT_CHANNEL_TEMPLATE)
+    _assert_within_certified_gap_of_oracle(simulate_counts(chi, 1e3, seed=3))

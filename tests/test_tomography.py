@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convgate import pipeline, tomography
 from convgate.core import DensityMatrix, PureState
 from convgate.errors import DegenerateOutcomeError, InvalidArgumentError
 from convgate.gate import GateSettings, ideal_choi, preset, target_state
@@ -252,7 +253,32 @@ class TestProcessMLE:
         data = simulate_counts(chi_ghz, 1e4, seed=27)
         report = mle_process_matrix(data, MLEOptions(tol=0.0, max_iter=5))
         assert report.iterations == 5
+        assert report.status == "max_iter"
         assert not report.converged
+        assert report.gap > 0.0
+
+    def test_default_fit_is_certified_to_one_nat(self, chi_ghz):
+        data = simulate_counts(apply_noise(chi_ghz, DEFAULT_CHANNEL_TEMPLATE), 1e4, seed=28)
+        report = mle_process_matrix(data)
+        assert MLEOptions().tol == 1.0
+        assert report.status == "certified" and report.converged
+        assert 0.0 <= report.gap <= 1.0
+
+    def test_rank_one_start_missing_counted_outcomes_still_certifies(self, chi_ghz):
+        # the ideal channel gives probability 0 to outcomes the noisy counts hold
+        data = simulate_counts(apply_noise(chi_ghz, DEFAULT_CHANNEL_TEMPLATE), 1e3, seed=30)
+        report = mle_process_matrix(data, start=chi_ghz)
+        assert report.status == "certified"
+        assert np.isfinite(report.log_likelihoods[0])
+
+    def test_unreachable_gap_ends_stalled_not_certified(self):
+        # no fit has a negative gap, so the ascent runs to its numerical floor
+        data = simulate_state_counts(target_state("psi_plus").density(), 0.5, 1e4, seed=29)
+        report = mle_density_matrix(data, MLEOptions(tol=-1.0))
+        assert report.status == "stalled" and not report.converged
+        assert report.iterations < MLEOptions().max_iter
+        assert (np.diff(report.log_likelihoods) >= 0).all()
+        assert abs(report.gap) <= 1e-6
 
 
 class TestOperatorTable:
@@ -338,6 +364,29 @@ class TestMonteCarlo:
         assert table == {"purity": (float(values.mean()), float(values.std(ddof=1)))}
         default = monte_carlo_metric_table(data, 4, {"purity": purity}, 48)
         assert default != table
+
+    def test_uncertified_resamples_are_counted(self, monkeypatch, chi_ghz):
+        data = simulate_counts(apply_noise(chi_ghz, DEFAULT_CHANNEL_TEMPLATE), 1e3, seed=41)
+        start = mle_process_matrix(data).estimate
+        assert monte_carlo_metric_table(data, 3, {"purity": purity}, 42,
+                                        start=start).uncertified == 0
+        fit = tomography.reconstruct
+        # one step cannot close a resample's gap from the estimate of its parent
+        monkeypatch.setattr(tomography, "reconstruct", lambda sample, options=None, start=None:
+                            fit(sample, MLEOptions(max_iter=1), start))
+        table = monte_carlo_metric_table(data, 3, {"purity": purity}, 42, start=start)
+        assert table.uncertified == 3
+        assert np.isfinite(table["purity"]).all()
+
+    def test_uncertified_resamples_reach_the_report_metadata(self, monkeypatch):
+        config = pipeline.ExperimentConfig(preset="ghz", mean_counts=1e3, seed=43,
+                                           monte_carlo_samples=2)
+        assert "uncertified_resamples" not in pipeline.run_tomography_suite(config).metadata
+        fit = tomography.reconstruct
+        monkeypatch.setattr(tomography, "reconstruct", lambda sample, options=None, start=None:
+                            fit(sample, MLEOptions(max_iter=1), start))
+        metadata = pipeline.run_tomography_suite(config).metadata
+        assert metadata["uncertified_resamples"] == {"ghz": 2}
 
     def test_unknown_metric(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=39)
