@@ -253,8 +253,8 @@ def cmd_metrics(args) -> int:
 def cmd_reproduce(args) -> int:
     if args.ideal_channels and (args.target != "table3" or args.noise):
         raise InvalidArgumentError("--ideal-channels applies to table3 without --noise")
-    # table1 is exact and table3 runs its deterministic mode: a flag they do
-    # not read would still enter the report's config and config hash
+    # table1 and table3 are exact and sample nothing: a flag they do not read
+    # would still enter the report's config and config hash
     unread = {"table1": ("noise", "seed", "samples", "mean_counts"),
               "table3": ("samples", "mean_counts", "seed")}
     for name in unread.get(args.target, ()):

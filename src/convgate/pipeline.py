@@ -8,10 +8,12 @@ Five runners cover the benchmark analyses:
 * ``run_entangler_demo``    entanglement generation from a separable input,
 * ``run_discord_demo``      discord without entanglement from a mixed input,
 * ``run_table3``            conversions of a noise-calibrated realistic
-                            cluster state (operation vs total fidelity).
+                            cluster state (operation vs total fidelity),
+                            exact and sampling-free.
 
 Reports are reproducible byte for byte given the same configuration: all
-randomness derives from the root seed through labeled sub-seeds.
+randomness derives from the root seed through labeled sub-seeds, and the
+stds of all rows on one dataset come from the same resamples of it.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ REALISTIC_CLUSTER_FIDELITY = 0.915
 @dataclass(frozen=True)
 class ExperimentConfig:
     preset: str | None = None
-    settings: GateSettings | None = None
     mean_counts: float = 1000.0
     seed: int | None = None
     noise: _noise.NoiseSpec | None = None
@@ -98,15 +99,11 @@ class ExperimentConfig:
         return int(self.seed)
 
     def gate_settings(self, default_preset: str) -> GateSettings:
-        if self.settings is not None:
-            return self.settings
         return preset(self.preset or default_preset).settings
 
     def to_dict(self) -> dict:
         return {
             "preset": self.preset,
-            "settings": None if self.settings is None else
-            {"theta1": self.settings.theta1, "theta2": self.settings.theta2},
             "mean_counts": self.mean_counts,
             "seed": self.seed,
             "noise": None if self.noise is None else noise_spec_to_json(self.noise),
@@ -263,9 +260,10 @@ def _sampled_rows(prefix: str, data: CoincidenceDataset, metrics: dict,
 
 def _success_row(data: CoincidenceDataset, n: int, seed: int, mc_seed: int) -> TableRow:
     """The success-probability estimate total_counts / (9 * mean_counts) with
-    its Monte Carlo std."""
+    its Monte Carlo std over the resamples ``_sampled_rows`` fits for the
+    same ``mc_seed``."""
     norm = 9.0 * data.mean_counts
-    values = [sample.total() / norm for sample in _resamples(data, n, mc_seed, "sample")]
+    values = [sample.total() / norm for sample in _resamples(data, n, mc_seed)]
     return TableRow("sampled/success-probability", data.total() / norm,
                     float(np.std(values, ddof=1)), n, seed)
 
@@ -280,10 +278,9 @@ def _state_demo(config: ExperimentConfig, title: str, settings: GateSettings,
     rho_out, prob = apply_choi_channel(rho_in, chi_used)
     data = simulate_state_counts(rho_out, prob, config.mean_counts,
                                  derive_seed(seed, f"{title}:data"))
-    n, uncertified = config.monte_carlo_samples, {}
-    rows = rows + _sampled_rows("sampled", data, metrics, n, seed,
-                                derive_seed(seed, f"{title}:mc"), uncertified)
-    rows.append(_success_row(data, n, seed, derive_seed(seed, f"{title}:success")))
+    n, mc_seed, uncertified = config.monte_carlo_samples, derive_seed(seed, f"{title}:mc"), {}
+    rows = rows + _sampled_rows("sampled", data, metrics, n, seed, mc_seed, uncertified)
+    rows.append(_success_row(data, n, seed, mc_seed))
     return TableReport(title=title, rows=rows, metadata=_provenance(config, uncertified))
 
 
@@ -340,8 +337,7 @@ def calibrated_channel_noise() -> dict[str, _noise.NoiseSpec]:
     return specs
 
 
-def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True,
-               mode: str = "deterministic") -> TableReport:
+def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True) -> TableReport:
     """Convert a realistic cluster fixture with realistic channels.
 
     Per preset the report carries the operation fidelity (noisy vs ideal
@@ -349,11 +345,9 @@ def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True,
     channel on the realistic input vs ideal channel on the ideal input).
     ``config.noise`` overrides the per-preset calibrated channels; with
     ``calibrate_channels=False`` and no explicit noise the channels are
-    ideal. ``mode="monte-carlo"`` replaces each noisy channel by tomographic
-    reconstructions of resampled simulated data.
+    ideal. The fidelities are exact: nothing is sampled, so the rows carry no
+    std and ``config`` needs no seed.
     """
-    if mode not in ("deterministic", "monte-carlo"):
-        raise InvalidArgumentError("mode must be 'deterministic' or 'monte-carlo'")
     rho_fix = realistic_cluster_fixture()
     rho_ideal = cluster_state_c4().density()
     if config.noise is not None:
@@ -366,38 +360,22 @@ def run_table3(config: ExperimentConfig, *, calibrate_channels: bool = True,
     def output(chi, rho=rho_fix):
         return apply_choi_channel(rho, chi, CLUSTER_TARGETS)[0]
 
-    rows, uncertified = [], {}
+    rows = []
     for name in CONVERSION_PRESET_NAMES:
         chi_th = ideal_choi(preset(name).settings)
-        chi_real = _noisy_channel(chi_th, channel_specs[name])
-        out_ideal_fix, out_ideal = output(chi_th), output(chi_th, rho_ideal)
-        metrics = {
-            "operation-fidelity": lambda chi: fidelity(output(chi), out_ideal_fix),
-            "total-fidelity": lambda chi: fidelity(output(chi), out_ideal),
-        }
-        if mode == "deterministic":
-            rows += [TableRow(f"{name}/{key}", float(fn(chi_real)))
-                     for key, fn in metrics.items()]
-        else:
-            seed = config.require_seed()
-            data = simulate_counts(chi_real, config.mean_counts,
-                                   derive_seed(seed, f"table3:{name}"))
-            n = config.monte_carlo_samples
-            table = monte_carlo_metric_table(data, n, metrics, seed,
-                                             label=f"table3:{name}:sample")
-            if table.uncertified:
-                uncertified[name] = table.uncertified
-            rows += [TableRow(f"{name}/{key}", mean, std, n, seed)
-                     for key, (mean, std) in table.items()]
+        out_real = output(_noisy_channel(chi_th, channel_specs[name]))
+        rows += [
+            TableRow(f"{name}/operation-fidelity", float(fidelity(out_real, output(chi_th)))),
+            TableRow(f"{name}/total-fidelity",
+                     float(fidelity(out_real, output(chi_th, rho_ideal)))),
+        ]
     return TableReport(
         title="table3",
         rows=rows,
         metadata=_provenance(
             config,
-            uncertified,
             fixture_fidelity=REALISTIC_CLUSTER_FIDELITY,
             channels="explicit" if config.noise is not None else
             ("calibrated" if calibrate_channels else "ideal"),
-            mode=mode,
         ),
     )

@@ -132,6 +132,13 @@ def dataset_to_json(data: CoincidenceDataset) -> dict:
     }
 
 
+def _count(value) -> int:
+    """A JSON count: an int or an integral float such as 12.0, never rounded."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ValueError(f"count {value!r} is not an integer")  # int() fails on NaN, inf
+    return int(value)
+
+
 def dataset_from_json(obj: dict) -> CoincidenceDataset:
     try:
         records = obj["records"]
@@ -140,7 +147,7 @@ def dataset_from_json(obj: dict) -> CoincidenceDataset:
             prep = rec["prep"]
             preps.append(tuple(prep) if prep is not None else None)
             bases.append(tuple(rec["basis"]))
-            counts.append([int(rec["counts"][key]) for key in OUTCOME_KEYS])
+            counts.append([_count(rec["counts"][key]) for key in OUTCOME_KEYS])
         counts = np.asarray(counts, dtype=np.int64)
         mean_counts = obj.get("mean_counts")
         mean_counts = float(mean_counts) if mean_counts is not None else None

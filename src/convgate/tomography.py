@@ -271,6 +271,15 @@ class MLEOptions:
     tol: float = 1.0
     max_iter: int = 5000
 
+    def __post_init__(self):
+        # a NaN tol would certify every fit, since ``gap > nan`` is false
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidArgumentError(f"tol must be finite and positive, not {self.tol!r}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 0):
+            raise InvalidArgumentError(
+                f"max_iter must be a nonnegative integer, not {self.max_iter!r}")
+
 
 @dataclass
 class ReconstructionReport:
@@ -500,11 +509,12 @@ def reconstruct(data: CoincidenceDataset, options: MLEOptions | None = None,
     return fit(data, options, start)
 
 
-def _resamples(data: CoincidenceDataset, n: int, seed: int, label: str):
+def _resamples(data: CoincidenceDataset, n: int, seed: int):
     """Yield ``n`` Poisson resamples of ``data``; resample i draws from the
-    sub-seed (seed, f"{label}:{i}"), so samples may be computed in any order."""
+    sub-seed (seed, f"sample:{i}"), so samples may be computed in any order
+    and every pass over the same ``seed`` yields the same datasets."""
     for i in range(n):
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"{label}:{i}")))
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"sample:{i}")))
         yield data.resampled(rng)
 
 
@@ -518,13 +528,12 @@ class MetricTable(dict):
 
 
 def monte_carlo_metric_table(data: CoincidenceDataset, n_samples: int,
-                             metrics: dict, seed: int, *, label: str = "sample",
-                             start=None) -> MetricTable:
+                             metrics: dict, seed: int, *, start=None) -> MetricTable:
     """Monte Carlo means/stds of several metrics sharing the same resamples.
 
     ``metrics`` maps a name to a function of an estimate: a DensityMatrix
     when ``data`` holds a single preparation, a ChoiProcess otherwise.
-    Resamples come from ``_resamples(data, n_samples, seed, label)``, and
+    Resamples come from ``_resamples(data, n_samples, seed)``, and
     every resample's reconstruction starts at ``start``, the estimate of
     ``data`` itself; when it is None, ``data`` is reconstructed once here.
     Every resample counts, certified or not; the table says how many were not.
@@ -535,7 +544,7 @@ def monte_carlo_metric_table(data: CoincidenceDataset, n_samples: int,
         start = reconstruct(data).estimate
     values = {name: [] for name in metrics}
     uncertified = 0
-    for sample in _resamples(data, n_samples, seed, label):
+    for sample in _resamples(data, n_samples, seed):
         fit = reconstruct(sample, start=start)
         uncertified += fit.status != "certified"
         for name, fn in metrics.items():

@@ -292,12 +292,26 @@ def _set_entry(obj, value):
     obj["entries"][0][0] = value
 
 
-#: name -> (file kind, edit that makes the file malformed, command reading it)
+def _set_count(value):
+    return lambda o: o["records"][0]["counts"].update({"00": value})
+
+
+#: name -> (file kind, edit that makes the file malformed, extra flags of the
+#: command reading it)
 MALFORMED_INPUTS = {
-    "count-abc": ("dataset", lambda o: o["records"][0]["counts"].update({"00": "abc"})),
+    "count-abc": ("dataset", _set_count("abc")),
+    "count-numeric-string": ("dataset", _set_count("12")),
+    "count-fractional": ("dataset", _set_count(2.7)),
+    "count-bool": ("dataset", _set_count(True)),
+    "count-nan": ("dataset", _set_count(float("nan"))),
+    "tol-nan": ("dataset", lambda o: None, "--tol", "nan"),
+    "tol-inf": ("dataset", lambda o: None, "--tol", "inf"),
+    "tol-zero": ("dataset", lambda o: None, "--tol", "0"),
+    "tol-negative": ("dataset", lambda o: None, "--tol", "-1"),
+    "max-iter-negative": ("dataset", lambda o: None, "--max-iter", "-1"),
     "mean-counts-abc": ("dataset", lambda o: o.update(mean_counts="abc")),
     "mean-counts-nan": ("dataset", lambda o: o.update(mean_counts=float("nan"))),
-    "count-overflow": ("dataset", lambda o: o["records"][0]["counts"].update({"00": 1e30})),
+    "count-overflow": ("dataset", _set_count(1e30)),
     "metadata-int": ("dataset", lambda o: o.update(metadata=5)),
     "success-scale-abc": ("choi", lambda o: o.update(success_scale="abc")),
     "success-scale-nan": ("choi", lambda o: o.update(success_scale=float("nan"))),
@@ -319,7 +333,7 @@ _READERS = {
 def test_malformed_input_files_exit_2(tmp_path, monkeypatch, capsys, case):
     from convgate.core import DensityMatrix, PureState
     from convgate.tomography import simulate_counts
-    kind, edit = MALFORMED_INPUTS[case]
+    kind, edit, *flags = MALFORMED_INPUTS[case]
     chi = ideal_choi(GateSettings(0.0, np.pi / 4))
     obj = {"dataset": lambda: serialize.dataset_to_json(simulate_counts(chi, 100, seed=1)),
            "choi": lambda: serialize.choi_to_json(chi),
@@ -328,7 +342,7 @@ def test_malformed_input_files_exit_2(tmp_path, monkeypatch, capsys, case):
     edit(obj)
     monkeypatch.chdir(tmp_path)
     Path("input.json").write_text(json.dumps(obj))
-    assert main(_READERS[kind]) == 2
+    assert main([*_READERS[kind], *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not Path("x.json").exists()

@@ -1,14 +1,17 @@
+import numpy as np
 import pytest
 
+from convgate.core import PureState, apply_choi_channel
 from convgate.errors import InvalidArgumentError
-from convgate.gate import cluster_state_c4
-from convgate.metrics import fidelity
+from convgate.gate import cluster_state_c4, ideal_choi, preset, target_state
+from convgate.metrics import concurrence, fidelity
 from convgate.noise import NoiseSpec
 from convgate.pipeline import (
     RAW_FIDELITY_TARGETS,
     ExperimentConfig,
     TableReport,
     TableRow,
+    _success_row,
     calibrated_channel_noise,
     realistic_cluster_fixture,
     run_discord_demo,
@@ -16,6 +19,12 @@ from convgate.pipeline import (
     run_table1,
     run_table3,
     run_tomography_suite,
+)
+from convgate.tomography import (
+    _resamples,
+    derive_seed,
+    reconstruct,
+    simulate_state_counts,
 )
 
 
@@ -133,16 +142,29 @@ class TestTable3:
             assert op >= tot
             assert 0.80 <= tot <= 0.95
 
-    def test_monte_carlo_mode_smoke(self):
-        config = ExperimentConfig(seed=3, mean_counts=2000, monte_carlo_samples=2)
-        report = run_table3(config, mode="monte-carlo")
-        for row in report.rows:
-            assert row.std is not None
-            assert 0.5 <= row.value <= 1.0
 
-    def test_unknown_mode(self):
-        with pytest.raises(InvalidArgumentError):
-            run_table3(ExperimentConfig(seed=1), mode="bootstrap")
+class TestOneResamplingStream:
+    def test_success_std_is_the_poisson_value(self):
+        data = simulate_state_counts(target_state("psi_plus").density(), 0.5, 1e3, seed=61)
+        row = _success_row(data, 2000, 61, 62)
+        poisson = np.sqrt(data.total()) / (9.0 * data.mean_counts)
+        # the std of 2000 resamples scatters by 1/sqrt(2 * 1999) ~ 1.6%
+        assert abs(row.std / poisson - 1.0) <= 0.08
+
+    def test_success_and_metric_rows_share_the_resamples(self):
+        seed, n = 13, 3
+        report = run_entangler_demo(ExperimentConfig(seed=seed, mean_counts=1e3,
+                                                     monte_carlo_samples=n))
+        rho_out, prob = apply_choi_channel(PureState.from_labels("--").density(),
+                                           ideal_choi(preset("entangler").settings))
+        data = simulate_state_counts(rho_out, prob, 1e3, derive_seed(seed, "entangler:data"))
+        base = reconstruct(data).estimate
+        samples = list(_resamples(data, n, derive_seed(seed, "entangler:mc")))
+        totals = [sample.total() / (9.0 * data.mean_counts) for sample in samples]
+        concurrences = [concurrence(reconstruct(sample, start=base).estimate)
+                        for sample in samples]
+        assert report.row("sampled/success-probability").std == float(np.std(totals, ddof=1))
+        assert report.row("sampled/concurrence").std == float(np.std(concurrences, ddof=1))
 
 
 class TestFixtures:

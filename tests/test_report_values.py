@@ -21,6 +21,11 @@ std must stay within half its recorded std, plus ``RANK_ONE_SLACK``.
 Rank-one estimates need that slack: their stds are ~1e-12, and the new fit
 sets to zero the eigenvalues of up to 1.6e-8 that R-rho-R only shrank, so
 purities moved to 1 by at most 1.6e-8.
+
+The ``sampled/success-probability`` stds of ``entangler`` and ``discord``
+below are those of the resamples shared with the metric rows, re-recorded
+when the separate success-probability stream was folded onto them; the
+values of these rows are total counts and did not move.
 """
 
 import json
@@ -64,7 +69,7 @@ RECORDED = {
         ("sampled/purity", 0.9999999990245555, 3.792064355600526e-12),
         ("sampled/fidelity", 0.998372303512329, 0.000570881717667075),
         ("sampled/concurrence", 0.9997904914569016, 0.0006780545842151627),
-        ("sampled/success-probability", 0.4746666666666667, 0.005127188883162152),
+        ("sampled/success-probability", 0.4746666666666667, 0.009166722783217665),
     ],
     "discord": [
         ("ideal/success-probability", 0.4374999999999999, None),
@@ -76,7 +81,7 @@ RECORDED = {
         ("sampled/concurrence", 0.05141688813783801, 0.021836131559063655),
         ("sampled/discord-q1", 0.0035691546804874656, 0.00956948247269503),
         ("sampled/discord-q2", 0.09939213736402783, 0.007732828871707797),
-        ("sampled/success-probability", 0.4461111111111111, 0.004399775527382975),
+        ("sampled/success-probability", 0.4461111111111111, 0.011627978179512104),
     ],
     "table3-deterministic": [
         ("cluster-identity/operation-fidelity", 0.9910175544991463, None),
@@ -87,16 +92,6 @@ RECORDED = {
         ("dicke/total-fidelity", 0.8512642594334238, None),
         ("bell-pair/operation-fidelity", 0.955584194540039, None),
         ("bell-pair/total-fidelity", 0.8816782507999052, None),
-    ],
-    "table3-monte-carlo": [
-        ("cluster-identity/operation-fidelity", 0.9877848428078628, 0.0003636722658527979),
-        ("cluster-identity/total-fidelity", 0.8658270590701926, 0.0005804054441988894),
-        ("ghz/operation-fidelity", 0.9280880800517913, 0.0006386744946129246),
-        ("ghz/total-fidelity", 0.7978300404807366, 0.0005803000360660905),
-        ("dicke/operation-fidelity", 0.9623741598988833, 0.0010536306327634595),
-        ("dicke/total-fidelity", 0.8499981096606587, 0.0031430553988355944),
-        ("bell-pair/operation-fidelity", 0.9558641310692783, 0.0019380595693389785),
-        ("bell-pair/total-fidelity", 0.8821687316579956, 0.0013153924850769216),
     ],
     "cli-process": [
         ("process-fidelity", 1.0, 4.609170912097229e-05),
@@ -125,7 +120,7 @@ def _assert_close(case, rows):
 
 
 @pytest.mark.parametrize("case", ["table2-ideal", "table2-ghz-calibrated", "table3-deterministic",
-                                  "table3-monte-carlo", "discord", "entangler"])
+                                  "discord", "entangler"])
 def test_report_values_near_recorded(case):
     report = CASES[case][0]()
     _assert_close(case, [(r.label, r.value, r.std) for r in report.rows])

@@ -80,6 +80,13 @@ def test_dataset_round_trip():
     assert back.seed == data.seed
 
 
+def test_dataset_integral_float_count_read():
+    data = simulate_counts(ideal_choi(GateSettings(0.0, 0.0)), 100, seed=1)
+    obj = serialize.dataset_to_json(data)
+    obj["records"][0]["counts"]["00"] = float(data.counts[0, 0])
+    assert (serialize.dataset_from_json(obj).counts == data.counts).all()
+
+
 def test_dataset_schema_shape():
     chi = ideal_choi(GateSettings(0.0, 0.0))
     data = simulate_counts(chi, 100, seed=1)

@@ -251,11 +251,17 @@ class TestProcessMLE:
 
     def test_max_iter_reported_as_unconverged(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1e4, seed=27)
-        report = mle_process_matrix(data, MLEOptions(tol=0.0, max_iter=5))
+        report = mle_process_matrix(data, MLEOptions(max_iter=5))
         assert report.iterations == 5
         assert report.status == "max_iter"
         assert not report.converged
         assert report.gap > 0.0
+
+    @pytest.mark.parametrize("max_iter", [2.5, True])
+    def test_max_iter_that_is_not_an_int_rejected(self, max_iter):
+        # the command line parses --max-iter as an int; the library takes any value
+        with pytest.raises(InvalidArgumentError, match="max_iter"):
+            MLEOptions(max_iter=max_iter)
 
     def test_default_fit_is_certified_to_one_nat(self, chi_ghz):
         data = simulate_counts(apply_noise(chi_ghz, DEFAULT_CHANNEL_TEMPLATE), 1e4, seed=28)
@@ -272,9 +278,12 @@ class TestProcessMLE:
         assert np.isfinite(report.log_likelihoods[0])
 
     def test_unreachable_gap_ends_stalled_not_certified(self):
-        # no fit has a negative gap, so the ascent runs to its numerical floor
+        # no fit has a gap below -1 nat, so the ascent runs to its numerical
+        # floor; a tol that low is set past the check that rejects it as input
         data = simulate_state_counts(target_state("psi_plus").density(), 0.5, 1e4, seed=29)
-        report = mle_density_matrix(data, MLEOptions(tol=-1.0))
+        options = MLEOptions()
+        options.tol = -1.0
+        report = mle_density_matrix(data, options)
         assert report.status == "stalled" and not report.converged
         assert report.iterations < MLEOptions().max_iter
         assert (np.diff(report.log_likelihoods) >= 0).all()
@@ -357,13 +366,10 @@ class TestMonteCarlo:
         psi = target_state("psi_plus")
         data = simulate_state_counts(psi.density(), 0.5, 1e3, seed=47)
         base = mle_density_matrix(data).estimate
-        table = monte_carlo_metric_table(data, 4, {"purity": purity}, 48,
-                                         label="custom")
+        table = monte_carlo_metric_table(data, 4, {"purity": purity}, 48)
         values = np.asarray([purity(mle_density_matrix(sample, start=base).estimate)
-                             for sample in _resamples(data, 4, 48, "custom")])
+                             for sample in _resamples(data, 4, 48)])
         assert table == {"purity": (float(values.mean()), float(values.std(ddof=1)))}
-        default = monte_carlo_metric_table(data, 4, {"purity": purity}, 48)
-        assert default != table
 
     def test_uncertified_resamples_are_counted(self, monkeypatch, chi_ghz):
         data = simulate_counts(apply_noise(chi_ghz, DEFAULT_CHANNEL_TEMPLATE), 1e3, seed=41)
