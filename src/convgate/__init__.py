@@ -66,7 +66,6 @@ from .tomography import (
     enumerate_settings,
     mle_density_matrix,
     mle_process_matrix,
-    outcome_probabilities,
     simulate_counts,
     simulate_state_counts,
 )

@@ -150,6 +150,8 @@ def dataset_from_json(obj: dict) -> CoincidenceDataset:
             counts.append([_count(rec["counts"][key]) for key in OUTCOME_KEYS])
         counts = np.asarray(counts, dtype=np.int64)
         mean_counts = obj.get("mean_counts")
+        if isinstance(mean_counts, (bool, str)):  # float() reads true as 1, "1e2" as 100
+            raise ValueError(f"mean_counts {mean_counts!r} is not a number")
         mean_counts = float(mean_counts) if mean_counts is not None else None
         metadata = dict(obj.get("metadata", {}))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -31,10 +31,10 @@ matrix, any other gets the process matrix and must hold all 324 settings.
 For process reconstruction the Choi matrix is treated as a 16x16
 density-like object with effective operators E = rho_prep^T (x) Pi_out,
 which sum to a multiple of the identity for this preparation/measurement
-set; only the simulation forms them, the fit contracts the two factor
-stacks. Reconstructed matrices are unit trace; the
-trace-decreasing success scale of a process is recovered separately from
-the relative total counts per preparation.
+set. Nothing forms them: simulation and fit contract the two factor stacks
+(``_forward``; a state has a 1x1 preparation), and a simulated mean within
+``PROBABILITY_WINDOW`` x ``mean_counts`` of 0 is exactly 0. Estimates are
+unit trace; a process's success scale is estimated from its total counts.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ from .core import (
     ChoiProcess,
     DensityMatrix,
     PureState,
-    channel_output_unnormalized,
 )
-from .errors import DegenerateOutcomeError, InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalDomainError
 
 PREP_LABELS = ("H", "V", "+", "-", "R", "L")
 BASIS_LABELS = ("Z", "X", "Y")
@@ -106,18 +105,6 @@ def outcome_projectors(basis: tuple[str, str]) -> np.ndarray:
     return projectors
 
 
-def outcome_probabilities(chi: ChoiProcess, prep: tuple[str, str],
-                          basis: tuple[str, str]) -> np.ndarray:
-    """The four outcome probabilities conditioned on coincidence success."""
-    out = channel_output_unnormalized(prep_state(prep).density(), chi)
-    weight = float(np.trace(out).real)
-    if weight < 1e-14:
-        raise DegenerateOutcomeError(f"channel annihilates preparation {prep}", 0.0)
-    projectors = outcome_projectors(basis)
-    probs = np.einsum("oij,ji->o", projectors, out).real / weight
-    return np.clip(probs, 0.0, None)
-
-
 #: (36, 4, 4) transposed preparation density matrices, in label order.
 _PREP_TRANSPOSES = np.stack([prep_state(p).density().matrix.T
                              for p in enumerate_preparations()])
@@ -125,6 +112,32 @@ _PREP_TRANSPOSES = np.stack([prep_state(p).density().matrix.T
 _BASIS_PROJECTORS = np.stack([outcome_projectors(b) for b in enumerate_bases()])
 _BASIS_INDEX = {b: i for i, b in enumerate(enumerate_bases())}
 _SETTING_INDEX = {s: i for i, s in enumerate(enumerate_settings())}
+_NO_PREPARATION = np.ones((1, 1, 1), complex)
+
+
+def _forward(left: np.ndarray, right: np.ndarray):
+    """The linear map rho -> (P, M) probabilities Tr[(left_p (x) right_m) rho]
+    of the stacks ``left`` (P, a, a) and ``right`` (M, b, b), by one
+    contraction: with the realignment S[(j i), (l k)] = rho[(j l), (i k)],
+    Tr[(left_p (x) right_m) rho] = vec(left_p^T) S vec(right_m^T)."""
+    (n_left, a, _), (n_right, b, _) = left.shape, right.shape
+    left_t_vec = left.transpose(0, 2, 1).reshape(n_left, a * a)
+    right_t_vec = right.transpose(0, 2, 1).reshape(n_right, b * b).T
+    realign = np.arange((a * b) ** 2).reshape(a, b, a, b).transpose(0, 2, 1, 3).reshape(a * a, -1)
+    return lambda rho: (left_t_vec @ rho.ravel()[realign] @ right_t_vec).real
+
+
+_PROCESS_PROBABILITIES = _forward(_PREP_TRANSPOSES, _BASIS_PROJECTORS.reshape(36, 4, 4))
+_STATE_PROBABILITIES = _forward(_NO_PREPARATION, _BASIS_PROJECTORS.reshape(36, 4, 4))
+
+#: A simulated probability (Poisson mean over ``mean_counts``) within this
+#: window of 0 is set to exactly 0, so a zero that rounds to 1e-33 draws
+#: nothing from the generator either; one below it raises NumericalDomainError.
+#: The contraction rounds zeros by at most ~3.4e-16. Validation accepts
+#: eigenvalues down to -EIG_CLAMP = -1e-10, so probabilities down to -4e-10 x
+#: success_scale (process) or -1e-10 x success probability (state), both at
+#: most 1 for a post-selected gate: the window rejects none of them.
+PROBABILITY_WINDOW = 1e-9
 
 
 @dataclass
@@ -163,14 +176,8 @@ class CoincidenceDataset:
         idx = [i for i, p in enumerate(self.preps) if p == (tuple(prep) if prep else None)]
         if not idx:
             raise InvalidArgumentError(f"dataset has no records for preparation {prep}")
-        return CoincidenceDataset(
-            preps=[self.preps[i] for i in idx],
-            bases=[self.bases[i] for i in idx],
-            counts=self.counts[idx],
-            mean_counts=self.mean_counts,
-            seed=self.seed,
-            metadata=dict(self.metadata),
-        )
+        return replace(self, preps=[self.preps[i] for i in idx], bases=[self.bases[i] for i in idx],
+                       counts=self.counts[idx], metadata=dict(self.metadata))
 
     def require_full(self):
         """Check all 36 x 9 settings are present exactly once."""
@@ -188,24 +195,25 @@ class CoincidenceDataset:
 
     def resampled(self, rng: np.random.Generator) -> "CoincidenceDataset":
         """Poisson resample with the observed counts as means."""
-        return CoincidenceDataset(
-            preps=list(self.preps),
-            bases=list(self.bases),
-            counts=_poisson(rng, self.counts),
-            mean_counts=self.mean_counts,
-            seed=self.seed,
-            metadata=dict(self.metadata),
-        )
+        return replace(self, preps=list(self.preps), bases=list(self.bases),
+                       counts=_poisson(rng, self.counts), metadata=dict(self.metadata))
 
 
 def _expected_counts(chi: ChoiProcess, mean_counts: float) -> np.ndarray:
-    """(324, 4) expected counts: mean * 4 * scale * Tr[(prep^T (x) Pi) chi],
-    over the 1296 formed products: a Poisson draw uses the generator for any
-    mean above 0, so a mean that rounds to 9e-34 rather than 0 must keep it."""
-    table = np.einsum("pij,bokl->pboikjl", _PREP_TRANSPOSES, _BASIS_PROJECTORS)
-    lam = mean_counts * np.einsum("nij,ji->n", table.reshape(1296, 16, 16),
-                                  chi.unnormalized()).real
-    return np.clip(lam.reshape(324, 4), 0.0, None)
+    """(324, 4) expected counts mean * 4 * scale * Tr[(prep^T (x) Pi) chi] by
+    the fit's contraction of the two stacks, clamped by ``_clamped``."""
+    lam = mean_counts * _PROCESS_PROBABILITIES(chi.unnormalized())
+    return _clamped(lam.reshape(324, 4), mean_counts)
+
+
+def _clamped(lam: np.ndarray, mean_counts: float) -> np.ndarray:
+    """Poisson means ``lam`` with those within ``PROBABILITY_WINDOW`` x
+    ``mean_counts`` of 0 set to exactly 0; a mean below the window raises."""
+    window = PROBABILITY_WINDOW * mean_counts
+    if lam.min() < -window:
+        raise NumericalDomainError(f"setting probability {lam.min() / mean_counts:.3e} "
+                                   f"below -PROBABILITY_WINDOW = -{PROBABILITY_WINDOW:g}")
+    return np.where(np.abs(lam) <= window, 0.0, lam)
 
 
 def _check_mean_counts(mean_counts: float):
@@ -225,14 +233,9 @@ def _poisson_dataset(preps, bases, lam: np.ndarray, mean_counts: float,
                      seed: int) -> CoincidenceDataset:
     """Counts drawn from Poisson means ``lam`` with ``PCG64(seed)``."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    return CoincidenceDataset(
-        preps=preps,
-        bases=bases,
-        counts=_poisson(rng, lam),
-        mean_counts=float(mean_counts),
-        seed=int(seed),
-        metadata={"generator": GENERATOR_NOTE},
-    )
+    return CoincidenceDataset(preps=preps, bases=bases, counts=_poisson(rng, lam),
+                              mean_counts=float(mean_counts), seed=int(seed),
+                              metadata={"generator": GENERATOR_NOTE})
 
 
 def simulate_counts(chi: ChoiProcess, mean_counts: float, seed: int) -> CoincidenceDataset:
@@ -258,12 +261,12 @@ def simulate_state_counts(rho: DensityMatrix, success_probability: float,
     if rho.qubits != 2:
         raise InvalidArgumentError("state tomography records are two-qubit")
     _check_mean_counts(mean_counts)
-    probs = np.einsum("boij,ji->bo", _BASIS_PROJECTORS, rho.matrix).real
-    lam = mean_counts * success_probability * np.clip(probs, 0.0, None)
+    probs = _STATE_PROBABILITIES(rho.matrix).reshape(9, 4)
+    lam = _clamped(mean_counts * success_probability * probs, mean_counts)
     return _poisson_dataset([None] * 9, enumerate_bases(), lam, mean_counts, seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MLEOptions:
     """``tol``: certified gap target in total nats, (lambda_max(R) - 1) x N;
     ``max_iter``: most accelerated steps before a fit ends ``max_iter``."""
@@ -325,11 +328,11 @@ def _iterate_rho_r(left: np.ndarray, right: np.ndarray, counts: np.ndarray,
     """Accelerated projected-gradient maximum likelihood with a certified stop.
 
     The operators E_pm = left_p (x) right_m of ``left`` (P, a, a), ``right``
-    (M, b, b) and ``counts`` (P, M) are never formed: with the realignment
-    S[(j i), (l k)] = rho[(j l), (i k)], Tr[E_pm rho] = vec(left_p^T) S
-    vec(right_m^T), and R(rho) = sum_pm f_pm / p_pm E_pm realigns
-    vec(left)^T W vec(right). Each step moves along the gradient R - 1 from a
-    Nesterov extrapolation and projects back onto unit-trace PSD matrices,
+    (M, b, b) and ``counts`` (P, M) are never formed: ``_forward`` contracts
+    the stacks into the probabilities Tr[E_pm rho], and R(rho) = sum_pm f_pm /
+    p_pm E_pm realigns vec(left)^T W vec(right). Each step moves along the
+    gradient R - 1 from a Nesterov extrapolation and projects back onto
+    unit-trace PSD matrices,
     with a backtracking step size (Shang, Zhang & Ng, PRA 95, 062336, 2017).
     The momentum restarts when a step fails to raise the likelihood or the
     extrapolation would halve a counted probability. Every likelihood change
@@ -351,16 +354,11 @@ def _iterate_rho_r(left: np.ndarray, right: np.ndarray, counts: np.ndarray,
     (n_left, a, _), (n_right, b, _) = left.shape, right.shape
     dim = a * b
     left_vec, right_vec = left.reshape(n_left, a * a), right.reshape(n_right, b * b)
-    left_t_vec = left.transpose(0, 2, 1).reshape(n_left, a * a)
-    right_t_vec = right.transpose(0, 2, 1).reshape(n_right, b * b).T
-    realign = np.arange(dim * dim).reshape(a, b, a, b).transpose(0, 2, 1, 3).reshape(a * a, b * b)
+    probs_of = _forward(left, right)
     unalign = np.arange(dim * dim).reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(dim, dim)
     counted = np.flatnonzero(counts)
     freqs = counts.take(counted) / total
     eye = np.eye(dim)
-
-    def probs_of(rho):
-        return (left_t_vec @ rho.ravel()[realign] @ right_t_vec).real
 
     def likelihood(p):
         p = p.take(counted)
@@ -453,7 +451,7 @@ def _state_operators(data: CoincidenceDataset) -> tuple[np.ndarray, np.ndarray, 
     if set(data.bases) != set(_BASIS_INDEX):
         raise InvalidArgumentError("state tomography needs counts for all 9 basis pairs")
     projectors = _BASIS_PROJECTORS[[_BASIS_INDEX[b] for b in data.bases]].reshape(-1, 4, 4)
-    return np.ones((1, 1, 1), complex), projectors, data.counts.reshape(1, -1).astype(float)
+    return _NO_PREPARATION, projectors, data.counts.reshape(1, -1).astype(float)
 
 
 def mle_density_matrix(data: CoincidenceDataset,

@@ -311,6 +311,8 @@ MALFORMED_INPUTS = {
     "max-iter-negative": ("dataset", lambda o: None, "--max-iter", "-1"),
     "mean-counts-abc": ("dataset", lambda o: o.update(mean_counts="abc")),
     "mean-counts-nan": ("dataset", lambda o: o.update(mean_counts=float("nan"))),
+    "mean-counts-bool": ("dataset", lambda o: o.update(mean_counts=True)),
+    "mean-counts-numeric-string": ("dataset", lambda o: o.update(mean_counts="1e2")),
     "count-overflow": ("dataset", _set_count(1e30)),
     "metadata-int": ("dataset", lambda o: o.update(metadata=5)),
     "success-scale-abc": ("choi", lambda o: o.update(success_scale="abc")),
@@ -459,12 +461,15 @@ class TestMetricsCommand:
     # projector stacks, and again when the phase search became one Nelder-Mead
     # refinement (the process-fidelity-optimized std moved by 7.9e-17). Both
     # were re-recorded when the certified projected-gradient fit replaced
-    # R-rho-R (stds moved by at most 1.3e-5). test_report_values.py bounds how
-    # far their values moved.
+    # R-rho-R (stds moved by at most 1.3e-5). The process digest was
+    # re-recorded again when the simulation began setting Poisson means within
+    # PROBABILITY_WINDOW of zero to exactly zero, which re-drew the ideal GHZ
+    # counts (values unchanged, stds moved by at most 1.6e-5).
+    # test_report_values.py bounds how far their values moved.
     @pytest.mark.parametrize("kind,digest", [
         pytest.param("state", "8695360beeada27c457ca5d569ca911e6baf20da2c5189690a7ba91e84064e6a",
                      id="state"),
-        pytest.param("process", "62fcbba0ac328f5bbd9e51b52d9aec957a44dd3f8ff79524d9251ac6e81e10eb",
+        pytest.param("process", "e83f50ca9a9f2e99028d28b94fa54ad47c9af79ad8987d09ec8d54720cb90047",
                      id="process"),
     ])
     def test_seeded_monte_carlo_report_bytes(self, tmp_path, kind, digest):

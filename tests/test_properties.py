@@ -34,6 +34,7 @@ from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, NoiseSpec, apply_noise
 from convgate.tomography import (
     CoincidenceDataset,
     MLEOptions,
+    _clamped,
     _iterate_rho_r,
     _process_operators,
     _state_operators,
@@ -44,6 +45,7 @@ from convgate.tomography import (
     prep_state,
     reconstruct,
     simulate_counts,
+    simulate_state_counts,
 )
 
 from conftest import random_unitary
@@ -257,6 +259,59 @@ def _record_operators(data):
 def _setting_operators(prep, basis):
     return np.stack([np.kron(prep_state(prep).density().matrix.T, projector)
                      for projector in outcome_projectors(basis)])
+
+
+def kron_means(chi, mean_counts):
+    """(324, 4) Poisson means of the per-setting loop over formed products
+    prep^T (x) Pi that the contraction replaced, before the clamp."""
+    chi_u = chi.unnormalized()
+    return np.array([[mean_counts * float(np.einsum("ij,ji->", e, chi_u).real)
+                      for e in _setting_operators(prep, basis)]
+                     for prep, basis in enumerate_settings()])
+
+
+def projector_means(rho, success_probability, mean_counts):
+    """(9, 4) Poisson means of output-state tomography, one projector at a
+    time, before the clamp."""
+    return mean_counts * success_probability * np.array(
+        [[float(np.einsum("ij,ji->", p, rho.matrix).real) for p in outcome_projectors(basis)]
+         for basis in enumerate_bases()])
+
+
+def oracle_counts(means, mean_counts, seed):
+    """Counts drawn from ``means`` through the simulation's clamp."""
+    return np.random.Generator(np.random.PCG64(seed)).poisson(_clamped(means, mean_counts))
+
+
+mean_counts_values = st.sampled_from([1.0, 1e2, 1e4, 1e6])
+
+
+@_settings(25)
+@given(seeds, st.integers(1, 16), st.floats(0.01, 1.0), mean_counts_values)
+def test_contraction_draws_the_counts_of_formed_products(seed, rank, scale, mean_counts):
+    chi = ChoiProcess(_ginibre(seed, 16, rank), success_scale=scale)
+    assert np.array_equal(simulate_counts(chi, mean_counts, seed).counts,
+                          oracle_counts(kron_means(chi, mean_counts), mean_counts, seed))
+
+
+@_settings(25)
+@given(angles, angles, mean_counts_values, seeds)
+def test_contraction_draws_the_counts_of_formed_products_of_ideal_gates(theta1, theta2,
+                                                                          mean_counts, seed):
+    # rank one, with many settings whose probability is exactly zero
+    chi = _nondegenerate_channel(theta1, theta2)
+    assert np.array_equal(simulate_counts(chi, mean_counts, seed).counts,
+                          oracle_counts(kron_means(chi, mean_counts), mean_counts, seed))
+
+
+@_settings(50)
+@given(seeds, st.integers(0, 4), st.floats(0.01, 1.0), mean_counts_values)
+def test_contraction_draws_the_state_counts_of_each_projector(seed, rank, prob, mean_counts):
+    # rank 0 stands for a product preparation, whose probabilities are often exactly zero
+    rho = (prep_state(enumerate_preparations()[seed % 36]).density() if rank == 0
+           else DensityMatrix(_ginibre(seed, 4, rank)))
+    assert np.array_equal(simulate_state_counts(rho, prob, mean_counts, seed).counts,
+                          oracle_counts(projector_means(rho, prob, mean_counts), mean_counts, seed))
 
 
 def _fitted_matrix(report):

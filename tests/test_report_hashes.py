@@ -45,7 +45,15 @@ and ``table3-deterministic`` did not move. In the same change the
 ``entangler`` and ``discord`` CSVs moved in one row each: the std of
 ``sampled/success-probability`` is now taken over the resamples the metric
 rows are fitted on, not over a second stream (0.005127 -> 0.009167 and
-0.004400 -> 0.011628 at 3 and 2 resamples).
+0.004400 -> 0.011628 at 3 and 2 resamples). ``table2-ideal`` and
+``entangler`` were re-recorded when the simulation began computing its
+Poisson means by the fit's contraction and setting every mean within
+``PROBABILITY_WINDOW`` x ``mean_counts`` of zero to exactly zero: the formed
+setting products had left some zero means at 1e-33, each of which advanced
+the generator, so these ideal channels drew new counts. The largest value
+shift is 1.36 times the larger of the old and new std; ``test_report_values.py``
+bounds the re-drawn values. ``table2-ghz-calibrated``, ``discord`` and
+``table3-deterministic`` did not move.
 """
 
 import hashlib
@@ -66,8 +74,8 @@ CASES = {
     "table2-ideal": (
         lambda: pipeline.run_tomography_suite(
             ExperimentConfig(mean_counts=1e3, seed=11, monte_carlo_samples=2)),
-        "ed67b6c33b5846487a2e9da2c805b6b00b18d9930d5350fa7ff7cc7ae670d41a",
-        "b00ebb1334a63d48b5d90510c5b5a205d5bae6a382e5dec7e0a30a1d76b6348c",
+        "ae45e9ab2ed4aef94580efd35f4b4541247f58e0e05a5b299e166b48c93c8c59",
+        "4bb2d73b9503a47da5504e2f74d9b5553da20ec73010aa94d218ecd70cc17787",
     ),
     "table2-ghz-calibrated": (
         _ghz_calibrated,
@@ -77,8 +85,8 @@ CASES = {
     "entangler": (
         lambda: pipeline.run_entangler_demo(
             ExperimentConfig(mean_counts=1e3, seed=13, monte_carlo_samples=3)),
-        "4b92a85dfe62c52f3eeb0b48fa0fe9a99f8ad54531016dc2ca25c657aa2638ca",
-        "e37ffc073311f1cabe5edd10afe586f50a53c76da139488c83283ee69076b108",
+        "e6d3c112b198c392aab3c3b069da0cafe1399cdd67626aa4dab37a9b24897b78",
+        "8a490ed82d8389b86d9e530fccffe5abbd642c23b6984010718a6be3e7b35d80",
     ),
     "discord": (
         lambda: pipeline.run_discord_demo(

@@ -26,6 +26,20 @@ The ``sampled/success-probability`` stds of ``entangler`` and ``discord``
 below are those of the resamples shared with the metric rows, re-recorded
 when the separate success-probability stream was folded onto them; the
 values of these rows are total counts and did not move.
+
+The cases in ``REDRAWN`` drew new counts when the simulation began setting
+every Poisson mean within ``PROBABILITY_WINDOW`` x ``mean_counts`` of zero to
+exactly zero: the formed setting products had left such means at 1e-33
+rather than 0 (ideal channels: 314 of 1296 for ``bell-pair``), and each one
+advanced the generator. Their values below are those of the formed products
+and the certified fit. A re-drawn row is a new sample of the same estimator,
+so old minus new has a std of about sqrt(2) = 1.41 times the row's; the
+largest measured shift is 1.36 times the larger of the old and new std
+(``table2-ideal`` ``bell-pair/fidelity-raw``, 6.6e-5). Their values must stay
+within ``REDRAW_STDS`` = 3 times that larger std (about 2.1 stds of the
+difference), plus ``RANK_ONE_SLACK``. Their stds
+come from 2 or 3 resamples and moved by up to a factor 7 (``bell-pair/
+fidelity-optimized``); they are pinned by the hashes alone.
 """
 
 import json
@@ -40,22 +54,25 @@ from convgate.cli import main
 DETERMINISTIC_TOLERANCE = 1e-7
 #: Absolute slack on top of half a recorded std for the reconstructing cases.
 RANK_ONE_SLACK = 5e-8
+#: Cases whose counts were drawn anew, and the bound on their value shifts in
+#: units of the larger of the old and new std.
+REDRAWN, REDRAW_STDS = {"table2-ideal", "entangler", "cli-process"}, 3.0
 
 #: (label, value, std) of every row, as reported before the change.
 RECORDED = {
     "table2-ideal": [
-        ("cluster-identity/purity", 0.999999998614136, 6.158687719221921e-13),
-        ("cluster-identity/fidelity-raw", 0.999971205468132, 9.827305434025229e-06),
-        ("cluster-identity/fidelity-optimized", 0.9999727951080649, 1.2437964142247967e-05),
-        ("ghz/purity", 0.9999999919314658, 2.9962545416800085e-11),
-        ("ghz/fidelity-raw", 0.9999493816085889, 2.1851561036135844e-05),
-        ("ghz/fidelity-optimized", 0.9999511428143355, 2.4958734464853215e-05),
-        ("dicke/purity", 0.9999999839970749, 1.071575542312007e-10),
-        ("dicke/fidelity-raw", 0.9998422701771881, 1.860263323676474e-05),
-        ("dicke/fidelity-optimized", 0.9998630914721038, 3.16735933097713e-05),
-        ("bell-pair/purity", 0.9999999989574773, 1.6674381911221692e-13),
-        ("bell-pair/fidelity-raw", 0.9999410854755468, 1.789597896122875e-05),
-        ("bell-pair/fidelity-optimized", 0.9999420354956254, 1.0608248807503547e-05),
+        ("cluster-identity/purity", 1.0000000000000004, 0.0),
+        ("cluster-identity/fidelity-raw", 0.9999707053717887, 1.0079157879487315e-05),
+        ("cluster-identity/fidelity-optimized", 0.9999723522943265, 1.2111652485370514e-05),
+        ("ghz/purity", 0.9999999999999989, 2.220446049250313e-16),
+        ("ghz/fidelity-raw", 0.9999474103368102, 1.6731877055134505e-05),
+        ("ghz/fidelity-optimized", 0.9999495377245933, 1.596303144792685e-05),
+        ("dicke/purity", 0.9999999999999998, 8.671119018262734e-16),
+        ("dicke/fidelity-raw", 0.9998405263401866, 2.439963499179338e-05),
+        ("dicke/fidelity-optimized", 0.9998619935250552, 3.5989726196647125e-05),
+        ("bell-pair/purity", 1.0000000000000024, 7.850462293418876e-16),
+        ("bell-pair/fidelity-raw", 0.9999387519206391, 1.4711091525788034e-05),
+        ("bell-pair/fidelity-optimized", 0.9999395515130156, 9.24563873787e-06),
     ],
     "table2-ghz-calibrated": [
         ("ghz/purity", 0.7735557602421244, 0.0008449813385326593),
@@ -66,9 +83,9 @@ RECORDED = {
         ("ideal/success-probability", 0.4999999999999998, None),
         ("ideal/concurrence", 0.9999999999999998, None),
         ("ideal/fidelity", 1.0, None),
-        ("sampled/purity", 0.9999999990245555, 3.792064355600526e-12),
-        ("sampled/fidelity", 0.998372303512329, 0.000570881717667075),
-        ("sampled/concurrence", 0.9997904914569016, 0.0006780545842151627),
+        ("sampled/purity", 0.9999999999999999, 1.167055121521967e-15),
+        ("sampled/fidelity", 0.9986203116879927, 0.000472045832064884),
+        ("sampled/concurrence", 0.9997682971681802, 0.000636738898447365),
         ("sampled/success-probability", 0.4746666666666667, 0.009166722783217665),
     ],
     "discord": [
@@ -94,9 +111,9 @@ RECORDED = {
         ("bell-pair/total-fidelity", 0.8816782507999052, None),
     ],
     "cli-process": [
-        ("process-fidelity", 1.0, 4.609170912097229e-05),
-        ("purity", 1.0, 6.446485616863843e-12),
-        ("process-fidelity-optimized", 1.0, 3.5453994646733846e-05),
+        ("process-fidelity", 1.0, 3.99109559931854e-05),
+        ("purity", 1.0, 4.965068306494546e-16),
+        ("process-fidelity-optimized", 1.0, 3.406877895888541e-05),
     ],
     "cli-state": [
         ("concurrence", 1.0, 4.856629705822963e-05),
@@ -110,6 +127,11 @@ def _assert_close(case, rows):
     recorded = RECORDED[case]
     assert [label for label, _, _ in rows] == [label for label, _, _ in recorded]
     for (label, value, std), (_, value0, std0) in zip(rows, recorded):
+        if case in REDRAWN:
+            assert (std is None) == (std0 is None), label
+            assert abs(value - value0) <= RANK_ONE_SLACK + REDRAW_STDS * max(std or 0.0,
+                                                                             std0 or 0.0), label
+            continue
         tolerance = (DETERMINISTIC_TOLERANCE if case == "table3-deterministic"
                      else RANK_ONE_SLACK + 0.5 * (std0 or 0.0))
         assert abs(value - value0) <= tolerance, label

@@ -1,9 +1,17 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from convgate import pipeline, tomography
-from convgate.core import DensityMatrix, PureState
-from convgate.errors import DegenerateOutcomeError, InvalidArgumentError
+from convgate.core import (
+    EIG_CLAMP,
+    ChoiProcess,
+    DensityMatrix,
+    PureState,
+    channel_output_unnormalized,
+)
+from convgate.errors import InvalidArgumentError, NumericalDomainError
 from convgate.gate import GateSettings, ideal_choi, preset, target_state
 from convgate.metrics import (
     concurrence,
@@ -25,12 +33,14 @@ from convgate.tomography import (
     mle_density_matrix,
     mle_process_matrix,
     monte_carlo_metric_table,
-    outcome_probabilities,
     outcome_projectors,
     prep_state,
     simulate_counts,
     simulate_state_counts,
 )
+from test_cli import process_monte_carlo_argv, state_monte_carlo_argv
+from test_properties import kron_means, oracle_counts, projector_means
+from test_report_hashes import CASES
 
 
 @pytest.fixture(scope="module")
@@ -73,29 +83,38 @@ class TestSettings:
         assert np.abs(psi.amplitudes - expected).max() < 1e-14
 
 
+def _row(chi, prep, basis):
+    """The four expected counts of one setting at one mean count."""
+    return _expected_counts(chi, 1.0)[enumerate_settings().index((prep, basis))]
+
+
 class TestOutcomeProbabilities:
+    """Outcome probabilities as rows of ``_expected_counts``: a row is the
+    preparation's success probability times the conditional outcome
+    probabilities."""
+
     def test_identity_channel(self, chi_identity):
-        probs = outcome_probabilities(chi_identity, ("H", "V"), ("Z", "Z"))
-        assert np.allclose(probs, [0, 1, 0, 0], atol=1e-12)
+        assert np.allclose(_row(chi_identity, ("H", "V"), ("Z", "Z")), [0, 1, 0, 0], atol=1e-12)
 
     def test_ghz_gate_diagonal_basis(self, chi_ghz):
-        probs = outcome_probabilities(chi_ghz, ("+", "+"), ("Z", "Z"))
-        assert np.allclose(probs, [0.5, 0, 0, 0.5], atol=1e-12)
+        row = _row(chi_ghz, ("+", "+"), ("Z", "Z"))
+        assert np.allclose(row / row.sum(), [0.5, 0, 0, 0.5], atol=1e-12)
 
     def test_completeness_for_all_presets(self):
+        # every basis of a preparation sums to its success probability
         for name in ("cluster-identity", "ghz", "dicke", "bell-pair"):
             chi = ideal_choi(preset(name).settings)
-            for prep, basis in enumerate_settings()[::23]:
-                try:
-                    probs = outcome_probabilities(chi, prep, basis)
-                except DegenerateOutcomeError:
-                    continue  # gate annihilates this preparation entirely
-                assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-                assert probs.min() >= 0.0
+            lam = _expected_counts(chi, 1.0).reshape(36, 9, 4)
+            assert lam.min() >= 0.0
+            for prep, rows in zip(enumerate_preparations(), lam):
+                success = np.trace(
+                    channel_output_unnormalized(prep_state(prep).density(), chi)).real
+                assert np.abs(rows.sum(axis=1) - success).max() <= 1e-12
 
     def test_annihilated_preparation(self, chi_ghz):
-        with pytest.raises(DegenerateOutcomeError):
-            outcome_probabilities(chi_ghz, ("H", "V"), ("Z", "Z"))
+        # a preparation the gate never passes has rows of exact zeros
+        lam = _expected_counts(chi_ghz, 1e6).reshape(36, 9, 4)
+        assert not lam[enumerate_preparations().index(("H", "V"))].any()
 
 
 class TestSimulateCounts:
@@ -116,22 +135,46 @@ class TestSimulateCounts:
     def test_empirical_frequencies_match_model(self, chi_ghz):
         mean = 1e5
         data = simulate_counts(chi_ghz, mean, seed=3)
-        from convgate.core import channel_output_unnormalized
         within = 0
         total = 0
         for i, (prep, basis) in enumerate(enumerate_settings()):
             out = channel_output_unnormalized(prep_state(prep).density(), chi_ghz)
-            success = float(np.trace(out).real)
-            if success < 1e-12:
+            if np.trace(out).real < 1e-12:
                 continue
-            probs = outcome_probabilities(chi_ghz, prep, basis)
-            lam = mean * success * probs
+            lam = mean * np.einsum("oij,ji->o", outcome_projectors(basis), out).real
             for o in range(4):
                 total += 1
                 sigma = max(np.sqrt(lam[o]), 1.0)
                 if abs(data.counts[i, o] - lam[o]) <= 3 * sigma:
                     within += 1
         assert within / total >= 0.95
+
+    def test_last_bit_perturbation_draws_the_same_counts(self, chi_ghz):
+        # settings of probability zero stay exactly zero however they round
+        noise = [1.0, 1j] @ np.random.default_rng(5).normal(size=(16, 2, 16))
+        bumped = ChoiProcess(chi_ghz.choi + 1e-15 * (noise + noise.conj().T),
+                             chi_ghz.success_scale, validate=False)
+        assert np.array_equal(simulate_counts(bumped, 1e3, seed=8).counts,
+                              simulate_counts(chi_ghz, 1e3, seed=8).counts)
+
+    @staticmethod
+    def _diagonal_choi(low):
+        # eigenvalue ``low`` on |HH>_in |HH>_out, which setting (HH, ZZ), outcome 00 sees
+        return np.diag([low] + [0.0] * 14 + [1.0 - low])
+
+    def test_probability_below_the_window_raises(self):
+        chi = ChoiProcess(self._diagonal_choi(-1e-6), validate=False)
+        with pytest.raises(NumericalDomainError, match="PROBABILITY_WINDOW"):
+            simulate_counts(chi, 1e3, seed=1)
+        rho = DensityMatrix(np.diag([-1e-6, 0.0, 0.0, 1.0 + 1e-6]), validate=False)
+        with pytest.raises(NumericalDomainError, match="PROBABILITY_WINDOW"):
+            simulate_state_counts(rho, 1.0, 1e3, seed=1)
+
+    def test_eigenvalues_that_validation_accepts_draw(self):
+        chi = ChoiProcess(self._diagonal_choi(-EIG_CLAMP))  # validates
+        assert (simulate_counts(chi, 1e3, seed=1).counts[0] == 0).all()
+        rho = DensityMatrix(np.diag([-EIG_CLAMP, 0.0, 0.0, 1.0 + EIG_CLAMP]))
+        assert simulate_state_counts(rho, 1.0, 1e3, seed=1).counts[0, 0] == 0
 
     def test_rejects_nonpositive_mean(self, chi_ghz):
         rho = DensityMatrix.maximally_mixed(2)
@@ -278,30 +321,60 @@ class TestProcessMLE:
         assert np.isfinite(report.log_likelihoods[0])
 
     def test_unreachable_gap_ends_stalled_not_certified(self):
-        # no fit has a gap below -1 nat, so the ascent runs to its numerical
-        # floor; a tol that low is set past the check that rejects it as input
-        data = simulate_state_counts(target_state("psi_plus").density(), 0.5, 1e4, seed=29)
-        options = MLEOptions()
-        options.tol = -1.0
-        report = mle_density_matrix(data, options)
+        # this fit's ascent reaches its numerical floor at a gap of 1.7e-9
+        # nats, which the rounding of its probabilities leaves above a 1e-12 tol
+        data = simulate_state_counts(target_state("phi_plus").density(), 0.5, 1e6, seed=29)
+        report = mle_density_matrix(data, MLEOptions(tol=1e-12))
         assert report.status == "stalled" and not report.converged
         assert report.iterations < MLEOptions().max_iter
         assert (np.diff(report.log_likelihoods) >= 0).all()
         assert abs(report.gap) <= 1e-6
 
+    def test_options_are_frozen(self):
+        # a NaN tol set after the range check would certify every fit
+        with pytest.raises(AttributeError):
+            MLEOptions().tol = float("nan")
+
+
+@pytest.fixture(scope="module")
+def pinned_simulations(tmp_path_factory):
+    """(simulation, arguments, dataset) of every simulation that the pinned
+    report cases and CLI digests draw, recorded with the fits stubbed out."""
+    calls = []
+
+    def recording(simulate):
+        def record(*args, **kwargs):
+            bound = inspect.signature(simulate).bind(*args, **kwargs)
+            calls.append((simulate, bound.args, simulate(*args, **kwargs)))
+            return calls[-1][2]
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        for simulate in (simulate_counts, simulate_state_counts):
+            for module in (pipeline, tomography):
+                patch.setattr(module, simulate.__name__, recording(simulate))
+        patch.setattr(pipeline, "_sampled_rows", lambda *args: [])
+        patch.setattr(pipeline, "_success_row", lambda *args: pipeline.TableRow("stub", 0.0))
+        for run, _, _ in CASES.values():
+            run()
+        for argv in (process_monte_carlo_argv, state_monte_carlo_argv):
+            argv(tmp_path_factory.mktemp("cli"))
+    return calls
+
 
 class TestOperatorTable:
-    def test_expected_counts_match_per_setting_loop(self):
-        chi = apply_noise(ideal_choi(preset("dicke").settings),
-                                  DEFAULT_CHANNEL_TEMPLATE.scaled(0.3))
-        chi_u = chi.unnormalized()
-        reference = np.empty((324, 4))
-        for i, (prep, basis) in enumerate(enumerate_settings()):
-            rho_t = prep_state(prep).density().matrix.T
-            for o, projector in enumerate(outcome_projectors(basis)):
-                e = np.kron(rho_t, projector)
-                reference[i, o] = 1e4 * float(np.einsum("ij,ji->", e, chi_u).real)
-        assert np.array_equal(_expected_counts(chi, 1e4), np.clip(reference, 0.0, None))
+    def test_expected_counts_match_per_setting_loop(self, pinned_simulations):
+        # the per-setting products, through the same clamp, draw the same counts
+        kinds = [simulate for simulate, _, _ in pinned_simulations]
+        assert (kinds.count(simulate_counts), kinds.count(simulate_state_counts)) == (6, 3)
+        for simulate, args, data in pinned_simulations:
+            if simulate is simulate_counts:
+                chi, mean_counts, seed = args
+                means = kron_means(chi, mean_counts)
+            else:
+                rho, prob, mean_counts, seed = args
+                means = projector_means(rho, prob, mean_counts)
+            assert np.array_equal(data.counts, oracle_counts(means, mean_counts, seed))
 
     def test_shuffled_process_records_reconstruct_identically(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1e4, seed=42)
