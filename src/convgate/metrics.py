@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     PAULI_Y,
@@ -28,9 +27,12 @@ from .errors import InvalidArgumentError, NumericalDomainError
 TWO_PI = 2.0 * np.pi
 #: Points per phase axis of the coarse phase-optimization grid.
 PHASE_GRID_POINTS = 16
-#: Phase resolution (Nelder-Mead ``xatol``) of the phase-optimization refinement.
+#: A Newton step of the phase refinement shorter than this (radians) is its last.
 PHASE_TOL = 1e-8
-#: Best points of the phase screen whose exact fidelity picks the refinement seed.
+#: Cap on the Newton rounds of the phase refinement.
+PHASE_ROUNDS = 16
+#: Best points of the overlap screen whose exact fidelity picks the refinement
+#: seed when neither argument is pure.
 PHASE_SEEDS = 4096
 #: (theta, phi) points of the Bloch-sphere grid the discord search screens.
 DISCORD_GRID = (20, 40)
@@ -280,28 +282,39 @@ def discord(m: DensityMatrix, measured_qubit: int) -> float:
     return float(max(0.0, value)) if value > -1e-9 else float(value)
 
 
-def _phase_objective(chi: ChoiProcess, chi_th: ChoiProcess):
-    """The fidelity as a function of a stack of 16-component phase vectors w,
-    one per row: a quadratic form in w when either argument is pure (residual
-    spectrum below 1e-9 of the trace), the full Uhlmann formula otherwise."""
+def _pure_form(chi: ChoiProcess, chi_th: ChoiProcess) -> np.ndarray | None:
+    """B with fidelity sum_jk w_j B_jk conj(w_k) of the phase vector w when
+    either argument is pure (residual spectrum below 1e-9 of the trace), else
+    None."""
     # pure target |v>: F = <v| D chi D^dag |v>; pure estimate |v>:
     # F = <v| D^dag chi_th D |v> = <v*| D chi_th^T D^dag |v*>, so with
     # both transposed it is the same form sum_jk w_j B_jk conj(w_k)
     for pure, other in ((chi_th.choi, chi.choi), (chi.choi.T, chi_th.choi.T)):
         vals, vecs = np.linalg.eigh(pure)
         if vals[-1] >= np.trace(pure).real - 1e-9:
-            quad = np.outer(vecs[:, -1].conj(), vecs[:, -1]) * other
-            return lambda ws: np.einsum("gj,gj->g", ws @ quad, ws.conj()).real
+            return np.outer(vecs[:, -1].conj(), vecs[:, -1]) * other
+    return None
+
+
+def _phase_objective(chi: ChoiProcess, chi_th: ChoiProcess):
+    """The fidelity as a function of a stack of 16-component phase vectors w,
+    one per row: the quadratic form ``_pure_form`` when either argument is
+    pure, the full Uhlmann formula otherwise."""
+    quad = _pure_form(chi, chi_th)
+    if quad is not None:
+        return lambda ws: np.einsum("gj,gj->g", ws @ quad, ws.conj()).real
     # F(w) = ||sqrt(D chi D^dag) sqrt(chi_th)||_tr^2 and sqrt(D chi D^dag) =
     # D sqrt(chi) D^dag, so F(w) is the squared trace norm of
-    # (sqrt(chi) D^dag) sqrt(chi_th) up to a unitary factor
-    root_chi = matrix_sqrt(chi.choi)
+    # (sqrt(chi) D^dag) sqrt(chi_th) up to a unitary factor. Its singular
+    # values keep the zero ones of rank-deficient pairs at rounding level,
+    # where square roots of the eigenvalues of its square would lift each to
+    # ~sqrt(eps) and leave ~1e-9 of noise in F, which a second difference of
+    # the refinement's stencil cannot tell from curvature.
+    root_chi, root_th = matrix_sqrt(chi.choi), matrix_sqrt(chi_th.choi)
 
     def uhlmann(ws: np.ndarray) -> np.ndarray:
-        p = root_chi[None, :, :] * ws.conj()[:, None, :]
-        t = p @ chi_th.choi @ p.conj().transpose(0, 2, 1)
-        vals = np.clip(np.linalg.eigvalsh(t), 0.0, None)
-        return np.sqrt(vals).sum(axis=1) ** 2
+        products = (root_chi[None, :, :] * ws.conj()[:, None, :]) @ root_th
+        return np.linalg.svd(products, compute_uv=False).sum(axis=1) ** 2
 
     return uhlmann
 
@@ -316,47 +329,148 @@ def _phase_vectors(phases_grid: np.ndarray) -> np.ndarray:
     return np.exp(1j * (phases_grid @ _mode_bits(phases_grid.shape[1]).T))
 
 
+# A form sum_jk w_j B_jk conj(w_k) of the phase vector is the trigonometric
+# polynomial Re sum_f C_f e^{i theta.f} of the four phases, whose frequencies
+# f = b_j - b_k lie in {-1, 0, 1}^4: 81 terms, the first phase varying slowest.
+_FREQUENCIES = np.stack(np.meshgrid(*[[-1, 0, 1]] * 4, indexing="ij"), axis=-1).reshape(81, 4)
+# C = _GATHER @ B.ravel() sums the entries B_jk of each frequency b_j - b_k
+_GATHER = (np.arange(81)[:, None] == ((_mode_bits(4)[:, None, :] - _mode_bits(4)[None, :, :] + 1)
+                                      @ 3 ** np.arange(3, -1, -1)).ravel()).astype(float)
+_GRID_AXIS = np.linspace(0.0, TWO_PI, PHASE_GRID_POINTS, endpoint=False)
+# e^{i theta f} for every grid phase theta (rows) and frequency f (columns)
+_GRID_WAVES = np.exp(1j * np.outer(_GRID_AXIS, [-1.0, 0.0, 1.0]))
+# half-width (radians) of the stencil that differentiates a mixed pair's
+# fidelity: truncation leaves a Newton step ~1e-9 from the maximum, ~1e-17 in
+# value, and rounding of ~1e-14 in the fidelity ~1e-10 in the gradient
+_PHASE_STENCIL = 1e-4
+_EYE = np.eye(4)
+_PAIRS = np.triu_indices(4, 1)
+# the 33 stencil offsets: the centre, -+ one unit along each phase, and the
+# corners (+, +), (+, -), (-, +), (-, -) of each pair of phases
+_STENCIL_OFFSETS = np.concatenate([
+    np.zeros((1, 4)), _EYE, -_EYE,
+    (_EYE[_PAIRS[0], None, :] * [[1.0], [1.0], [-1.0], [-1.0]]
+     + _EYE[_PAIRS[1], None, :] * [[1.0], [-1.0], [1.0], [-1.0]]).reshape(24, 4)])
+# a Hessian eigenvalue is curved below minus this fraction of the largest
+# magnitude: along a channel's phase symmetries the polynomial's are rounding,
+# ~1e-16 of the largest. A stencil's carry ~1e-6 of rounding there, so a
+# stencil step may move along a symmetry, which leaves the fidelity unchanged.
+_FLAT_CURVATURE = 1e-9
+
+
+def _grid_values(coeffs: np.ndarray) -> np.ndarray:
+    """Re sum_f C_f e^{i theta.f} on the ``PHASE_GRID_POINTS``^4 grid, indexed
+    by the four phases' grid indices: four contractions of one frequency axis
+    with the (``PHASE_GRID_POINTS`` x 3) grid waves each."""
+    values = coeffs.reshape(3, 3, 3, 3)
+    for _ in range(4):
+        # contract the leading frequency axis; its grid axis goes last
+        values = np.tensordot(values, _GRID_WAVES, axes=(0, 1))
+    return values.real
+
+
 def _overlap_screen(chi: ChoiProcess, chi_th: ChoiProcess) -> np.ndarray:
-    """Tr[D chi D^dag chi_th] on the ``PHASE_GRID_POINTS``^4 grid, indexed by
-    the four phases' grid indices: sum_jk Q_jk e^{i theta.(b_j - b_k)} with
-    Q = chi o chi_th^T and b_j the mode bits of index j, so one inverse FFT of
-    Q gathered at the frequencies (b_j - b_k) mod ``PHASE_GRID_POINTS``."""
-    n, bits = PHASE_GRID_POINTS, _mode_bits(4)
-    freqs = (bits[:, None, :] - bits[None, :, :]).reshape(-1, 4) % n
-    coeffs = np.zeros((n,) * 4, dtype=complex)
-    np.add.at(coeffs, tuple(freqs.T), (chi.choi * chi_th.choi.T).ravel())
-    return (np.fft.ifftn(coeffs) * n**4).real
+    """Tr[D chi D^dag chi_th] on the ``PHASE_GRID_POINTS``^4 grid: the form of
+    Q = chi o chi_th^T, which equals the fidelity when either argument is pure."""
+    return _grid_values(_GATHER @ (chi.choi * chi_th.choi.T).ravel())
+
+
+def _polynomial_derivatives(coeffs: np.ndarray):
+    """theta -> (F, gradient, Hessian) of F(theta) = Re sum_f C_f e^{i theta.f},
+    in closed form: -Im sum_f f C_f e^{i theta.f} and
+    -Re sum_f f f^T C_f e^{i theta.f}."""
+    def derivatives(theta: np.ndarray):
+        terms = coeffs * np.exp(1j * (_FREQUENCIES @ theta))
+        return (terms.sum().real, -(_FREQUENCIES.T @ terms).imag,
+                -((_FREQUENCIES.T * terms) @ _FREQUENCIES).real)
+
+    return derivatives
+
+
+def _stencil_derivatives(objective):
+    """theta -> (F, gradient, Hessian) of a batched phase objective, by central
+    differences over ``_STENCIL_OFFSETS`` evaluated in one call."""
+    h = _PHASE_STENCIL
+
+    def derivatives(theta: np.ndarray):
+        f = objective(_phase_vectors(theta + h * _STENCIL_OFFSETS))
+        plus, minus = f[1:5], f[5:9]
+        hess = np.diag((plus - 2.0 * f[0] + minus) / h**2)
+        mixed = f[9:].reshape(6, 4) @ [1.0, -1.0, -1.0, 1.0] / (4.0 * h**2)
+        hess[_PAIRS] = hess[_PAIRS[::-1]] = mixed
+        return f[0], (plus - minus) / (2.0 * h), hess
+
+    return derivatives
+
+
+def _newton_ascent(theta: np.ndarray, derivatives) -> tuple[np.ndarray, float]:
+    """Phases and value reached by at most ``PHASE_ROUNDS`` Newton steps up a
+    fidelity from theta.
+
+    Each step is taken in the Hessian's eigenbasis: a Newton step along every
+    direction of negative curvature, none along flat directions (a channel's
+    phase symmetries, where the fidelity does not change) or along directions
+    of positive curvature. A step that lowers the fidelity is refused and ends
+    the rounds; so does an accepted step shorter than ``PHASE_TOL``.
+    """
+    value, grad, hess = derivatives(theta)
+    for _ in range(PHASE_ROUNDS):
+        curvatures, axes = np.linalg.eigh(hess)
+        curved = curvatures < -_FLAT_CURVATURE * np.abs(curvatures).max()
+        step = axes[:, curved] @ (axes[:, curved].T @ grad / -curvatures[curved])
+        trial = derivatives(theta + step)
+        if trial[0] < value:
+            break
+        theta, (value, grad, hess) = theta + step, trial
+        if np.linalg.norm(step) < PHASE_TOL:
+            break
+    return theta, value
 
 
 def phase_optimized_fidelity(chi: ChoiProcess,
                              chi_th: ChoiProcess) -> tuple[float, PhaseCorrection]:
     """Maximum process fidelity over the four local mode phases applied to chi.
 
-    The linear overlap Tr[D chi D^dag chi_th], which equals the fidelity when
-    either argument is pure, is screened on the ``PHASE_GRID_POINTS``^4 grid
-    (always containing the zero-phase point) by one inverse FFT. Of its
-    ``PHASE_SEEDS`` best points, the lowest grid index whose exact fidelity
-    lies within 1e-12 of their maximum seeds one Nelder-Mead refinement of
-    the exact fidelity down to ``PHASE_TOL`` phase resolution. The result is
+    When either argument is pure, the fidelity is the trigonometric polynomial
+    F(theta) = Re sum_f C_f e^{i theta.f} with frequencies f in {-1, 0, 1}^4.
+    It is evaluated exactly on the ``PHASE_GRID_POINTS``^4 grid (which holds
+    the zero-phase point) by four separable contractions, and the lowest grid
+    index within 1e-12 of the grid maximum seeds Newton steps from the
+    polynomial's closed-form gradient and Hessian. Otherwise the linear
+    overlap Tr[D chi D^dag chi_th] is screened on the same grid, the exact
+    Uhlmann fidelity ranks its ``PHASE_SEEDS`` best points by the same rule,
+    and the Newton steps take their gradient and Hessian from a 33-point
+    central-difference stencil evaluated in one batched call.
+
+    The lowest-index rule keeps the grid points tied by a channel's phase
+    symmetries from making the result depend on rounding, and no polynomial
+    Newton step moves along such a symmetry: the returned phases are the
+    seed's there, one of many phase settings of the same value. The result is
     never below the raw fidelity.
     """
     raw = process_fidelity(chi, chi_th)
-    exact = _phase_objective(chi, chi_th)
-    values = _overlap_screen(chi, chi_th).ravel()
-    # the overlap only approximates a mixed pair's fidelity, so the exact one
-    # ranks its best points; of the up to 4096 points that a channel's phase
-    # symmetries tie, the lowest index wins whatever the last-bit rounding
-    top = np.sort(np.argpartition(values, -PHASE_SEEDS)[-PHASE_SEEDS:])
-    axis = np.linspace(0.0, TWO_PI, PHASE_GRID_POINTS, endpoint=False)
-    phases = axis[np.stack(np.unravel_index(top, (PHASE_GRID_POINTS,) * 4), axis=1)]
-    scores = exact(_phase_vectors(phases))
-    res = minimize(lambda x: -exact(_phase_vectors(x[None, :]))[0],
-                   x0=phases[np.argmax(scores >= scores.max() - 1e-12)],
-                   method="Nelder-Mead", options={"xatol": PHASE_TOL})
-    best = float(-res.fun)
+    quad = _pure_form(chi, chi_th)
+    if quad is not None:
+        coeffs = _GATHER @ quad.ravel()
+        # the polynomial is exact, so the screen ranks every grid point
+        scores = _grid_values(coeffs).ravel()
+        candidates = np.arange(scores.size)
+        derivatives = _polynomial_derivatives(coeffs)
+    else:
+        objective = _phase_objective(chi, chi_th)
+        # the overlap only approximates a mixed pair's fidelity, so the exact
+        # one ranks its best points
+        values = _overlap_screen(chi, chi_th).ravel()
+        candidates = np.sort(np.argpartition(values, -PHASE_SEEDS)[-PHASE_SEEDS:])
+        grid = _GRID_AXIS[np.stack(np.unravel_index(candidates, (PHASE_GRID_POINTS,) * 4), axis=1)]
+        scores = objective(_phase_vectors(grid))
+        derivatives = _stencil_derivatives(objective)
+    seed = candidates[np.argmax(scores >= scores.max() - 1e-12)]
+    theta = _GRID_AXIS[np.array(np.unravel_index(seed, (PHASE_GRID_POINTS,) * 4))]
+    theta, best = _newton_ascent(theta, derivatives)
     if best <= raw:
         return raw, PhaseCorrection.zero()
-    return best, PhaseCorrection(tuple(res.x))
+    return float(best), PhaseCorrection(tuple(theta))
 
 
 #: CLI / Monte Carlo metric names.

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 from scipy.optimize import minimize
 
+import convgate
 from convgate.core import (
     ChoiProcess,
     DensityMatrix,
@@ -32,9 +37,13 @@ from convgate.metrics import (
     TWO_PI,
     PhaseCorrection,
     _conditional_entropies,
+    _GATHER,
+    _grid_values,
     _overlap_screen,
     _phase_objective,
     _phase_vectors,
+    _polynomial_derivatives,
+    _pure_form,
     _refined_conditional_entropy,
     concurrence,
     discord,
@@ -205,8 +214,8 @@ class TestPhaseOptimizedFidelity:
         assert reached == pytest.approx(value, abs=1e-9)
 
     def test_pure_target_search_allocates_little(self):
-        # the 16^4-point screen is one FFT of a 1 MiB coefficient array; the
-        # 65,536 phase vectors it replaces would take 16 MiB complex at once
+        # the 16^4-point screen ends in one 1 MiB complex array; the 65,536
+        # phase vectors it replaces would take 16 MiB complex at once
         chi_th = ideal_choi(preset("ghz").settings)
         noisy = apply_noise(chi_th, NoiseSpec(depolarizing_p=1e-3))
         tracemalloc.start()
@@ -219,7 +228,7 @@ class TestPhaseOptimizedFidelity:
 
 
 def _reference_screen_function(chi, chi_th):
-    """The screen evaluator the FFT replaced: the quadratic form of a pure or
+    """The evaluator of the blocked screen: the quadratic form of a pure or
     near-pure argument (residual spectrum below 1e-9, then 1e-4, of the
     trace), else the Uhlmann formula."""
     for deficit in (1e-9, 1e-4):
@@ -239,7 +248,7 @@ def _reference_screen_function(chi, chi_th):
 
 
 def _reference_screen(chi, chi_th):
-    """The blocked 16^4 screen the FFT replaced, over blocks of 2048 phase vectors."""
+    """The blocked 16^4 screen, over blocks of 2048 phase vectors."""
     screen = _reference_screen_function(chi, chi_th)
     points = np.arange(PHASE_GRID_POINTS**4)
     return np.concatenate([screen(_phase_vectors(_reference_grid_phases(points[s:s + 2048, None])))
@@ -253,8 +262,9 @@ def _reference_grid_phases(index):
 
 
 def _reference_search(chi, chi_th):
-    """The replaced phase search: the blocked screen's first maximum seeds one
-    Nelder-Mead refinement of the exact fidelity."""
+    """The Nelder-Mead phase search that Newton steps replaced: the blocked
+    screen's first maximum seeds one Nelder-Mead refinement of the exact
+    fidelity."""
     exact = _phase_objective(chi, chi_th)
     res = minimize(lambda x: -exact(_phase_vectors(x[None, :]))[0],
                    x0=_reference_grid_phases(np.argmax(_reference_screen(chi, chi_th))),
@@ -272,23 +282,29 @@ def _noisy_gate_channel(rng, settings, planted=True):
 
 
 class TestPhaseScreenOracle:
-    """The FFT screen against the blocked screen it replaced."""
+    """The separable screen against the blocked screen, and the search against
+    the Nelder-Mead search it replaced."""
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_fft_grid_equals_blocked_screen_on_presets(self, name, rng):
         chi_th = ideal_choi(preset(name).settings)
         noisy = _noisy_gate_channel(rng, preset(name).settings)
-        # a pure target, then a pure estimate
+        # a pure target, then a pure estimate: the overlap and the polynomial
+        # of the pure argument's form both equal the fidelity
         for chi, target in ((noisy, chi_th), (chi_th, noisy)):
-            grid = _overlap_screen(chi, target).ravel()
-            assert np.max(np.abs(grid - _reference_screen(chi, target))) <= 1e-13
+            reference = _reference_screen(chi, target)
+            for grid in (_overlap_screen(chi, target),
+                         _grid_values(_GATHER @ _pure_form(chi, target).ravel())):
+                assert np.max(np.abs(grid.ravel() - reference)) <= 1e-13
 
     def test_fft_grid_equals_blocked_screen_on_random_pure_settings(self, rng):
         for _ in range(4):
             chi, chi_th = (ideal_choi(GateSettings(*rng.uniform(0.0, np.pi, 2)))
                            for _ in range(2))
-            grid = _overlap_screen(chi, chi_th).ravel()
-            assert np.max(np.abs(grid - _reference_screen(chi, chi_th))) <= 1e-13
+            reference = _reference_screen(chi, chi_th)
+            for grid in (_overlap_screen(chi, chi_th),
+                         _grid_values(_GATHER @ _pure_form(chi, chi_th).ravel())):
+                assert np.max(np.abs(grid.ravel() - reference)) <= 1e-13
 
     @pytest.mark.parametrize("kind", ["noisy-gate", "ginibre"])
     def test_mixed_pairs_never_below_the_uhlmann_grid_search(self, rng, kind):
@@ -319,6 +335,94 @@ class TestPhaseScreenOracle:
         _, moved = phase_optimized_fidelity(perturbed, chi_th)
         turn = np.angle(np.exp(1j * (np.array(moved.phases) - correction.phases)))
         assert np.max(np.abs(turn)) <= 1e-6
+
+
+def _pure_pairs(rng, n):
+    """n pairs (estimate, target) of a random-rank Ginibre channel and a pure
+    gate channel, in both orders."""
+    pairs = []
+    for _ in range(n):
+        pure = ideal_choi(GateSettings(*rng.uniform(0.0, np.pi, 2)))
+        mixed = ChoiProcess(random_density_matrix(rng, 4, rank=int(rng.integers(1, 17))).matrix)
+        pairs += [(mixed, pure), (pure, mixed)]
+    return pairs
+
+
+class TestPhaseNewton:
+    """Newton steps on the 81-term fidelity polynomial of a pure pair."""
+
+    def test_closed_form_derivatives_match_central_differences(self, rng):
+        for chi, chi_th in _pure_pairs(rng, 3):
+            objective = _phase_objective(chi, chi_th)
+            derivatives = _polynomial_derivatives(_GATHER @ _pure_form(chi, chi_th).ravel())
+            for theta in rng.uniform(0.0, TWO_PI, (3, 4)):
+                value, grad, hess = derivatives(theta)
+                assert value == pytest.approx(objective(_phase_vectors(theta[None]))[0], abs=1e-14)
+                # central differences: truncation ~1e-11 and rounding ~1e-11 in
+                # the gradient at 1e-5, ~1e-8 each in the Hessian at 1e-4
+                h, eye = 1e-5, np.eye(4)
+                f = objective(_phase_vectors(theta + h * np.concatenate([eye, -eye])))
+                assert np.max(np.abs(grad - (f[:4] - f[4:]) / (2 * h))) <= 1e-9
+                h = 1e-4
+                corners = np.array([theta + h * (s * eye[a] + t * eye[b])
+                                    for a in range(4) for b in range(4)
+                                    for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
+                f = objective(_phase_vectors(corners)).reshape(4, 4, 4)
+                assert np.max(np.abs(hess - f @ [1, -1, -1, 1] / (4 * h * h))) <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["ideal", "depolarized-planted"])
+    @pytest.mark.parametrize("name", CONVERSION_PRESET_NAMES)
+    def test_never_below_nelder_mead_on_conversion_presets(self, name, kind):
+        # measured: within 2.2e-16 of Nelder-Mead on either side
+        chi_th = ideal_choi(preset(name).settings)
+        chi = chi_th if kind == "ideal" else apply_noise(chi_th, NoiseSpec(
+            depolarizing_p=0.05, mode_phases=PhaseCorrection((2.9, 0.4, 5.1, 1.7))))
+        value, correction = phase_optimized_fidelity(chi, chi_th)
+        assert value >= _reference_search(chi, chi_th) - 1e-12
+        reached = process_fidelity(apply_noise(chi, NoiseSpec(mode_phases=correction)), chi_th)
+        assert reached == pytest.approx(value, abs=1e-14)
+
+    @pytest.mark.parametrize("name", CONVERSION_PRESET_NAMES)
+    def test_no_step_along_phase_symmetries(self, name):
+        # a conversion channel's fidelity is constant along its phase
+        # symmetries, the null space of the Hessian everywhere; the steps
+        # leave the seed's component there unchanged
+        chi_th = ideal_choi(preset(name).settings)
+        chi = apply_noise(chi_th, NoiseSpec(
+            depolarizing_p=0.05, mode_phases=PhaseCorrection((0.3, 1.1, 2.0, 0.7))))
+        screen = _reference_screen(chi, chi_th)
+        seed = _reference_grid_phases(np.flatnonzero(screen >= screen.max() - 1e-12)[0])
+        _, correction = phase_optimized_fidelity(chi, chi_th)
+        theta = seed + np.angle(np.exp(1j * (np.array(correction.phases) - seed)))
+        _, _, hess = _polynomial_derivatives(_GATHER @ _pure_form(chi, chi_th).ravel())(theta)
+        curvatures, axes = np.linalg.eigh(hess)
+        flat = axes[:, np.abs(curvatures) <= 1e-9 * np.abs(curvatures).max()]
+        assert flat.shape[1] >= 1
+        assert np.max(np.abs(flat.T @ (theta - seed))) <= 1e-12
+
+
+def test_phase_search_imports_no_scipy():
+    # the child imports the same convgate as this process, installed or not
+    src = str(Path(convgate.__file__).parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = """
+import sys
+import numpy as np
+import convgate
+from convgate.gate import ideal_choi, preset
+from convgate.metrics import phase_optimized_fidelity
+from convgate.noise import NoiseSpec, apply_noise
+chi_th = ideal_choi(preset("ghz").settings)
+noisy = apply_noise(chi_th, NoiseSpec(depolarizing_p=0.1))
+for target in (chi_th, apply_noise(chi_th, NoiseSpec(depolarizing_p=0.2))):
+    value, _ = phase_optimized_fidelity(noisy, target)
+    assert 0.0 < value <= 1.0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env)
+    assert result.returncode == 0, result.stderr
 
 
 class TestConcurrence:

@@ -40,6 +40,14 @@ within ``REDRAW_STDS`` = 3 times that larger std (about 2.1 stds of the
 difference), plus ``RANK_ONE_SLACK``. Their stds
 come from 2 or 3 resamples and moved by up to a factor 7 (``bell-pair/
 fidelity-optimized``); they are pinned by the hashes alone.
+
+``NEWTON_MOVED`` holds the ``fidelity-optimized`` rows as reported by the
+Nelder-Mead phase search that Newton steps on the fidelity polynomial
+replaced. Both searches reach the same maximum of the same polynomial, so
+they differ by rounding: the largest measured shift is 1.1e-16 in a value
+(one unit in the last place below 1) and 7.9e-17 in a std (that unit over
+sqrt(2), for a std of two resamples). Values and stds must stay within
+``NEWTON_TOLERANCE`` = 1e-15 of them, about nine such units.
 """
 
 import json
@@ -57,6 +65,20 @@ RANK_ONE_SLACK = 5e-8
 #: Cases whose counts were drawn anew, and the bound on their value shifts in
 #: units of the larger of the old and new std.
 REDRAWN, REDRAW_STDS = {"table2-ideal", "entangler", "cli-process"}, 3.0
+
+#: (label, value, std) of the fidelity-optimized rows, as reported by the
+#: Nelder-Mead phase search, and the bound on their shifts.
+NEWTON_MOVED, NEWTON_TOLERANCE = {
+    "table2-ideal": [
+        ("cluster-identity/fidelity-optimized", 0.9999723522943265, 1.2111652485370514e-05),
+        ("ghz/fidelity-optimized", 0.99992732485117, 3.228745675852701e-05),
+        ("dicke/fidelity-optimized", 0.9998047904532956, 0.00012099765318765069),
+        ("bell-pair/fidelity-optimized", 0.9998872665792686, 6.565786319278882e-05),
+    ],
+    "cli-process": [
+        ("process-fidelity-optimized", 1.0, 3.735441826367712e-05),
+    ],
+}, 1e-15
 
 #: (label, value, std) of every row, as reported before the change.
 RECORDED = {
@@ -124,6 +146,11 @@ RECORDED = {
 
 
 def _assert_close(case, rows):
+    reported = {label: (value, std) for label, value, std in rows}
+    for label, value0, std0 in NEWTON_MOVED.get(case, []):
+        value, std = reported[label]
+        assert abs(value - value0) <= NEWTON_TOLERANCE, label
+        assert abs(std - std0) <= NEWTON_TOLERANCE, label
     recorded = RECORDED[case]
     assert [label for label, _, _ in rows] == [label for label, _, _ in recorded]
     for (label, value, std), (_, value0, std0) in zip(rows, recorded):
