@@ -97,16 +97,25 @@ def purity(m) -> float:
     return float(np.einsum("ij,ji->", mat, mat).real)
 
 
+def _is_pure(m: np.ndarray) -> bool:
+    """The purity rule of every fidelity: Tr[M^2] within 1e-12 of 1."""
+    return abs(purity(m) - 1.0) < 1e-12
+
+
+def _root_fidelity(root_a: np.ndarray, root_b: np.ndarray) -> np.ndarray:
+    """Uhlmann's F = ||sqrt(a) sqrt(b)||_tr^2 from the square roots, batched
+    over leading axes. Its singular values keep the zero ones of
+    rank-deficient pairs at rounding level, where square roots of the
+    eigenvalues of sqrt(a) b sqrt(a) would lift each to ~sqrt(eps)."""
+    return np.linalg.svd(root_a @ root_b, compute_uv=False).sum(axis=-1) ** 2
+
+
 def _uhlmann(a: np.ndarray, b: np.ndarray) -> float:
-    # when either unit-trace argument is pure the fidelity reduces to the
-    # exact overlap Tr[a b], which avoids the eigendecomposition noise floor
-    for x, y in ((a, b), (b, a)):
-        if abs(np.einsum("ij,ji->", x, x).real - 1.0) < 1e-12:
-            return max(float(np.einsum("ij,ji->", x, y).real), 0.0)
-    root = matrix_sqrt(a)
-    inner = root @ b @ root
-    vals = clamp_spectrum(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0))
-    return float(np.sqrt(vals).sum() ** 2)
+    # when either unit-trace argument is pure the fidelity is the exact
+    # overlap Tr[a b]
+    if _is_pure(a) or _is_pure(b):
+        return max(float(np.einsum("ij,ji->", a, b).real), 0.0)
+    return float(_root_fidelity(matrix_sqrt(a), matrix_sqrt(b)))
 
 
 def _cap_fidelity(value: float) -> float:
@@ -118,7 +127,11 @@ def _cap_fidelity(value: float) -> float:
 
 
 def fidelity(a, b) -> float:
-    """Uhlmann fidelity Tr[sqrt(sqrt(a) b sqrt(a))]^2 between unit-trace states."""
+    """Uhlmann fidelity ||sqrt(a) sqrt(b)||_tr^2 between unit-trace states.
+
+    It is the overlap Tr[a b] when either state is pure (purity within 1e-12
+    of 1), else the squared sum of the singular values of sqrt(a) sqrt(b).
+    """
     am, bm = _as_matrix(a), _as_matrix(b)
     if am.shape != bm.shape:
         raise InvalidArgumentError(f"dimension mismatch {am.shape} vs {bm.shape}")
@@ -126,7 +139,8 @@ def fidelity(a, b) -> float:
 
 
 def process_fidelity(chi: ChoiProcess, chi_th: ChoiProcess) -> float:
-    """Uhlmann fidelity between two unit-trace process matrices."""
+    """Uhlmann fidelity between two unit-trace process matrices, by the same
+    purity rule and formula as ``fidelity``."""
     a, b = _as_matrix(chi), _as_matrix(chi_th)
     if a.shape != (16, 16) or b.shape != (16, 16):
         raise InvalidArgumentError("process fidelity expects 16x16 Choi matrices")
@@ -282,41 +296,14 @@ def discord(m: DensityMatrix, measured_qubit: int) -> float:
     return float(max(0.0, value)) if value > -1e-9 else float(value)
 
 
-def _pure_form(chi: ChoiProcess, chi_th: ChoiProcess) -> np.ndarray | None:
-    """B with fidelity sum_jk w_j B_jk conj(w_k) of the phase vector w when
-    either argument is pure (residual spectrum below 1e-9 of the trace), else
-    None."""
-    # pure target |v>: F = <v| D chi D^dag |v>; pure estimate |v>:
-    # F = <v| D^dag chi_th D |v> = <v*| D chi_th^T D^dag |v*>, so with
-    # both transposed it is the same form sum_jk w_j B_jk conj(w_k)
-    for pure, other in ((chi_th.choi, chi.choi), (chi.choi.T, chi_th.choi.T)):
-        vals, vecs = np.linalg.eigh(pure)
-        if vals[-1] >= np.trace(pure).real - 1e-9:
-            return np.outer(vecs[:, -1].conj(), vecs[:, -1]) * other
-    return None
-
-
 def _phase_objective(chi: ChoiProcess, chi_th: ChoiProcess):
-    """The fidelity as a function of a stack of 16-component phase vectors w,
-    one per row: the quadratic form ``_pure_form`` when either argument is
-    pure, the full Uhlmann formula otherwise."""
-    quad = _pure_form(chi, chi_th)
-    if quad is not None:
-        return lambda ws: np.einsum("gj,gj->g", ws @ quad, ws.conj()).real
+    """The fidelity of a mixed pair as a function of a stack of 16-component
+    phase vectors w, one per row."""
     # F(w) = ||sqrt(D chi D^dag) sqrt(chi_th)||_tr^2 and sqrt(D chi D^dag) =
     # D sqrt(chi) D^dag, so F(w) is the squared trace norm of
-    # (sqrt(chi) D^dag) sqrt(chi_th) up to a unitary factor. Its singular
-    # values keep the zero ones of rank-deficient pairs at rounding level,
-    # where square roots of the eigenvalues of its square would lift each to
-    # ~sqrt(eps) and leave ~1e-9 of noise in F, which a second difference of
-    # the refinement's stencil cannot tell from curvature.
+    # (sqrt(chi) D^dag) sqrt(chi_th) up to a unitary factor
     root_chi, root_th = matrix_sqrt(chi.choi), matrix_sqrt(chi_th.choi)
-
-    def uhlmann(ws: np.ndarray) -> np.ndarray:
-        products = (root_chi[None, :, :] * ws.conj()[:, None, :]) @ root_th
-        return np.linalg.svd(products, compute_uv=False).sum(axis=1) ** 2
-
-    return uhlmann
+    return lambda ws: _root_fidelity(root_chi * ws.conj()[:, None, :], root_th)
 
 
 def _mode_bits(n: int) -> np.ndarray:
@@ -367,12 +354,6 @@ def _grid_values(coeffs: np.ndarray) -> np.ndarray:
         # contract the leading frequency axis; its grid axis goes last
         values = np.tensordot(values, _GRID_WAVES, axes=(0, 1))
     return values.real
-
-
-def _overlap_screen(chi: ChoiProcess, chi_th: ChoiProcess) -> np.ndarray:
-    """Tr[D chi D^dag chi_th] on the ``PHASE_GRID_POINTS``^4 grid: the form of
-    Q = chi o chi_th^T, which equals the fidelity when either argument is pure."""
-    return _grid_values(_GATHER @ (chi.choi * chi_th.choi.T).ravel())
 
 
 def _polynomial_derivatives(coeffs: np.ndarray):
@@ -431,16 +412,17 @@ def phase_optimized_fidelity(chi: ChoiProcess,
                              chi_th: ChoiProcess) -> tuple[float, PhaseCorrection]:
     """Maximum process fidelity over the four local mode phases applied to chi.
 
-    When either argument is pure, the fidelity is the trigonometric polynomial
-    F(theta) = Re sum_f C_f e^{i theta.f} with frequencies f in {-1, 0, 1}^4.
-    It is evaluated exactly on the ``PHASE_GRID_POINTS``^4 grid (which holds
-    the zero-phase point) by four separable contractions, and the lowest grid
-    index within 1e-12 of the grid maximum seeds Newton steps from the
-    polynomial's closed-form gradient and Hessian. Otherwise the linear
-    overlap Tr[D chi D^dag chi_th] is screened on the same grid, the exact
-    Uhlmann fidelity ranks its ``PHASE_SEEDS`` best points by the same rule,
-    and the Newton steps take their gradient and Hessian from a 33-point
-    central-difference stencil evaluated in one batched call.
+    The overlap Tr[D chi D^dag chi_th] of the phase-corrected estimate is the
+    trigonometric polynomial Re sum_f C_f e^{i theta.f} with frequencies f in
+    {-1, 0, 1}^4. It is evaluated exactly on the ``PHASE_GRID_POINTS``^4 grid
+    (which holds the zero-phase point) by four separable contractions. When
+    either argument is pure, by the purity rule of ``fidelity``, the overlap
+    is the fidelity: the lowest grid index within 1e-12 of the grid maximum
+    seeds Newton steps from the polynomial's closed-form gradient and Hessian.
+    Otherwise the overlap is a screen: the fidelity ||sqrt(D chi D^dag)
+    sqrt(chi_th)||_tr^2 ranks its ``PHASE_SEEDS`` best points by the same
+    rule, and the Newton steps take their gradient and Hessian from a
+    33-point central-difference stencil evaluated in one batched call.
 
     The lowest-index rule keeps the grid points tied by a channel's phase
     symmetries from making the result depend on rounding, and no polynomial
@@ -449,18 +431,14 @@ def phase_optimized_fidelity(chi: ChoiProcess,
     never below the raw fidelity.
     """
     raw = process_fidelity(chi, chi_th)
-    quad = _pure_form(chi, chi_th)
-    if quad is not None:
-        coeffs = _GATHER @ quad.ravel()
-        # the polynomial is exact, so the screen ranks every grid point
-        scores = _grid_values(coeffs).ravel()
-        candidates = np.arange(scores.size)
+    coeffs = _GATHER @ (chi.choi * chi_th.choi.T).ravel()
+    values = _grid_values(coeffs).ravel()
+    if _is_pure(chi.choi) or _is_pure(chi_th.choi):
+        # the polynomial is the fidelity, so the screen ranks every grid point
+        scores, candidates = values, np.arange(values.size)
         derivatives = _polynomial_derivatives(coeffs)
     else:
         objective = _phase_objective(chi, chi_th)
-        # the overlap only approximates a mixed pair's fidelity, so the exact
-        # one ranks its best points
-        values = _overlap_screen(chi, chi_th).ravel()
         candidates = np.sort(np.argpartition(values, -PHASE_SEEDS)[-PHASE_SEEDS:])
         grid = _GRID_AXIS[np.stack(np.unravel_index(candidates, (PHASE_GRID_POINTS,) * 4), axis=1)]
         scores = objective(_phase_vectors(grid))

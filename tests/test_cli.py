@@ -467,11 +467,13 @@ class TestMetricsCommand:
     # counts (values unchanged, stds moved by at most 1.6e-5), and again when
     # Newton steps on the fidelity polynomial replaced the phase search's
     # Nelder-Mead refinement (the process-fidelity-optimized std moved by
-    # 7.9e-17). test_report_values.py bounds how far their values moved.
+    # 7.9e-17), and again when the phase search took its pure-pair polynomial
+    # from the overlap Tr[D chi D^dag chi_th] (that std moved back by 7.9e-17).
+    # test_report_values.py bounds how far their values moved.
     @pytest.mark.parametrize("kind,digest", [
         pytest.param("state", "8695360beeada27c457ca5d569ca911e6baf20da2c5189690a7ba91e84064e6a",
                      id="state"),
-        pytest.param("process", "0ffe72936922bcceab2127be03645d604ee560d39499249489e4b64eb495b5c1",
+        pytest.param("process", "e83f50ca9a9f2e99028d28b94fa54ad47c9af79ad8987d09ec8d54720cb90047",
                      id="process"),
     ])
     def test_seeded_monte_carlo_report_bytes(self, tmp_path, kind, digest):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import sqrtm
+from scipy.linalg import LinAlgWarning, sqrtm
 from scipy.optimize import minimize
 
 import convgate
@@ -39,11 +39,8 @@ from convgate.metrics import (
     _conditional_entropies,
     _GATHER,
     _grid_values,
-    _overlap_screen,
-    _phase_objective,
     _phase_vectors,
     _polynomial_derivatives,
-    _pure_form,
     _refined_conditional_entropy,
     concurrence,
     discord,
@@ -125,6 +122,22 @@ class TestFidelity:
         with pytest.raises(InvalidArgumentError):
             fidelity(DensityMatrix.maximally_mixed(1), DensityMatrix.maximally_mixed(2))
 
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_rank_deficient_commuting_pairs_closed_form(self, rng, d):
+        # a commuting pair of one support in a shared eigenbasis has F =
+        # (sum_i sqrt(l_i m_i))^2; a square root of a zero eigenvalue that
+        # rounding left at ~1e-17 would add ~3e-9 per zero
+        for rank in np.repeat(np.arange(2, d), 40 // (d - 2)):
+            u = random_unitary(rng, d)
+            lam, mu = (np.concatenate([w / w.sum(), np.zeros(d - rank)])
+                       for w in rng.uniform(0.05, 1.0, (2, rank)))
+            a, b = ((u * v) @ u.conj().T for v in (lam, mu))
+            exact = np.sqrt(lam * mu).sum() ** 2
+            assert fidelity(a, b) == pytest.approx(exact, abs=1e-13)
+            if d == 16:
+                assert process_fidelity(ChoiProcess(a), ChoiProcess(b)) == pytest.approx(
+                    exact, abs=1e-13)
+
 
 class TestProcessFidelity:
     def test_self_fidelity_per_preset(self):
@@ -144,8 +157,11 @@ class TestProcessFidelity:
     def test_depolarized_against_scipy_oracle(self):
         chi_th = ideal_choi(preset("ghz").settings)
         noisy = apply_noise(chi_th, NoiseSpec(depolarizing_p=0.1))
-        root = sqrtm(chi_th.choi)
-        oracle = float(np.trace(sqrtm(root @ noisy.choi @ root)).real ** 2)
+        # sqrtm warns that the rank-one target and its product are singular
+        with pytest.warns(LinAlgWarning):
+            root = sqrtm(chi_th.choi)
+        with pytest.warns(LinAlgWarning):
+            oracle = float(np.trace(sqrtm(root @ noisy.choi @ root)).real ** 2)
         # sqrtm on the rank-deficient target limits the oracle to ~1e-7
         assert process_fidelity(noisy, chi_th) == pytest.approx(oracle, abs=1e-6)
         # the exact mixture value: [(1-p) s + p/16] / [(1-p) s + p] with s = 1/2
@@ -230,19 +246,21 @@ class TestPhaseOptimizedFidelity:
 def _reference_screen_function(chi, chi_th):
     """The evaluator of the blocked screen: the quadratic form of a pure or
     near-pure argument (residual spectrum below 1e-9, then 1e-4, of the
-    trace), else the Uhlmann formula."""
+    trace), else the Uhlmann formula: exact but for the near-pure form."""
     for deficit in (1e-9, 1e-4):
         for pure, other in ((chi_th.choi, chi.choi), (chi.choi.T, chi_th.choi.T)):
             vals, vecs = np.linalg.eigh(pure)
             if vals[-1] >= np.trace(pure).real - deficit:
                 quad = np.outer(vecs[:, -1].conj(), vecs[:, -1]) * other
                 return lambda ws: np.einsum("gj,gj->g", ws @ quad, ws.conj()).real
-    root_chi = matrix_sqrt(chi.choi)
+    root_chi, root_th = matrix_sqrt(chi.choi), matrix_sqrt(chi_th.choi)
 
     def uhlmann(ws):
+        # the trace norm of sqrt(chi) D^dag sqrt(chi_th) by singular values:
+        # square roots of the eigenvalues of its square would lift each zero
+        # one of a rank-deficient pair to ~1e-8, which Nelder-Mead climbs
         p = root_chi[None, :, :] * ws.conj()[:, None, :]
-        t = p @ chi_th.choi @ p.conj().transpose(0, 2, 1)
-        return np.sqrt(np.clip(np.linalg.eigvalsh(t), 0.0, None)).sum(axis=1) ** 2
+        return np.linalg.svd(p @ root_th, compute_uv=False).sum(axis=1) ** 2
 
     return uhlmann
 
@@ -261,11 +279,16 @@ def _reference_grid_phases(index):
     return axis[index // place % PHASE_GRID_POINTS]
 
 
+def _overlap_coefficients(chi, chi_th):
+    """The 81 frequency coefficients of the overlap Tr[D chi D^dag chi_th]."""
+    return _GATHER @ (chi.choi * chi_th.choi.T).ravel()
+
+
 def _reference_search(chi, chi_th):
     """The Nelder-Mead phase search that Newton steps replaced: the blocked
     screen's first maximum seeds one Nelder-Mead refinement of the exact
     fidelity."""
-    exact = _phase_objective(chi, chi_th)
+    exact = _reference_screen_function(chi, chi_th)
     res = minimize(lambda x: -exact(_phase_vectors(x[None, :]))[0],
                    x0=_reference_grid_phases(np.argmax(_reference_screen(chi, chi_th))),
                    method="Nelder-Mead", options={"xatol": PHASE_TOL})
@@ -289,22 +312,18 @@ class TestPhaseScreenOracle:
     def test_fft_grid_equals_blocked_screen_on_presets(self, name, rng):
         chi_th = ideal_choi(preset(name).settings)
         noisy = _noisy_gate_channel(rng, preset(name).settings)
-        # a pure target, then a pure estimate: the overlap and the polynomial
-        # of the pure argument's form both equal the fidelity
+        # a pure target, then a pure estimate: the overlap polynomial equals
+        # the pure argument's form
         for chi, target in ((noisy, chi_th), (chi_th, noisy)):
-            reference = _reference_screen(chi, target)
-            for grid in (_overlap_screen(chi, target),
-                         _grid_values(_GATHER @ _pure_form(chi, target).ravel())):
-                assert np.max(np.abs(grid.ravel() - reference)) <= 1e-13
+            grid = _grid_values(_overlap_coefficients(chi, target))
+            assert np.max(np.abs(grid.ravel() - _reference_screen(chi, target))) <= 1e-13
 
     def test_fft_grid_equals_blocked_screen_on_random_pure_settings(self, rng):
         for _ in range(4):
             chi, chi_th = (ideal_choi(GateSettings(*rng.uniform(0.0, np.pi, 2)))
                            for _ in range(2))
-            reference = _reference_screen(chi, chi_th)
-            for grid in (_overlap_screen(chi, chi_th),
-                         _grid_values(_GATHER @ _pure_form(chi, chi_th).ravel())):
-                assert np.max(np.abs(grid.ravel() - reference)) <= 1e-13
+            grid = _grid_values(_overlap_coefficients(chi, chi_th))
+            assert np.max(np.abs(grid.ravel() - _reference_screen(chi, chi_th))) <= 1e-13
 
     @pytest.mark.parametrize("kind", ["noisy-gate", "ginibre"])
     def test_mixed_pairs_never_below_the_uhlmann_grid_search(self, rng, kind):
@@ -353,8 +372,8 @@ class TestPhaseNewton:
 
     def test_closed_form_derivatives_match_central_differences(self, rng):
         for chi, chi_th in _pure_pairs(rng, 3):
-            objective = _phase_objective(chi, chi_th)
-            derivatives = _polynomial_derivatives(_GATHER @ _pure_form(chi, chi_th).ravel())
+            objective = _reference_screen_function(chi, chi_th)
+            derivatives = _polynomial_derivatives(_overlap_coefficients(chi, chi_th))
             for theta in rng.uniform(0.0, TWO_PI, (3, 4)):
                 value, grad, hess = derivatives(theta)
                 assert value == pytest.approx(objective(_phase_vectors(theta[None]))[0], abs=1e-14)
@@ -394,7 +413,7 @@ class TestPhaseNewton:
         seed = _reference_grid_phases(np.flatnonzero(screen >= screen.max() - 1e-12)[0])
         _, correction = phase_optimized_fidelity(chi, chi_th)
         theta = seed + np.angle(np.exp(1j * (np.array(correction.phases) - seed)))
-        _, _, hess = _polynomial_derivatives(_GATHER @ _pure_form(chi, chi_th).ravel())(theta)
+        _, _, hess = _polynomial_derivatives(_overlap_coefficients(chi, chi_th))(theta)
         curvatures, axes = np.linalg.eigh(hess)
         flat = axes[:, np.abs(curvatures) <= 1e-9 * np.abs(curvatures).max()]
         assert flat.shape[1] >= 1

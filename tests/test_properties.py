@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -154,14 +154,22 @@ def test_channel_noise_equals_state_noise_around_the_channel(seed, theta1, theta
 
 
 @_settings(8)
-@given(angles, angles, st.floats(0.0, 0.5), phase_corrections)
-def test_phase_optimized_fidelity_is_at_least_raw(theta1, theta2, p, planted):
-    chi_th = _nondegenerate_channel(theta1, theta2)
-    chi = apply_noise(chi_th, NoiseSpec(depolarizing_p=p, mode_phases=planted))
-    value, _ = phase_optimized_fidelity(chi, chi_th)
+@given(angles, angles, st.floats(0.0, 0.5), phase_corrections,
+       st.sampled_from([0.0, 1e-13, 1e-10, 5e-10]))
+# a white admixture of 1e-10 leaves the target's purity 1.9e-10 below 1:
+# mixed by the purity rule, so raw and optimized fidelity are both Uhlmann's
+@example(0.0, np.pi / 4, 0.05, PhaseCorrection((0.3, 1.1, 2.0, 0.7)), 1e-10)
+def test_phase_optimized_fidelity_is_at_least_raw(theta1, theta2, p, planted, white):
+    pure = _nondegenerate_channel(theta1, theta2)
+    chi_th = ChoiProcess((1.0 - white) * pure.choi + white * np.eye(16) / 16.0)
+    chi = apply_noise(pure, NoiseSpec(depolarizing_p=p, mode_phases=planted))
+    value, correction = phase_optimized_fidelity(chi, chi_th)
     assert value >= process_fidelity(chi, chi_th) - 1e-12
     undone = apply_noise(chi, NoiseSpec(mode_phases=planted.scaled(-1)))
     assert value >= process_fidelity(undone, chi_th) - 1e-9
+    # the returned phases reach the returned value
+    reached = process_fidelity(apply_noise(chi, NoiseSpec(mode_phases=correction)), chi_th)
+    assert abs(reached - value) <= 1e-9
 
 
 @_settings(50)
