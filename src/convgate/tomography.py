@@ -21,9 +21,12 @@ and a simplex projection of its eigenvalues. L is concave, so the optimum
 lies at most lambda_max(R(rho)) - 1 above L(rho); a fit stops ``certified``
 once that gap times the total count N is at most ``MLEOptions.tol`` nats
 (1 by default), and otherwise reports ``stalled`` (no ascent left at the
-numerical floor) or ``max_iter``. A fit starts at the maximally mixed state;
-a Monte Carlo resample starts instead at the estimate of the dataset it was
-drawn from, and the resamples whose fit is not certified are counted.
+numerical floor) or ``max_iter``. A fit given no start begins at its
+projected least-squares estimate: the linear inversion of the frequencies,
+projected onto unit-trace PSD matrices (Guta, Kahn, Kueng & Tropp, J. Phys. A
+53, 204001, 2020). A Monte Carlo resample starts instead at the estimate of
+the dataset it was drawn from, and the resamples whose fit is not certified
+are counted.
 
 The dataset picks its reconstruction in ``reconstruct``: one with a single
 preparation (output-state tomography, 9 basis records) gets the 4x4 density
@@ -32,7 +35,7 @@ For process reconstruction the Choi matrix is treated as a 16x16
 density-like object with effective operators E = rho_prep^T (x) Pi_out,
 which sum to a multiple of the identity for this preparation/measurement
 set. Nothing forms them: simulation and fit contract the two factor stacks
-(``_forward``; a state has a 1x1 preparation), and a simulated mean within
+(``_Frame``; a state has a 1x1 preparation), and a simulated mean within
 ``PROBABILITY_WINDOW`` x ``mean_counts`` of 0 is exactly 0. Estimates are
 unit trace; a process's success scale is estimated from its total counts.
 """
@@ -115,20 +118,61 @@ _SETTING_INDEX = {s: i for i, s in enumerate(enumerate_settings())}
 _NO_PREPARATION = np.ones((1, 1, 1), complex)
 
 
-def _forward(left: np.ndarray, right: np.ndarray):
-    """The linear map rho -> (P, M) probabilities Tr[(left_p (x) right_m) rho]
-    of the stacks ``left`` (P, a, a) and ``right`` (M, b, b), by one
+def _pseudo_inverse(stack: np.ndarray) -> np.ndarray:
+    """(A^dag A)^-1 A^dag, the pseudo-inverse of a ``stack`` A (n, k) of full
+    column rank, by ``eigh`` of the Gram matrix: ``np.linalg.pinv`` would load
+    a singular-value routine that no fit calls, 0.2-0.3 MiB of peak memory."""
+    vals, vecs = np.linalg.eigh(stack.conj().T @ stack)
+    return (vecs / vals) @ vecs.conj().T @ stack.conj().T
+
+
+class _Frame:
+    """The linear maps of the stacks ``left`` (P, a, a) and ``right`` (M, b, b),
+    none of which forms a product left_p (x) right_m. ``probabilities`` is
+    rho -> the (P, M) probabilities Tr[(left_p (x) right_m) rho], one
     contraction: with the realignment S[(j i), (l k)] = rho[(j l), (i k)],
-    Tr[(left_p (x) right_m) rho] = vec(left_p^T) S vec(right_m^T)."""
-    (n_left, a, _), (n_right, b, _) = left.shape, right.shape
-    left_t_vec = left.transpose(0, 2, 1).reshape(n_left, a * a)
-    right_t_vec = right.transpose(0, 2, 1).reshape(n_right, b * b).T
-    realign = np.arange((a * b) ** 2).reshape(a, b, a, b).transpose(0, 2, 1, 3).reshape(a * a, -1)
-    return lambda rho: (left_t_vec @ rho.ravel()[realign] @ right_t_vec).real
+    Tr[(left_p (x) right_m) rho] = vec(left_p^T) S vec(right_m^T).
+    ``adjoint`` is weights -> sum_pm w_pm left_p (x) right_m, and
+    ``least_squares`` inverts ``probabilities`` with the pseudo-inverses of
+    the same two vectorized stacks, computed once here."""
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        (n_left, a, _), (n_right, b, _) = left.shape, right.shape
+        self.dim = a * b
+        self._left_t = left.transpose(0, 2, 1).reshape(n_left, a * a)
+        self._right_t = right.transpose(0, 2, 1).reshape(n_right, b * b).T
+        self._left, self._right = left.reshape(n_left, a * a), right.reshape(n_right, b * b)
+        self._left_pinv = _pseudo_inverse(self._left_t)
+        self._right_pinv = _pseudo_inverse(self._right_t.T).T
+        cells = np.arange(self.dim ** 2)
+        self._realign = cells.reshape(a, b, a, b).transpose(0, 2, 1, 3).reshape(a * a, -1)
+        self._unalign = cells.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(self.dim, -1)
+        # the probabilities of a unit-trace matrix sum to Tr[sum(left) (x)
+        # sum(right)] / dim when both sums are multiples of the identity, as
+        # they are here: 81 for a process, 9 for a state
+        self._probability_sum = (np.trace(left.sum(axis=0))
+                                 * np.trace(right.sum(axis=0))).real / self.dim
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        return (self._left_t @ rho.ravel()[self._realign] @ self._right_t).real
+
+    def adjoint(self, weights: np.ndarray) -> np.ndarray:
+        return (self._left.T @ weights @ self._right).ravel()[self._unalign]
+
+    def least_squares(self, freqs: np.ndarray) -> np.ndarray:
+        """The Hermitian matrix whose probabilities lie nearest, in the
+        Frobenius norm, to the frequencies ``freqs`` (P, M) scaled to the
+        probability sum of a unit-trace matrix: linear inversion, exact on
+        the probabilities of any matrix."""
+        rho = self._left_pinv @ (self._probability_sum * freqs) @ self._right_pinv
+        rho = rho.ravel()[self._unalign]
+        return (rho + rho.conj().T) / 2.0
 
 
-_PROCESS_PROBABILITIES = _forward(_PREP_TRANSPOSES, _BASIS_PROJECTORS.reshape(36, 4, 4))
-_STATE_PROBABILITIES = _forward(_NO_PREPARATION, _BASIS_PROJECTORS.reshape(36, 4, 4))
+#: (36, 4, 4) outcome projectors of the 9 basis pairs, basis-major.
+_PROJECTORS = _BASIS_PROJECTORS.reshape(36, 4, 4)
+_PROCESS_FRAME = _Frame(_PREP_TRANSPOSES, _PROJECTORS)
+_STATE_FRAME = _Frame(_NO_PREPARATION, _PROJECTORS)
 
 #: A simulated probability (Poisson mean over ``mean_counts``) within this
 #: window of 0 is set to exactly 0, so a zero that rounds to 1e-33 draws
@@ -136,7 +180,9 @@ _STATE_PROBABILITIES = _forward(_NO_PREPARATION, _BASIS_PROJECTORS.reshape(36, 4
 #: The contraction rounds zeros by at most ~3.4e-16. Validation accepts
 #: eigenvalues down to -EIG_CLAMP = -1e-10, so probabilities down to -4e-10 x
 #: success_scale (process) or -1e-10 x success probability (state), both at
-#: most 1 for a post-selected gate: the window rejects none of them.
+#: most 1 for a post-selected gate: the window rejects none of them. A fit's
+#: start that gives a counted outcome a probability within the window misses
+#: it, and is mixed toward the maximally mixed state.
 PROBABILITY_WINDOW = 1e-9
 
 
@@ -202,7 +248,7 @@ class CoincidenceDataset:
 def _expected_counts(chi: ChoiProcess, mean_counts: float) -> np.ndarray:
     """(324, 4) expected counts mean * 4 * scale * Tr[(prep^T (x) Pi) chi] by
     the fit's contraction of the two stacks, clamped by ``_clamped``."""
-    lam = mean_counts * _PROCESS_PROBABILITIES(chi.unnormalized())
+    lam = mean_counts * _PROCESS_FRAME.probabilities(chi.unnormalized())
     return _clamped(lam.reshape(324, 4), mean_counts)
 
 
@@ -261,7 +307,7 @@ def simulate_state_counts(rho: DensityMatrix, success_probability: float,
     if rho.qubits != 2:
         raise InvalidArgumentError("state tomography records are two-qubit")
     _check_mean_counts(mean_counts)
-    probs = _STATE_PROBABILITIES(rho.matrix).reshape(9, 4)
+    probs = _STATE_FRAME.probabilities(rho.matrix).reshape(9, 4)
     lam = _clamped(mean_counts * success_probability * probs, mean_counts)
     return _poisson_dataset([None] * 9, enumerate_bases(), lam, mean_counts, seed)
 
@@ -287,9 +333,10 @@ class MLEOptions:
 @dataclass
 class ReconstructionReport:
     """A fit and how it ended. ``gap`` bounds, in total nats, how far the
-    log-likelihood of ``estimate`` lies below the maximum; ``status`` is
-    ``certified`` (gap at most ``MLEOptions.tol``), ``stalled`` or
-    ``max_iter``."""
+    log-likelihood of ``estimate`` lies below the maximum; at the rounding
+    floor of a fit at its optimum it can read slightly below 0 (~-1e-9 at
+    1e6 counts). ``status`` is ``certified`` (gap at most ``MLEOptions.tol``),
+    ``stalled`` or ``max_iter``."""
 
     estimate: DensityMatrix | ChoiProcess
     iterations: int
@@ -323,16 +370,21 @@ def _project_unit_trace_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * mu) @ vecs.conj().T
 
 
-def _iterate_rho_r(left: np.ndarray, right: np.ndarray, counts: np.ndarray,
-                   options: MLEOptions | None, start: np.ndarray | None) -> ReconstructionReport:
+def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None,
+                   start: np.ndarray | None) -> ReconstructionReport:
     """Accelerated projected-gradient maximum likelihood with a certified stop.
 
-    The operators E_pm = left_p (x) right_m of ``left`` (P, a, a), ``right``
-    (M, b, b) and ``counts`` (P, M) are never formed: ``_forward`` contracts
-    the stacks into the probabilities Tr[E_pm rho], and R(rho) = sum_pm f_pm /
-    p_pm E_pm realigns vec(left)^T W vec(right). Each step moves along the
-    gradient R - 1 from a Nesterov extrapolation and projects back onto
-    unit-trace PSD matrices,
+    The operators E_pm = left_p (x) right_m of the stacks of ``frame`` and
+    ``counts`` (P, M) are never formed: the frame contracts the stacks into
+    the probabilities Tr[E_pm rho], and R(rho) = sum_pm f_pm / p_pm E_pm is
+    its adjoint of the weights f / p. A cold fit (``start`` None) begins at
+    the projected least-squares estimate, the frame's inversion of the
+    frequencies projected onto unit-trace PSD matrices (Guta, Kahn, Kueng &
+    Tropp, J. Phys. A 53, 204001, 2020), which leaves the fit only the
+    statistical distance to cover. A start that gives a counted outcome a
+    probability within ``PROBABILITY_WINDOW`` of 0 is first mixed halfway to
+    the maximally mixed state. Each step moves along the gradient R - 1 from
+    a Nesterov extrapolation and projects back onto unit-trace PSD matrices,
     with a backtracking step size (Shang, Zhang & Ng, PRA 95, 062336, 2017).
     The momentum restarts when a step fails to raise the likelihood or the
     extrapolation would halve a counted probability. Every likelihood change
@@ -351,18 +403,10 @@ def _iterate_rho_r(left: np.ndarray, right: np.ndarray, counts: np.ndarray,
     total = counts.sum()
     if total <= 0:
         raise InvalidArgumentError("dataset holds no counts")
-    (n_left, a, _), (n_right, b, _) = left.shape, right.shape
-    dim = a * b
-    left_vec, right_vec = left.reshape(n_left, a * a), right.reshape(n_right, b * b)
-    probs_of = _forward(left, right)
-    unalign = np.arange(dim * dim).reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(dim, dim)
+    probs_of, dim = frame.probabilities, frame.dim
     counted = np.flatnonzero(counts)
     freqs = counts.take(counted) / total
     eye = np.eye(dim)
-
-    def likelihood(p):
-        p = p.take(counted)
-        return float(freqs @ np.log(p)) if p.min() > 0.0 else -np.inf
 
     def rise(shift_probs, p, shift, base):
         """L(base + shift) - L(base) of the trace-normalized matrices, from the
@@ -376,19 +420,21 @@ def _iterate_rho_r(left: np.ndarray, right: np.ndarray, counts: np.ndarray,
     def gradient(p):  # R(rho) - 1, the gradient on unit-trace matrices
         weights = np.zeros(p.size)
         weights[counted] = freqs / p.take(counted)
-        r_op = (left_vec.T @ weights.reshape(p.shape) @ right_vec).ravel()[unalign]
+        r_op = frame.adjoint(weights.reshape(p.shape))
         return (r_op + r_op.conj().T) / 2.0 - eye
 
     def gap_of(grad):  # (lambda_max(R) - 1) x N, in total nats
         return float(np.linalg.eigvalsh(grad)[-1]) * total
 
-    rho = eye.astype(complex) / dim if start is None else start.copy()
+    rho = (_project_unit_trace_psd(frame.least_squares(counts / total)) if start is None
+           else start.copy())
     probs = probs_of(rho)
-    current = likelihood(probs)
-    if current == -np.inf:  # the start misses a counted outcome
+    # a rank-deficient start can round a counted outcome's zero to ~1e-33,
+    # whose gradient f / p no step can follow
+    if probs.take(counted).min() <= PROBABILITY_WINDOW:
         rho = (rho + eye / dim) / 2.0
         probs = probs_of(rho)
-        current = likelihood(probs)
+    current = float(freqs @ np.log(probs.take(counted)))
     grad = gradient(probs)
     gap = gap_of(grad)
     trace_log = [current]
@@ -446,12 +492,14 @@ def _iterate_rho_r(left: np.ndarray, right: np.ndarray, counts: np.ndarray,
     )
 
 
-def _state_operators(data: CoincidenceDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A trivial 1x1 preparation, the records' projectors and counts as one row."""
+def _state_operators(data: CoincidenceDataset) -> tuple[_Frame, np.ndarray]:
+    """The state frame and the records' counts in its projector order, as one
+    row; repeated bases add their counts."""
     if set(data.bases) != set(_BASIS_INDEX):
         raise InvalidArgumentError("state tomography needs counts for all 9 basis pairs")
-    projectors = _BASIS_PROJECTORS[[_BASIS_INDEX[b] for b in data.bases]].reshape(-1, 4, 4)
-    return _NO_PREPARATION, projectors, data.counts.reshape(1, -1).astype(float)
+    counts = np.zeros((9, 4))
+    np.add.at(counts, [_BASIS_INDEX[b] for b in data.bases], data.counts)
+    return _STATE_FRAME, counts.reshape(1, 36)
 
 
 def mle_density_matrix(data: CoincidenceDataset,
@@ -465,12 +513,12 @@ def mle_density_matrix(data: CoincidenceDataset,
                    metadata={"kind": "state", **fit.metadata})
 
 
-def _process_operators(data: CoincidenceDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Preparation and projector stacks and the counts as a 36 x 36 array."""
+def _process_operators(data: CoincidenceDataset) -> tuple[_Frame, np.ndarray]:
+    """The process frame and the counts in its setting order, 36 x 36."""
     order = [_SETTING_INDEX[setting] for setting in zip(data.preps, data.bases)]
     counts = np.empty((324, 4))
     counts[order] = data.counts
-    return _PREP_TRANSPOSES, _BASIS_PROJECTORS.reshape(36, 4, 4), counts.reshape(36, 36)
+    return _PROCESS_FRAME, counts.reshape(36, 36)
 
 
 def mle_process_matrix(data: CoincidenceDataset,

@@ -34,6 +34,8 @@ from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, NoiseSpec, apply_noise
 from convgate.tomography import (
     CoincidenceDataset,
     MLEOptions,
+    _PROCESS_FRAME,
+    _STATE_FRAME,
     _clamped,
     _iterate_rho_r,
     _process_operators,
@@ -344,15 +346,33 @@ def test_factored_fit_matches_per_setting_kron_products(seed, kind, zero_fractio
     data = CoincidenceDataset(preps=[records[i][0] for i in order],
                               bases=[records[i][1] for i in order], counts=counts[order])
     start = _ginibre(seed, dim, dim)
-    left, right, factored_counts = operators(data)
-    assert (left.shape[0], right.shape[0]) == ((36, 36) if kind == "process" else (1, 36))
+    frame, factored_counts = operators(data)
+    assert factored_counts.shape == ((36, 36) if kind == "process" else (1, 36))
 
     like, gap = _fit_reference(_record_operators(data), data.counts.reshape(-1).astype(float),
                                start)
-    fit = _iterate_rho_r(left, right, factored_counts, MLEOptions(max_iter=0), start)
+    fit = _iterate_rho_r(frame, factored_counts, MLEOptions(max_iter=0), start)
     assert (fit.iterations, fit.status) == (0, "max_iter")
     assert abs(fit.log_likelihoods[0] - like) <= 1e-12
     assert abs(fit.gap - gap) <= 1e-9 * max(1.0, abs(gap))
+
+
+@_settings(25)
+@given(seeds, st.sampled_from(["process", "state"]), st.floats(0.01, 1.0))
+def test_cold_start_inverts_exact_probabilities(seed, kind, scale):
+    # exact probabilities of a full-rank matrix, computed from formed
+    # operators, as counts: the least-squares start is that matrix
+    if kind == "process":
+        truth = _ginibre(seed, 16, 16)
+        counts = kron_means(ChoiProcess(truth, success_scale=scale), 1.0)
+        frame, rows = _PROCESS_FRAME, counts.reshape(36, 36)
+    else:
+        truth = _ginibre(seed, 4, 4)
+        counts = projector_means(DensityMatrix(truth), scale, 1.0)
+        frame, rows = _STATE_FRAME, counts.reshape(1, 36)
+    fit = _iterate_rho_r(frame, rows, MLEOptions(max_iter=0), None)
+    assert fit.iterations == 0
+    assert np.abs(fit.estimate - truth).max() <= 1e-12
 
 
 @_settings(30)
