@@ -13,7 +13,6 @@ from .core import (
     normalize_state,
     partial_trace,
     partial_transpose,
-    tensor_product,
 )
 from .errors import (
     DegenerateOutcomeError,

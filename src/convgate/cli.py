@@ -62,6 +62,8 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if match.group(1) else 1.0
         numerator = float(match.group(2)) if match.group(2) else 1.0
         denominator = float(match.group(3)) if match.group(3) else 1.0
+        if denominator == 0.0:
+            raise InvalidArgumentError(f"angle {text!r} divides by zero")
         return sign * numerator * np.pi / denominator
     try:
         return float(text)

@@ -9,8 +9,9 @@ Conventions used throughout the package:
   stored with unit trace next to a separate success scale, so that the
   channel action is rho_out = Tr_in[(rho_in^T (x) 1) chi_unnormalized] and
   the identity channel succeeds with probability 1 on every input,
-* that one contraction applies a channel to any ordered qubit pair of an
-  n-qubit register, identity on the rest (``channel_output_unnormalized``).
+* gates, two-qubit channels (identity on the other qubits) and partial
+  traces use one qubit order, the ordered targets first and the rest
+  ascending (``_targets_first``), and act on the leading block.
 """
 
 from __future__ import annotations
@@ -193,26 +194,34 @@ def clamp_spectrum(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product in the row-major lexicographic basis convention."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+def _targets_first(n: int, targets) -> list[int]:
+    """Qubit order with ``targets`` first, as given, then every other qubit of
+    an n-qubit register in ascending order."""
+    targets = [int(t) for t in targets]
+    if len(set(targets)) != len(targets):
+        raise InvalidArgumentError(f"repeated target indices {targets}")
+    if any(t < 0 or t >= n for t in targets):
+        raise InvalidArgumentError(f"targets {targets} out of range for {n} qubits")
+    return targets + [q for q in range(n) if q not in targets]
+
+
+def _reorder(a: np.ndarray, order) -> np.ndarray:
+    """A 2^n vector or 2^n x 2^n matrix with qubit ``order[i]`` moved to
+    position i, on the row and the column axes alike."""
+    n = len(order)
+    axes = list(order) + [n + q for q in order] * (a.ndim - 1)
+    return a.reshape((2,) * (a.ndim * n)).transpose(axes).reshape(a.shape)
 
 
 def partial_trace(m: DensityMatrix, keep) -> DensityMatrix:
     """Reduced density matrix on the kept qubits (ascending index order)."""
     n = m.qubits
-    kept = sorted(set(int(q) for q in keep))
+    kept = sorted(int(q) for q in keep)
     if not kept or len(kept) == n:
         raise InvalidArgumentError("keep must be a nonempty strict subset of the qubits")
-    if kept[0] < 0 or kept[-1] >= n:
-        raise InvalidArgumentError(f"qubit indices {kept} out of range for {n} qubits")
-    row = [chr(ord("a") + q) for q in range(n)]
-    col = [chr(ord("a") + n + q) if q in kept else row[q] for q in range(n)]
-    out = [row[q] for q in kept] + [col[q] for q in kept]
-    spec = "".join(row + col) + "->" + "".join(out)
-    t = m.matrix.reshape((2,) * (2 * n))
-    k = len(kept)
-    reduced = np.einsum(spec, t).reshape(2**k, 2**k)
+    order = _targets_first(n, kept)
+    k, r = 2 ** len(kept), 2 ** (n - len(kept))
+    reduced = np.einsum("arbr->ab", _reorder(m.matrix, order).reshape(k, r, k, r))
     return DensityMatrix(reduced, validate=False)
 
 
@@ -241,42 +250,22 @@ def matrix_sqrt(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def expand_operator(op: np.ndarray, n_qubits: int, targets) -> np.ndarray:
-    """Embed a k-qubit operator acting on ``targets`` into the n-qubit space."""
-    targets = [int(t) for t in targets]
-    if len(set(targets)) != len(targets):
-        raise InvalidArgumentError(f"repeated target indices {targets}")
-    if any(t < 0 or t >= n_qubits for t in targets):
-        raise InvalidArgumentError(f"targets {targets} out of range for {n_qubits} qubits")
-    op = np.asarray(op, dtype=complex)
-    k = len(targets)
-    if op.shape != (2**k, 2**k):
-        raise InvalidArgumentError(f"operator shape {op.shape} does not act on {k} qubits")
-    if k == n_qubits and targets == sorted(targets):
-        order = targets
-        full = op
-    else:
-        order = targets + [q for q in range(n_qubits) if q not in targets]
-        full = np.kron(op, np.eye(2 ** (n_qubits - k), dtype=complex))
-    pos = list(np.argsort(order))
-    t = full.reshape((2,) * (2 * n_qubits))
-    t = np.transpose(t, pos + [n_qubits + p for p in pos])
-    return t.reshape(2**n_qubits, 2**n_qubits)
-
-
 def apply_operator(state: PureState, op: np.ndarray, targets=None) -> PureState:
-    """Apply a (possibly trace-decreasing) operator to a pure state.
+    """Apply a (possibly trace-decreasing) k-qubit operator to the ordered
+    ``targets`` of a pure state, all qubits in ascending order by default.
 
     The output keeps its post-selection norm; callers decide when to
     renormalize.
     """
-    if targets is None:
-        full = np.asarray(op, dtype=complex)
-        if full.shape != (2**state.qubits,) * 2:
-            raise InvalidArgumentError("operator dimension does not match the state")
-    else:
-        full = expand_operator(op, state.qubits, targets)
-    return PureState(full @ state.amplitudes)
+    n = state.qubits
+    targets = range(n) if targets is None else tuple(targets)
+    order = _targets_first(n, targets)
+    op = np.asarray(op, dtype=complex)
+    k = len(targets)
+    if op.shape != (2**k, 2**k):
+        raise InvalidArgumentError(f"operator shape {op.shape} does not act on {k} qubits")
+    out = op @ _reorder(state.amplitudes, order).reshape(2**k, -1)
+    return PureState(_reorder(out.ravel(), np.argsort(order)))
 
 
 def normalize_state(s: PureState) -> tuple[PureState, float]:
@@ -298,20 +287,15 @@ def channel_output_unnormalized(rho_in: DensityMatrix, chi: ChoiProcess,
     order is then restored.
     """
     n = rho_in.qubits
-    targets = tuple(int(t) for t in targets)
-    if len(targets) != 2 or targets[0] == targets[1]:
-        raise InvalidArgumentError(f"targets must be two distinct qubit indices, got {targets}")
-    if any(t < 0 or t >= n for t in targets):
-        raise InvalidArgumentError(f"targets {targets} out of range for {n} qubits")
-    order = list(targets) + [q for q in range(n) if q not in targets]
+    if len(targets) != 2:
+        raise InvalidArgumentError(f"a channel acts on two target qubits, got {targets}")
+    order = _targets_first(n, targets)
     r = 2 ** (n - 2)
-    front = rho_in.matrix.reshape((2,) * (2 * n)).transpose(order + [n + q for q in order])
-    blocks_t = front.reshape(4, r, 4, r).transpose(1, 3, 2, 0)  # (r, s) -> X_rs^T
+    # (r, s) -> X_rs^T
+    blocks_t = _reorder(rho_in.matrix, order).reshape(4, r, 4, r).transpose(1, 3, 2, 0)
     m = np.kron(blocks_t, np.eye(4, dtype=complex)).reshape(-1, 16) @ chi.unnormalized()
     out = np.einsum("...acad->...cd", m.reshape(r, r, 4, 4, 4, 4)).transpose(2, 0, 3, 1)
-    pos = list(np.argsort(order))
-    out = out.reshape((2,) * (2 * n)).transpose(pos + [n + p for p in pos])
-    return out.reshape(2**n, 2**n)
+    return _reorder(out.reshape(2**n, 2**n), np.argsort(order))
 
 
 def apply_choi_channel(rho_in: DensityMatrix, chi: ChoiProcess,

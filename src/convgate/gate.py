@@ -192,10 +192,8 @@ def ideal_choi(settings: GateSettings) -> ChoiProcess:
     the identity gate's value.
     """
     g = build_gate(settings)
-    # (1 (x) G) acting on the normalized maximally entangled input-output pair
-    psi_pair = np.zeros(16, dtype=complex)
-    psi_pair[[0, 5, 10, 15]] = 0.5  # sum_ab |ab>_in |ab>_out / 2
-    vec = np.kron(np.eye(4, dtype=complex), g) @ psi_pair
+    # (1 (x) G) sum_ab |ab>_in |ab>_out / 2 has component G[cd, ab] / 2 at |ab>|cd>
+    vec = g.T.ravel() / 2
     weight = float(np.vdot(vec, vec).real)  # = Tr[G^dag G] / 4
     if weight < 1e-14:
         raise DegenerateOutcomeError("gate operator is numerically zero", 0.0)

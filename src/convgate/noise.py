@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PAULI_Z, ChoiProcess, DensityMatrix, expand_operator
+from .core import ChoiProcess, DensityMatrix
 from .errors import InvalidArgumentError, NumericalDomainError
-from .metrics import PhaseCorrection, fidelity
+from .metrics import PhaseCorrection, _mode_bits, fidelity
 
 #: Tolerance on the raw process fidelity reached by channel calibration.
 CHANNEL_CALIBRATION_TOL = 1e-4
@@ -92,9 +92,10 @@ def apply_noise(x: ChoiProcess | DensityMatrix, spec: NoiseSpec) -> ChoiProcess 
         mat = ((1.0 - p) * scale * mat + p * np.eye(d) / d) / new_scale
         scale = new_scale
     q = spec.dephasing_p
+    bits = _mode_bits(n)
     for qubit in dephased:
-        z = expand_operator(PAULI_Z, n, (qubit,))
-        mat = (1.0 - q) * mat + q * (z @ mat @ z)
+        z = 1.0 - 2.0 * bits[:, qubit]  # the diagonal of Z on this qubit
+        mat = (1.0 - q) * mat + q * (mat * np.outer(z, z))
     if spec.mode_phases is not None:
         w = spec.mode_phases.phase_vector(n)
         mat = mat * np.outer(w, w.conj())

@@ -16,6 +16,9 @@ All floats are IEEE doubles serialized with Python's shortest round-trip
             (outcome bit 0 selects the first-listed basis state H/+/R)
 * noise:    {"depolarizing_p": x, "dephasing_p": y,
              "mode_phases": [p1, p2, p3, p4]}
+
+Every number is a finite JSON int or float, never a bool or a string; counts,
+sizes, qubit numbers and seeds are also integral. A breach exits 2.
 """
 
 from __future__ import annotations
@@ -37,16 +40,30 @@ def _entries(matrix: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
+def _number(value, what: str) -> float:
+    """A finite JSON int or float; float() would also read a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, not {value!r}")
+    if not np.isfinite(float(value)):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
+def _count(value, what: str) -> int:
+    """A JSON integer: an int or an integral float such as 12.0, never rounded."""
+    if _number(value, what) != int(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _from_entries(entries, rows: int, cols: int) -> np.ndarray:
     try:
-        arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.array([[_number(x, "entries") for x in pair] for pair in entries], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed [re, im] entries: {exc}") from None
     if arr.shape != (rows * cols, 2):
         raise InvalidArgumentError(
             f"expected {rows * cols} [re, im] entries, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidArgumentError("matrix entries must be finite")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
 
 
@@ -57,8 +74,9 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        return _from_entries(obj["entries"], int(obj["rows"]), int(obj["cols"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols = _count(obj["rows"], "rows"), _count(obj["cols"], "cols")
+        return _from_entries(obj["entries"], rows, cols)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed matrix object: {exc}") from None
 
 
@@ -81,9 +99,9 @@ def state_to_json(state: PureState | DensityMatrix) -> dict:
 def state_from_json(obj: dict) -> PureState | DensityMatrix:
     try:
         kind = obj["kind"]
-        qubits = int(obj["qubits"])
+        qubits = _count(obj["qubits"], "qubits")
         data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed state object: {exc}") from None
     if kind == "pure":
         amps = _from_entries(data, 2**qubits, 1).ravel()
@@ -104,9 +122,9 @@ def choi_to_json(chi: ChoiProcess) -> dict:
 def choi_from_json(obj: dict) -> ChoiProcess:
     try:
         matrix = matrix_from_json(obj["matrix"])
-        scale = float(obj["success_scale"])
+        scale = _number(obj["success_scale"], "success_scale")
         normalized = bool(obj.get("trace_normalized", True))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed process object: {exc}") from None
     if not normalized:
         trace = float(np.trace(matrix).real)
@@ -132,13 +150,6 @@ def dataset_to_json(data: CoincidenceDataset) -> dict:
     }
 
 
-def _count(value) -> int:
-    """A JSON count: an int or an integral float such as 12.0, never rounded."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-        raise ValueError(f"count {value!r} is not an integer")  # int() fails on NaN, inf
-    return int(value)
-
-
 def dataset_from_json(obj: dict) -> CoincidenceDataset:
     try:
         records = obj["records"]
@@ -147,12 +158,11 @@ def dataset_from_json(obj: dict) -> CoincidenceDataset:
             prep = rec["prep"]
             preps.append(tuple(prep) if prep is not None else None)
             bases.append(tuple(rec["basis"]))
-            counts.append([_count(rec["counts"][key]) for key in OUTCOME_KEYS])
+            counts.append([_count(rec["counts"][key], "counts") for key in OUTCOME_KEYS])
         counts = np.asarray(counts, dtype=np.int64)
-        mean_counts = obj.get("mean_counts")
-        if isinstance(mean_counts, (bool, str)):  # float() reads true as 1, "1e2" as 100
-            raise ValueError(f"mean_counts {mean_counts!r} is not a number")
-        mean_counts = float(mean_counts) if mean_counts is not None else None
+        mean_counts, seed = obj.get("mean_counts"), obj.get("seed")
+        mean_counts = _number(mean_counts, "mean_counts") if mean_counts is not None else None
+        seed = _count(seed, "seed") if seed is not None else None
         metadata = dict(obj.get("metadata", {}))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed dataset object: {exc}") from None
@@ -161,7 +171,7 @@ def dataset_from_json(obj: dict) -> CoincidenceDataset:
         bases=bases,
         counts=counts,
         mean_counts=mean_counts,
-        seed=obj.get("seed"),
+        seed=seed,
         metadata=metadata,
     )
 
@@ -178,11 +188,12 @@ def noise_spec_from_json(obj: dict) -> NoiseSpec:
     try:
         phases = obj.get("mode_phases")
         return NoiseSpec(
-            depolarizing_p=float(obj.get("depolarizing_p", 0.0)),
-            dephasing_p=float(obj.get("dephasing_p", 0.0)),
-            mode_phases=PhaseCorrection(tuple(phases)) if phases else None,
+            depolarizing_p=_number(obj.get("depolarizing_p", 0.0), "depolarizing_p"),
+            dephasing_p=_number(obj.get("dephasing_p", 0.0), "dephasing_p"),
+            mode_phases=(PhaseCorrection(tuple(_number(p, "phases") for p in phases))
+                         if phases else None),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed noise spec: {exc}") from None
 
 

@@ -78,6 +78,12 @@ class TestGateCommand:
     def test_bad_angle_exit_code(self):
         assert main(["gate", "--theta1", "junk", "--theta2", "0"]) == 2
 
+    @pytest.mark.parametrize("angle", ["pi/0", "0pi/0"])
+    def test_zero_denominator_exit_code(self, capsys, angle):
+        assert main(["gate", "--theta1", angle, "--theta2", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestConvertCommand:
     def test_default_cluster_conversion(self, tmp_path, capsys):
@@ -322,25 +328,42 @@ MALFORMED_INPUTS = {
     "entry-nan": ("density", lambda o: _set_entry(o["data"], float("nan"))),
     "qubits-two": ("density", lambda o: o.update(qubits="two")),
     "convert-qubits-two": ("pure", lambda o: o.update(qubits="two")),
+    "success-scale-bool": ("choi", lambda o: o.update(success_scale=True)),
+    "success-scale-numeric-string": ("choi", lambda o: o.update(success_scale="1")),
+    "rows-numeric-string": ("choi", lambda o: o["matrix"].update(rows="16")),
+    "rows-fractional": ("choi", lambda o: o["matrix"].update(rows=16.5)),
+    "entry-numeric-string": ("density", lambda o: _set_entry(o["data"], "0.25")),
+    "entry-bool": ("density", lambda o: _set_entry(o["data"], True)),
+    "qubits-fractional": ("density", lambda o: o.update(qubits=1.9)),
+    "convert-qubits-fractional": ("pure", lambda o: o.update(qubits=2.5)),
+    "seed-fractional": ("dataset", lambda o: o.update(seed=1.5)),
+    "noise-depolarizing-bool": ("noise", lambda o: o.update(depolarizing_p=True)),
+    "noise-dephasing-numeric-string": ("noise", lambda o: o.update(dephasing_p="0.1")),
+    "noise-phase-bool": ("noise", lambda o: o["mode_phases"].__setitem__(0, True)),
+    "noise-phase-numeric-string": ("noise", lambda o: o["mode_phases"].__setitem__(0, "0.3")),
 }
 _READERS = {
     "dataset": ["tomo", "reconstruct", "--data", "input.json", "--out", "x.json"],
     "choi": ["metrics", "--estimate", "input.json", "--metric", "trace", "--out", "x.json"],
     "density": ["metrics", "--estimate", "input.json", "--metric", "trace", "--out", "x.json"],
     "pure": ["convert", "--preset", "ghz", "--state-in", "input.json", "--out", "x.json"],
+    "noise": ["tomo", "simulate", "--preset", "ghz", "--mean-counts", "10", "--seed", "1",
+              "--noise", "input.json", "--out", "x.json"],
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
 def test_malformed_input_files_exit_2(tmp_path, monkeypatch, capsys, case):
     from convgate.core import DensityMatrix, PureState
+    from convgate.noise import DEFAULT_CHANNEL_TEMPLATE
     from convgate.tomography import simulate_counts
     kind, edit, *flags = MALFORMED_INPUTS[case]
     chi = ideal_choi(GateSettings(0.0, np.pi / 4))
     obj = {"dataset": lambda: serialize.dataset_to_json(simulate_counts(chi, 100, seed=1)),
            "choi": lambda: serialize.choi_to_json(chi),
            "density": lambda: serialize.state_to_json(DensityMatrix.maximally_mixed(2)),
-           "pure": lambda: serialize.state_to_json(PureState.from_labels("HH"))}[kind]()
+           "pure": lambda: serialize.state_to_json(PureState.from_labels("HH")),
+           "noise": lambda: serialize.noise_spec_to_json(DEFAULT_CHANNEL_TEMPLATE)}[kind]()
     edit(obj)
     monkeypatch.chdir(tmp_path)
     Path("input.json").write_text(json.dumps(obj))

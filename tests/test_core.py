@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 
 from convgate.core import (
-    IDENTITY_2,
-    PAULI_X,
     ChoiProcess,
     DensityMatrix,
     PureState,
     apply_choi_channel,
+    apply_operator,
     channel_output_unnormalized,
     clamp_spectrum,
-    expand_operator,
     hermiticity_defect,
     matrix_sqrt,
     normalize_state,
     partial_trace,
     partial_transpose,
-    tensor_product,
 )
 from convgate.errors import (
     DegenerateOutcomeError,
@@ -39,38 +36,12 @@ from convgate.gate import (
 from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, apply_noise
 from convgate.tomography import mle_process_matrix, simulate_counts
 
-from conftest import random_density_matrix, random_pure_state, random_unitary
-
-
-class TestTensorProduct:
-    def test_identity_case(self):
-        assert np.array_equal(tensor_product(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-    def test_basis_projector_placement(self):
-        h = np.outer([1, 0], [1, 0])
-        v = np.outer([0, 1], [0, 1])
-        assert np.array_equal(tensor_product(h, v), np.diag([0, 1, 0, 0.0]))
-
-    def test_flip_both_qubits(self):
-        xx = tensor_product(PAULI_X, PAULI_X)
-        hh = PureState.from_labels("HH")
-        assert np.allclose(xx @ hh.amplitudes, PureState.from_labels("VV").amplitudes)
-
-    def test_associativity(self, rng):
-        for _ in range(20):
-            a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                       for _ in range(3))
-            left = tensor_product(tensor_product(a, b), c)
-            right = tensor_product(a, tensor_product(b, c))
-            assert np.abs(left - right).max() < 1e-14
-
-    def test_mixed_product_identity(self, rng):
-        for _ in range(20):
-            a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                          for _ in range(4))
-            lhs = tensor_product(a, b) @ tensor_product(c, d)
-            rhs = tensor_product(a @ c, b @ d)
-            assert np.abs(lhs - rhs).max() < 1e-12
+from conftest import (
+    expand_operator,
+    random_density_matrix,
+    random_pure_state,
+    random_unitary,
+)
 
 
 class TestPartialTrace:
@@ -106,7 +77,7 @@ class TestPartialTrace:
         for _ in range(10):
             rho = random_density_matrix(rng, 1)
             sigma = random_density_matrix(rng, 1)
-            joint = DensityMatrix(tensor_product(rho.matrix, sigma.matrix), validate=False)
+            joint = DensityMatrix(np.kron(rho.matrix, sigma.matrix), validate=False)
             back = partial_trace(joint, {0})
             assert np.abs(back.matrix - rho.matrix).max() < 1e-12
 
@@ -116,6 +87,28 @@ class TestPartialTrace:
             partial_trace(rho, set())
         with pytest.raises(InvalidArgumentError):
             partial_trace(rho, {0, 1})
+
+    def test_equals_the_letter_einsum_bit_for_bit(self, rng):
+        for qubits in (2, 3, 4):
+            for _ in range(5):
+                rho = random_density_matrix(rng, qubits, int(rng.integers(1, 2**qubits + 1)))
+                for k in range(1, qubits):
+                    for kept in itertools.combinations(range(qubits), k):
+                        expected = _letter_einsum_trace(rho.matrix, kept)
+                        got = partial_trace(rho, set(kept)).matrix
+                        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _letter_einsum_trace(matrix, kept):
+    """The partial trace as one einsum over 2n qubit letters, the kept qubits'
+    column letters renamed so that only the traced qubits are summed."""
+    n = int(np.log2(matrix.shape[0]))
+    row = [chr(ord("a") + q) for q in range(n)]
+    col = [chr(ord("a") + n + q) if q in kept else row[q] for q in range(n)]
+    out = [row[q] for q in kept] + [col[q] for q in kept]
+    spec = "".join(row + col) + "->" + "".join(out)
+    reduced = np.einsum(spec, matrix.reshape((2,) * (2 * n)))
+    return np.ascontiguousarray(reduced.reshape(2 ** len(kept), 2 ** len(kept)))
 
 
 class TestPartialTranspose:
@@ -382,6 +375,17 @@ class TestTypeInvariants:
         m = np.array([[1.0, 1e-3], [0.0, 1.0]])
         assert hermiticity_defect(m) == pytest.approx(1e-3)
 
-    def test_expand_operator_range_check(self):
-        with pytest.raises(InvalidArgumentError):
-            expand_operator(np.eye(4), 3, (0, 3))
+
+BAD_TARGETS = {"repeated": (1, 1), "out-of-range": (0, 3), "negative": (-1, 0)}
+# apply_choi_channel's cases are in TestApplyChoiChannel
+_ON_THREE_QUBITS = {
+    "apply_operator": lambda t: apply_operator(PureState.from_labels("H+V"), np.eye(4), t),
+    "partial_trace": lambda t: partial_trace(PureState.from_labels("H+V").density(), t),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TARGETS))
+@pytest.mark.parametrize("operation", list(_ON_THREE_QUBITS))
+def test_bad_targets_raise(operation, case):
+    with pytest.raises(InvalidArgumentError):
+        _ON_THREE_QUBITS[operation](BAD_TARGETS[case])

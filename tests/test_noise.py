@@ -7,7 +7,6 @@ from convgate.core import (
     DensityMatrix,
     PureState,
     apply_choi_channel,
-    expand_operator,
 )
 from convgate.errors import InvalidArgumentError, NumericalDomainError
 from convgate.gate import GateSettings, cluster_state_c4, ideal_choi, preset
@@ -27,7 +26,7 @@ from convgate.noise import (
     calibrate_noise_to_fidelity,
 )
 
-from conftest import random_density_matrix
+from conftest import expand_operator, random_density_matrix
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ draws the same inputs.
 """
 
 import functools
+import itertools
 import json
 import tempfile
 
@@ -20,6 +21,7 @@ from convgate.core import (
     DensityMatrix,
     PureState,
     apply_choi_channel,
+    apply_operator,
     channel_output_unnormalized,
     partial_trace,
 )
@@ -50,7 +52,7 @@ from convgate.tomography import (
     simulate_state_counts,
 )
 
-from conftest import random_unitary
+from conftest import expand_operator, random_unitary
 
 
 # hypothesis caches constants parsed from local sources in its home directory
@@ -184,6 +186,22 @@ def test_success_probability_depends_only_on_the_targets_marginal(seed, qubits, 
     on_register = np.trace(channel_output_unnormalized(rho, chi, targets)).real
     on_marginal = np.trace(channel_output_unnormalized(partial_trace(rho, targets), chi)).real
     assert abs(on_register - on_marginal) <= 1e-12
+
+
+@_settings(25)
+@given(seeds, st.integers(1, 4))
+def test_operator_on_any_ordered_targets_equals_the_kronecker_embedding(seed, qubits):
+    rng = np.random.default_rng(seed)
+    for k in range(1, qubits + 1):
+        for targets in itertools.permutations(range(qubits), k):
+            op = random_unitary(rng, 2**k) * rng.uniform()
+            v = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
+            state = PureState(v / np.linalg.norm(v))
+            got = apply_operator(state, op, targets).amplitudes
+            expected = expand_operator(op, qubits, targets) @ state.amplitudes
+            # the same products summed in another order: a few ulps of
+            # amplitudes of magnitude at most 1
+            assert np.abs(got - expected).max() <= 1e-15, targets
 
 
 measured_qubits = st.sampled_from([0, 1])
