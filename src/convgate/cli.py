@@ -337,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--data", required=True, help="coincidence dataset JSON")
     p_rec.add_argument("--prep", help="fit the output state of one preparation, e.g. H,+")
     p_rec.add_argument("--tol", type=float, default=tomography.MLEOptions.tol,
-                       help="certified gap target in total nats")
+                       help="certified gap target in total nats: the fit stops once "
+                            "(lambda_max(R) - 1) x N or, with every outcome counted, its "
+                            "Lagrangian self-concordant bound is at most this")
     p_rec.add_argument("--max-iter", type=int, default=tomography.MLEOptions.max_iter)
     p_rec.add_argument("--out", required=True)
     p_rec.add_argument("--report", help="write the reconstruction report here")

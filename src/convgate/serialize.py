@@ -18,7 +18,8 @@ All floats are IEEE doubles serialized with Python's shortest round-trip
              "mode_phases": [p1, p2, p3, p4]}
 
 Every number is a finite JSON int or float, never a bool or a string; counts,
-sizes, qubit numbers and seeds are also integral. A breach exits 2.
+sizes, qubit numbers and seeds are also integral. ``trace_normalized`` is a
+JSON bool, and a density matrix has 2^qubits rows. A breach exits 2.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ def _count(value, what: str) -> int:
     if _number(value, what) != int(value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _flag(value, what: str) -> bool:
+    """A JSON bool; bool() would also read the string "false" as true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, not {value!r}")
+    return value
 
 
 def _from_entries(entries, rows: int, cols: int) -> np.ndarray:
@@ -107,7 +115,11 @@ def state_from_json(obj: dict) -> PureState | DensityMatrix:
         amps = _from_entries(data, 2**qubits, 1).ravel()
         return PureState(amps)
     if kind == "density":
-        return DensityMatrix(matrix_from_json(data))
+        matrix = matrix_from_json(data)
+        if matrix.shape[0] != 2**qubits:
+            raise InvalidArgumentError(
+                f"density matrix has {matrix.shape[0]} rows, not 2^{qubits} for {qubits} qubits")
+        return DensityMatrix(matrix)
     raise InvalidArgumentError(f"unknown state kind {kind!r}")
 
 
@@ -123,7 +135,7 @@ def choi_from_json(obj: dict) -> ChoiProcess:
     try:
         matrix = matrix_from_json(obj["matrix"])
         scale = _number(obj["success_scale"], "success_scale")
-        normalized = bool(obj.get("trace_normalized", True))
+        normalized = _flag(obj.get("trace_normalized", True), "trace_normalized")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed process object: {exc}") from None
     if not normalized:

@@ -17,11 +17,16 @@ Reconstruction maximizes the log-likelihood per count
 over unit-trace PSD matrices, with relative frequencies f_j, by accelerated
 projected-gradient ascent: each step moves along the gradient R(rho) - 1
 from a Nesterov extrapolation and projects back with one eigendecomposition
-and a simplex projection of its eigenvalues. L is concave, so the optimum
-lies at most lambda_max(R(rho)) - 1 above L(rho); a fit stops ``certified``
-once that gap times the total count N is at most ``MLEOptions.tol`` nats
-(1 by default), and otherwise reports ``stalled`` (no ascent left at the
-numerical floor) or ``max_iter``. A fit given no start begins at its
+and a simplex projection of its eigenvalues. Two certificates bound how far
+the optimum lies above L(rho), in total nats. L is concave, so the gap is at
+most (lambda_max(R(rho)) - 1) x N for the total count N (Glancy, Knill &
+Girard); that bound shrinks linearly with the distance to the optimum. When
+every outcome is counted, -sum_j n_j log Tr[rho Pi_j] is self-concordant, and
+weak duality gives a Lagrangian bound through its Newton decrement, which
+shrinks quadratically (``_lagrangian_gap``). A fit stops ``certified`` once
+either bound is at most ``MLEOptions.tol`` nats (1 by default), and
+otherwise reports ``stalled`` (no ascent left at the numerical floor) or
+``max_iter``. A fit given no start begins at its
 projected least-squares estimate: the linear inversion of the frequencies,
 projected onto unit-trace PSD matrices (Guta, Kahn, Kueng & Tropp, J. Phys. A
 53, 204001, 2020). A Monte Carlo resample starts instead at the estimate of
@@ -42,6 +47,7 @@ unit trace; a process's success scale is estimated from its total counts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
@@ -49,6 +55,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
+    IDENTITY_2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     SINGLE_QUBIT_KETS,
     ChoiProcess,
     DensityMatrix,
@@ -126,6 +136,17 @@ def _pseudo_inverse(stack: np.ndarray) -> np.ndarray:
     return (vecs / vals) @ vecs.conj().T @ stack.conj().T
 
 
+def _pauli_basis(dim: int) -> np.ndarray:
+    """(dim^2, dim, dim) orthonormal Hermitian basis of dim x dim matrices:
+    the products of identity and Pauli matrices, over sqrt(dim)."""
+    single = np.stack([IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2.0)
+    basis = np.ones((1, 1, 1), complex)
+    while basis.shape[-1] < dim:
+        size = 2 * basis.shape[-1]
+        basis = np.einsum("aij,bkl->abikjl", basis, single).reshape(-1, size, size)
+    return basis
+
+
 class _Frame:
     """The linear maps of the stacks ``left`` (P, a, a) and ``right`` (M, b, b),
     none of which forms a product left_p (x) right_m. ``probabilities`` is
@@ -167,6 +188,25 @@ class _Frame:
         rho = self._left_pinv @ (self._probability_sum * freqs) @ self._right_pinv
         rho = rho.ravel()[self._unalign]
         return (rho + rho.conj().T) / 2.0
+
+    @functools.cached_property
+    def pauli(self) -> tuple:
+        """The frame in product-Pauli coordinates, built on first use. With
+        the orthonormal Pauli bases B_i of a x a and C_k of b x b Hermitian
+        matrices, Tr[(left_p (x) right_m)(B_i (x) C_k)] = ell[p, i] r[m, k], so
+        the design matrix of the coordinates X[i, k] = Tr[rho (B_i (x) C_k)]
+        is ell (x) r: the probabilities are ell X r^T. Returns ell (P, a^2),
+        r (M, b^2), the pseudo-inverses ell (ell^T ell)^-1 and
+        (r^T r)^-1 r^T, and the map from a Hermitian matrix to its X: the
+        probabilities of the frame of the two bases. The tables are real but
+        stored complex, as every other product of the fit: a real product
+        or eigendecomposition would load BLAS and LAPACK kernels that no fit
+        calls otherwise, ~0.8 MiB of peak memory."""
+        a, b = (int(round(np.sqrt(n))) for n in (self._left.shape[1], self._right.shape[1]))
+        bases = _Frame(_pauli_basis(a), _pauli_basis(b))
+        ell = (self._left @ bases._left_t.T).real + 0j
+        r = (self._right @ bases._right_t).real + 0j
+        return ell, r, _pseudo_inverse(ell).T, _pseudo_inverse(r), bases.probabilities
 
 
 #: (36, 4, 4) outcome projectors of the 9 basis pairs, basis-major.
@@ -314,7 +354,8 @@ def simulate_state_counts(rho: DensityMatrix, success_probability: float,
 
 @dataclass(frozen=True)
 class MLEOptions:
-    """``tol``: certified gap target in total nats, (lambda_max(R) - 1) x N;
+    """``tol``: certified gap target in total nats, met by either
+    (lambda_max(R) - 1) x N or the Lagrangian bound of ``_lagrangian_gap``;
     ``max_iter``: most accelerated steps before a fit ends ``max_iter``."""
 
     tol: float = 1.0
@@ -333,10 +374,13 @@ class MLEOptions:
 @dataclass
 class ReconstructionReport:
     """A fit and how it ended. ``gap`` bounds, in total nats, how far the
-    log-likelihood of ``estimate`` lies below the maximum; at the rounding
-    floor of a fit at its optimum it can read slightly below 0 (~-1e-9 at
-    1e6 counts). ``status`` is ``certified`` (gap at most ``MLEOptions.tol``),
-    ``stalled`` or ``max_iter``."""
+    log-likelihood of ``estimate`` lies below the maximum: the smaller of
+    (lambda_max(R) - 1) x N and, where the fit last tried it, the Lagrangian
+    bound of ``_lagrangian_gap``. At the rounding floor of a fit at its
+    optimum it can read slightly below 0 (~-1e-9 at 1e6 counts; the
+    Lagrangian bound's N (1 - Tr rho) read -7e-9 at 1e5). ``status``
+    is ``certified`` (gap at most ``MLEOptions.tol``), ``stalled`` or
+    ``max_iter``."""
 
     estimate: DensityMatrix | ChoiProcess
     iterations: int
@@ -357,6 +401,14 @@ _STEP_GROWTH, _STEP_SHRINK = 1.5, 0.5
 #: The momentum restarts when the extrapolated point would lower a counted
 #: probability below this fraction of its value at the current estimate.
 _MOMENTUM_FLOOR = 0.5
+#: A fit tries the Lagrangian certificate every this many steps, once its
+#: likelihood rose by at most ``tol`` over as many accepted steps.
+_LAGRANGIAN_EVERY = 5
+#: Eigenvalues of the estimate at most this span the subspace on which the
+#: certificate's multiplier cancels the negative part of the gradient.
+_NULL_EIGENVALUE = 1e-3
+#: Jacobi-preconditioned conjugate-gradient steps toward the Newton step.
+_CG_STEPS = 10
 
 
 def _project_unit_trace_psd(m: np.ndarray) -> np.ndarray:
@@ -368,6 +420,74 @@ def _project_unit_trace_psd(m: np.ndarray) -> np.ndarray:
     shift = (np.cumsum(desc) - 1.0) / np.arange(1, len(desc) + 1)
     mu = np.maximum(vals - shift[np.count_nonzero(desc > shift) - 1], 0.0)
     return (vecs * mu) @ vecs.conj().T
+
+
+def _lagrangian_gap(frame: _Frame, counts: np.ndarray, rho: np.ndarray) -> float:
+    """A bound on N (L* - L(rho)) in total nats from counts (P, M), or inf
+    when it proves nothing: always when an outcome has a count below 1, as
+    one with no count has, for which the argument below fails.
+
+    For any Z >= 0, weak duality bounds the maximum over unit-trace PSD
+    matrices by the unconstrained supremum of the Lagrangian
+    Phi(s) = sum_j n_j log p_j(s) + Tr[Z s] + N (1 - Tr s). With every
+    n_j >= 1, -Phi is self-concordant (Nesterov & Nemirovski 1994; Boyd &
+    Vandenberghe section 9.6.3), so sup Phi - Phi(rho) <= -lam - ln(1 - lam)
+    for a Newton decrement lam < 1 of Phi at rho. That gives
+
+        L* - L(rho) <= Tr[Z rho] + N (1 - Tr rho) - lam - ln(1 - lam).
+
+    Z = N Q [-Q^dag G Q]_+ Q^dag, with Q the eigenvectors of rho of eigenvalue
+    at most ``_NULL_EIGENVALUE`` and G = R(rho) - 1, cancels the part of the
+    gradient N G + Z that the positivity constraint holds back; any Z >= 0
+    keeps the bound valid. The Hessian sum_j n_j E_j E_j^T / p_j^2 is never
+    formed: in the frame's Pauli coordinates the design matrix is ell (x) r,
+    so it acts on X as ell^T (w * ell X r^T) r with w = n / p^2. A few
+    preconditioned conjugate-gradient steps approximate the Newton step X,
+    v = w * ell X r^T is corrected by the pseudo-inverses of ell and r so
+    that ell^T v r equals the gradient exactly, and then sum v^2 / w bounds
+    lam^2 = min {sum v^2 / w : ell^T v r = gradient} from above, however
+    inexact X was.
+    """
+    if not counts.min() >= 1.0:
+        return np.inf
+    ell, r, ell_pinv, r_pinv, coordinates = frame.pauli
+    probs = frame.probabilities(rho)
+    total = counts.sum()
+    r_op = frame.adjoint(counts / probs)
+    grad = (r_op + r_op.conj().T) / 2.0 - total * np.eye(frame.dim)
+    vals, vecs = np.linalg.eigh(rho)
+    q = vecs[:, vals <= _NULL_EIGENVALUE]
+    held_vals, held_vecs = np.linalg.eigh(q.conj().T @ grad @ q)
+    held = q @ held_vecs[:, held_vals < 0.0]
+    z = -(held * held_vals[held_vals < 0.0]) @ held.conj().T
+    target = coordinates(grad + z) + 0j
+    weights = counts / probs**2
+
+    def hessian(x):
+        return ell.T @ (weights * (ell @ x @ r.T)) @ r
+
+    diagonal = ((ell * ell).T @ weights @ (r * r)).real
+    x, residual = np.zeros_like(target), target
+    precond = residual / diagonal
+    direction, rz = precond, np.vdot(residual, precond).real
+    for _ in range(_CG_STEPS):
+        if not rz > 0.0:  # the residual vanished: x is the Newton step
+            break
+        h_dir = hessian(direction)
+        alpha = rz / np.vdot(direction, h_dir).real
+        x, residual = x + alpha * direction, residual - alpha * h_dir
+        precond = residual / diagonal
+        rz, rz_prev = np.vdot(residual, precond).real, rz
+        direction = precond + (rz / rz_prev) * direction
+    v = weights * (ell @ x @ r.T)
+    v += ell_pinv @ (target - ell.T @ v @ r) @ r_pinv
+    # an imaginary part of v, from rounding in the pseudo-inverses, only
+    # raises the sum, which stays an upper bound
+    lam = float(np.sqrt(np.sum(np.abs(v)**2 / weights)))
+    if not lam < 1.0:
+        return np.inf
+    return float(np.vdot(z, rho).real + total * (1.0 - np.trace(rho).real)
+                 - lam - np.log1p(-lam))
 
 
 def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None,
@@ -391,8 +511,13 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
     is computed from the probabilities of the step itself, not as a
     difference of two likelihoods, so ascent stays testable far below their
     ~1e-16 rounding. By concavity L* - L(rho) <= lambda_max(R(rho)) - 1 per
-    count (Glancy, Knill & Girard, NJP 14, 095017, 2012). The fit ends
-    ``certified`` once that gap times the total count is at most
+    count (Glancy, Knill & Girard, NJP 14, 095017, 2012), a bound that
+    shrinks only linearly with the distance to the optimum. So every
+    ``_LAGRANGIAN_EVERY``-th step, once the likelihood rose by at most
+    ``options.tol`` nats over that many accepted steps, the fit also takes
+    the Lagrangian bound of ``_lagrangian_gap``, which shrinks quadratically
+    and is inf unless every outcome is counted; the gap is the smaller of the
+    two, in total nats. The fit ends ``certified`` once the gap is at most
     ``options.tol`` nats, ``stalled`` when a momentum-free step no longer
     ascends, and ``max_iter`` otherwise. Log-likelihoods are mean natural-log
     likelihood per count, and the recorded sequence is non-decreasing. The
@@ -470,6 +595,10 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
         trace_log.append(current)
         grad = gradient(probs)
         gap = gap_of(grad)
+        if (gap > options.tol and iterations % _LAGRANGIAN_EVERY == 0
+                and len(trace_log) > _LAGRANGIAN_EVERY
+                and (current - trace_log[-1 - _LAGRANGIAN_EVERY]) * total <= options.tol):
+            gap = min(gap, _lagrangian_gap(frame, counts, rho))
         step *= _STEP_GROWTH
         shift_probs = momentum * move_probs
         sig_probs = probs + shift_probs

@@ -341,6 +341,9 @@ MALFORMED_INPUTS = {
     "noise-dephasing-numeric-string": ("noise", lambda o: o.update(dephasing_p="0.1")),
     "noise-phase-bool": ("noise", lambda o: o["mode_phases"].__setitem__(0, True)),
     "noise-phase-numeric-string": ("noise", lambda o: o["mode_phases"].__setitem__(0, "0.3")),
+    "trace-normalized-string": ("choi", lambda o: o.update(trace_normalized="false")),
+    "trace-normalized-int": ("choi", lambda o: o.update(trace_normalized=0)),
+    "qubits-mismatch": ("density", lambda o: o.update(qubits=3)),
 }
 _READERS = {
     "dataset": ["tomo", "reconstruct", "--data", "input.json", "--out", "x.json"],

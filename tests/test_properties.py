@@ -8,6 +8,7 @@ import functools
 import itertools
 import json
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +40,9 @@ from convgate.tomography import (
     _PROCESS_FRAME,
     _STATE_FRAME,
     _clamped,
+    _NULL_EIGENVALUE,
     _iterate_rho_r,
+    _lagrangian_gap,
     _process_operators,
     _state_operators,
     enumerate_bases,
@@ -398,15 +401,7 @@ def test_cold_start_inverts_exact_probabilities(seed, kind, scale):
        st.sampled_from([0.0, 0.01, 0.1, 1.0]), st.sampled_from(["process", "state"]),
        st.floats(0.0, 0.8), seeds)
 def test_every_fit_certifies_its_gap(name, mean_counts, noise, kind, zero_fraction, seed):
-    # noise scales the channel template; weak noise at many counts leaves
-    # eigenvalues near zero, where the ascent is slowest
-    chi = ideal_choi(preset(name).settings)
-    if noise:
-        chi = apply_noise(chi, DEFAULT_CHANNEL_TEMPLATE.scaled(noise))
-    data = simulate_counts(chi, mean_counts, seed)
-    if kind == "state":
-        preps = enumerate_preparations()
-        data = data.restrict_to(preps[seed % len(preps)])
+    data = _noisy_dataset(name, mean_counts, noise, kind, seed)
     rng = np.random.default_rng(seed)
     data.counts[rng.random(data.counts.shape) < zero_fraction] = 0
     assume(data.total() > 0)
@@ -418,9 +413,127 @@ def test_every_fit_certifies_its_gap(name, mean_counts, noise, kind, zero_fracti
     for dataset, report in fits:
         assert report.status == "certified"
         assert report.gap <= MLEOptions.tol
-        _, gap = _fit_reference(_record_operators(dataset),
-                                dataset.counts.reshape(-1).astype(float), _fitted_matrix(report))
-        assert gap <= MLEOptions.tol + 1e-6
+        # whichever certificate stopped the fit, its gap bounds the distance
+        # to an upper bound on the maximum: a fit run to its floor plus that
+        # floor's gap (lambda_max(R) - 1) x N from the formed operators
+        frame, counts = _operators(dataset)
+        rise, floor = _rise_to_floor(frame, counts, _fitted_matrix(report))
+        _, floor_gap = _fit_reference(_record_operators(dataset),
+                                      dataset.counts.reshape(-1).astype(float), floor)
+        assert report.gap >= rise + floor_gap - 1e-6
+
+
+def _noisy_dataset(name, mean_counts, noise, kind, seed):
+    """Counts of a preset's channel, or of one preparation's output state,
+    with ``noise`` scaling the channel template; weak noise at many counts
+    leaves eigenvalues near zero, where the ascent is slowest."""
+    chi = ideal_choi(preset(name).settings)
+    if noise:
+        chi = apply_noise(chi, DEFAULT_CHANNEL_TEMPLATE.scaled(noise))
+    data = simulate_counts(chi, mean_counts, seed)
+    if kind == "state":
+        preps = enumerate_preparations()
+        data = data.restrict_to(preps[seed % len(preps)])
+    return data
+
+
+def _operators(data):
+    single = len(set(data.preps)) == 1
+    return (_state_operators if single else _process_operators)(data)
+
+
+def _rise_to_floor(frame, counts, rho):
+    """N (L(floor) - L(rho)) in total nats and the floor: the fit from
+    ``rho`` run until no step ascends, its rise summed from the step's own
+    probabilities rather than as a difference of two likelihoods. The
+    Lagrangian certificate is switched off, so the floor does not depend on
+    the bound under test and ends where the Glancy-Knill-Girard gap does."""
+    with mock.patch("convgate.tomography._lagrangian_gap", return_value=np.inf):
+        floor = _iterate_rho_r(frame, counts, MLEOptions(tol=1e-12, max_iter=50_000), rho)
+    assert floor.status != "max_iter"
+    return ((floor.final_log_likelihood - floor.log_likelihoods[0]) * counts.sum(),
+            floor.estimate)
+
+
+@_settings(25)
+@given(st.sampled_from(PRESET_NAMES), st.sampled_from([1e3, 1e4, 1e5]),
+       st.sampled_from([0.01, 0.1, 1.0]), st.sampled_from(["process", "state"]),
+       st.integers(5, 60), seeds)
+def test_lagrangian_gap_bounds_the_shortfall_of_every_iterate(name, mean_counts, noise, kind,
+                                                               steps, seed):
+    data = _noisy_dataset(name, mean_counts, noise, kind, seed)
+    frame, counts = _operators(data)
+    assume(counts.all())
+    # the iterate after ``steps`` steps, which no certificate can stop early
+    iterate = _iterate_rho_r(frame, counts, MLEOptions(tol=1e-12, max_iter=steps), None)
+    bound = _lagrangian_gap(frame, counts, iterate.estimate)
+    rise, _ = _rise_to_floor(frame, counts, iterate.estimate)
+    assert bound >= rise - 1e-6
+    # its Newton decrement is at least the exact one of the dense Hessian
+    reference = _dense_lagrangian_gap(_record_operators(data),
+                                      data.counts.reshape(-1).astype(float), iterate.estimate)
+    if reference < np.inf:
+        assert bound >= reference - 1e-9 * max(1.0, abs(reference))
+
+
+def _hermitian_basis(d):
+    """(d^2, d, d) orthonormal basis of d x d Hermitian matrices: diagonal
+    units, and (e_ij + e_ji) / sqrt(2) and i (e_ij - e_ji) / sqrt(2) for i < j."""
+    basis = []
+    for i, j in itertools.product(range(d), repeat=2):
+        m = np.zeros((d, d), complex)
+        if i == j:
+            m[i, i] = 1.0
+        else:
+            a, b = min(i, j), max(i, j)
+            m[a, b], m[b, a] = (1.0, 1.0) if i < j else (-1j, 1j)
+            m /= np.sqrt(2.0)
+        basis.append(m)
+    return np.array(basis)
+
+
+def _dense_lagrangian_gap(ops, counts, rho):
+    """The Lagrangian bound with the exact Newton decrement: the multiplier
+    Z of ``_lagrangian_gap``, and lam^2 = g^T H^-1 g solved densely from one
+    formed operator per count in an orthonormal Hermitian basis; inf when
+    lam >= 1."""
+    d = rho.shape[0]
+    basis = _hermitian_basis(d)
+    # Tr[E_j B_k], as a product of the flattened operators and transposed basis
+    design = (ops.reshape(len(ops), -1) @ basis.transpose(0, 2, 1).reshape(d * d, -1).T).real
+    probs = np.einsum("jab,ba->j", ops, rho).real
+    total = counts.sum()
+    grad = np.einsum("j,jab->ab", counts / probs, ops) - total * np.eye(d)
+    grad = (grad + grad.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh(rho)
+    q = vecs[:, vals <= _NULL_EIGENVALUE]
+    held_vals, held_vecs = np.linalg.eigh(q.conj().T @ grad @ q)
+    held = q @ held_vecs[:, held_vals < 0.0]
+    z = -(held * held_vals[held_vals < 0.0]) @ held.conj().T
+    g = np.einsum("kab,ba->k", basis, grad + z).real
+    hessian = design.T @ ((counts / probs**2)[:, None] * design)
+    lam = float(np.sqrt(g @ np.linalg.solve(hessian, g)))
+    if not lam < 1.0:
+        return np.inf
+    return (np.vdot(z, rho).real + total * (1.0 - np.trace(rho).real)
+            - lam - np.log1p(-lam))
+
+
+@_settings(25)
+@given(st.sampled_from(PRESET_NAMES), st.sampled_from([1e3, 1e5]), st.sampled_from([0.1, 1.0]),
+       st.sampled_from(["process", "state"]), st.integers(1, 50), seeds)
+def test_a_dataset_with_a_zero_count_gets_no_lagrangian_certificate(name, mean_counts, noise,
+                                                                     kind, zeros, seed):
+    data = _noisy_dataset(name, mean_counts, noise, kind, seed)
+    rng = np.random.default_rng(seed)
+    flat = data.counts.reshape(-1)
+    flat[rng.choice(flat.size, size=min(zeros, flat.size - 1), replace=False)] = 0
+    frame, counts = _operators(data)
+    fit = _iterate_rho_r(frame, counts, None, None)
+    assert _lagrangian_gap(frame, counts, fit.estimate) == np.inf
+    # the reported gap is the Glancy-Knill-Girard bound at the estimate
+    _, gap = _fit_reference(_record_operators(data), flat.astype(float), fit.estimate)
+    assert abs(fit.gap - gap) <= 1e-6 * max(1.0, abs(gap))
 
 
 def _rho_r_to_floor(ops, counts, max_iter=100_000):

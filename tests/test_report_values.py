@@ -71,6 +71,15 @@ shift is 0.35 of its row's std (``table2-ideal`` ``ghz/fidelity-raw``,
 1.5e-5, an std of 2 resamples). Rank-one purities moved by at most 1.7e-15.
 Every listed value and std must stay within half its std there, plus
 ``RANK_ONE_SLACK``.
+
+``CERTIFICATE_MOVED`` holds the rows that moved when a fit with every
+outcome counted began to stop on a Lagrangian self-concordant bound as well
+as on (lambda_max(R) - 1) x N, as reported before. Only
+``table2-ghz-calibrated`` has fits that try the new bound. Both fits are
+certified within 1 nat, as above; the largest measured value shift is 0.39
+of its row's std (``ghz/fidelity-raw``, 1.5e-4) and the largest std shift
+0.48 of it (the same row, 1.9e-4, an std of 2 resamples). Every listed value
+and std must stay within half its std there, plus ``RANK_ONE_SLACK``.
 """
 
 import json
@@ -146,6 +155,17 @@ START_MOVED = {
     ],
 }
 
+#: (label, value, std) of the rows that the Lagrangian certificate moved, as
+#: reported before it; every value and std must stay within half its std here
+#: plus ``RANK_ONE_SLACK``.
+CERTIFICATE_MOVED = {
+    "table2-ghz-calibrated": [
+        ("ghz/purity", 0.7735491842866299, 0.0008485103341178195),
+        ("ghz/fidelity-raw", 0.8710162953248551, 0.0003832400366982771),
+        ("ghz/fidelity-optimized", 0.87783564810755, 0.0004436145229788237),
+    ],
+}
+
 #: (label, value, std) of every row, as reported before the change.
 RECORDED = {
     "table2-ideal": [
@@ -217,7 +237,7 @@ def _assert_close(case, rows):
         value, std = reported[label]
         assert abs(value - value0) <= TRACE_NORM_TOLERANCE, label
         assert std is None and std0 is None, label
-    for label, value0, std0 in START_MOVED.get(case, []):
+    for label, value0, std0 in START_MOVED.get(case, []) + CERTIFICATE_MOVED.get(case, []):
         value, std = reported[label]
         tolerance = RANK_ONE_SLACK + 0.5 * std0
         assert abs(value - value0) <= tolerance, label
