@@ -185,7 +185,7 @@ def cmd_tomo_reconstruct(args) -> int:
     if args.report:
         _write_with_metadata(info, args.report, args)
     print(f"iterations = {report.iterations}, status = {report.status}, "
-          f"gap = {report.gap:.3g} nats")
+          f"certificate = {report.metadata['certificate']}, gap = {report.gap:.3g} nats")
     print(f"mean log-likelihood = {report.final_log_likelihood:.12f}")
     print(f"wrote {args.out}")
     return 0
@@ -337,9 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--data", required=True, help="coincidence dataset JSON")
     p_rec.add_argument("--prep", help="fit the output state of one preparation, e.g. H,+")
     p_rec.add_argument("--tol", type=float, default=tomography.MLEOptions.tol,
-                       help="certified gap target in total nats: the fit stops once "
-                            "(lambda_max(R) - 1) x N or, with every outcome counted, its "
-                            "Lagrangian self-concordant bound is at most this")
+                       help="certified gap target in total nats: the fit stops once its "
+                            "certificate is at most this, a Lagrangian self-concordant bound "
+                            "when every outcome is counted (lagrangian), (lambda_max(R) - 1) "
+                            "x N otherwise (gkg)")
     p_rec.add_argument("--max-iter", type=int, default=tomography.MLEOptions.max_iter)
     p_rec.add_argument("--out", required=True)
     p_rec.add_argument("--report", help="write the reconstruction report here")

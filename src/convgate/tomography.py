@@ -17,16 +17,20 @@ Reconstruction maximizes the log-likelihood per count
 over unit-trace PSD matrices, with relative frequencies f_j, by accelerated
 projected-gradient ascent: each step moves along the gradient R(rho) - 1
 from a Nesterov extrapolation and projects back with one eigendecomposition
-and a simplex projection of its eigenvalues. Two certificates bound how far
-the optimum lies above L(rho), in total nats. L is concave, so the gap is at
-most (lambda_max(R(rho)) - 1) x N for the total count N (Glancy, Knill &
-Girard); that bound shrinks linearly with the distance to the optimum. When
-every outcome is counted, -sum_j n_j log Tr[rho Pi_j] is self-concordant, and
-weak duality gives a Lagrangian bound through its Newton decrement, which
-shrinks quadratically (``_lagrangian_gap``). A fit stops ``certified`` once
-either bound is at most ``MLEOptions.tol`` nats (1 by default), and
-otherwise reports ``stalled`` (no ascent left at the numerical floor) or
-``max_iter``. A fit given no start begins at its
+and a simplex projection of its eigenvalues. Each fit bounds how far the
+optimum lies above L(rho), in total nats, by one certificate chosen by its
+data. With an outcome of no count it is ``gkg``: L is concave, so the gap is
+at most (lambda_max(R(rho)) - 1) x N for the total count N (Glancy, Knill &
+Girard), a bound that shrinks linearly with the distance to the optimum.
+With every outcome counted it is ``lagrangian``: -sum_j n_j log Tr[rho Pi_j]
+is self-concordant with the constant of its smallest count m, and weak
+duality gives a bound through its Newton decrement, which shrinks
+quadratically (``_lagrangian_gap``); such a fit tries it at every step once
+its likelihood rose by at most ``MLEOptions.tol`` over its last min(5, k)
+of k steps. A fit stops ``certified`` once its bound is at most
+``MLEOptions.tol`` nats (1 by default), and otherwise reports ``stalled``
+(no ascent left at the numerical floor) or ``max_iter``. A fit given no
+start begins at its
 projected least-squares estimate: the linear inversion of the frequencies,
 projected onto unit-trace PSD matrices (Guta, Kahn, Kueng & Tropp, J. Phys. A
 53, 204001, 2020). A Monte Carlo resample starts instead at the estimate of
@@ -354,9 +358,10 @@ def simulate_state_counts(rho: DensityMatrix, success_probability: float,
 
 @dataclass(frozen=True)
 class MLEOptions:
-    """``tol``: certified gap target in total nats, met by either
-    (lambda_max(R) - 1) x N or the Lagrangian bound of ``_lagrangian_gap``;
-    ``max_iter``: most accelerated steps before a fit ends ``max_iter``."""
+    """``tol``: certified gap target in total nats, met by the fit's one
+    certificate: the Lagrangian bound of ``_lagrangian_gap`` when every
+    outcome is counted, (lambda_max(R) - 1) x N otherwise; ``max_iter``: most
+    accelerated steps before a fit ends ``max_iter``."""
 
     tol: float = 1.0
     max_iter: int = 5000
@@ -374,13 +379,17 @@ class MLEOptions:
 @dataclass
 class ReconstructionReport:
     """A fit and how it ended. ``gap`` bounds, in total nats, how far the
-    log-likelihood of ``estimate`` lies below the maximum: the smaller of
-    (lambda_max(R) - 1) x N and, where the fit last tried it, the Lagrangian
-    bound of ``_lagrangian_gap``. At the rounding floor of a fit at its
-    optimum it can read slightly below 0 (~-1e-9 at 1e6 counts; the
-    Lagrangian bound's N (1 - Tr rho) read -7e-9 at 1e5). ``status``
-    is ``certified`` (gap at most ``MLEOptions.tol``), ``stalled`` or
-    ``max_iter``."""
+    log-likelihood of ``estimate`` lies below the maximum. A certified fit
+    reports its certificate at ``estimate``, named in
+    ``metadata["certificate"]``: ``lagrangian``, the bound of
+    ``_lagrangian_gap``, when every outcome is counted, and ``gkg``,
+    (lambda_max(R) - 1) x N, otherwise. A fit that ends uncertified reports
+    the smaller of (lambda_max(R) - 1) x N at ``estimate`` and the last
+    Lagrangian bound it tried, which still holds since the likelihood only
+    rose. At the rounding floor of a fit at its optimum the gap can read
+    slightly below 0 (~-1e-9 at 1e6 counts; the Lagrangian bound's
+    N (1 - Tr rho) read -7e-9 at 1e5). ``status`` is ``certified`` (gap at
+    most ``MLEOptions.tol``), ``stalled`` or ``max_iter``."""
 
     estimate: DensityMatrix | ChoiProcess
     iterations: int
@@ -401,9 +410,10 @@ _STEP_GROWTH, _STEP_SHRINK = 1.5, 0.5
 #: The momentum restarts when the extrapolated point would lower a counted
 #: probability below this fraction of its value at the current estimate.
 _MOMENTUM_FLOOR = 0.5
-#: A fit tries the Lagrangian certificate every this many steps, once its
-#: likelihood rose by at most ``tol`` over as many accepted steps.
-_LAGRANGIAN_EVERY = 5
+#: A fit with every outcome counted tries its Lagrangian certificate at every
+#: step once its likelihood rose by at most ``tol`` over the last
+#: min(``_LAGRANGIAN_WINDOW``, k) of its k accepted steps.
+_LAGRANGIAN_WINDOW = 5
 #: Eigenvalues of the estimate at most this span the subspace on which the
 #: certificate's multiplier cancels the negative part of the gradient.
 _NULL_EIGENVALUE = 1e-3
@@ -429,12 +439,16 @@ def _lagrangian_gap(frame: _Frame, counts: np.ndarray, rho: np.ndarray) -> float
 
     For any Z >= 0, weak duality bounds the maximum over unit-trace PSD
     matrices by the unconstrained supremum of the Lagrangian
-    Phi(s) = sum_j n_j log p_j(s) + Tr[Z s] + N (1 - Tr s). With every
-    n_j >= 1, -Phi is self-concordant (Nesterov & Nemirovski 1994; Boyd &
-    Vandenberghe section 9.6.3), so sup Phi - Phi(rho) <= -lam - ln(1 - lam)
-    for a Newton decrement lam < 1 of Phi at rho. That gives
+    Phi(s) = sum_j n_j log p_j(s) + Tr[Z s] + N (1 - Tr s). Each -log p_j is
+    self-concordant, and with every n_j at least the smallest count m, -Phi / m
+    is too (Nesterov & Nemirovski 1994; Nesterov, Lectures on Convex
+    Optimization, 2018, section 5.1): -Phi is (2 / sqrt(m))-self-concordant.
+    For a Newton decrement lam < sqrt(m) of Phi at rho, the decrement of
+    Phi / m is lam / sqrt(m), so sup Phi - Phi(rho) <= m omega*(lam / sqrt(m))
+    with omega*(t) = -t - ln(1 - t) (Boyd & Vandenberghe section 9.6.3 at
+    m = 1). That gives
 
-        L* - L(rho) <= Tr[Z rho] + N (1 - Tr rho) - lam - ln(1 - lam).
+        L* - L(rho) <= Tr[Z rho] + N (1 - Tr rho) + m omega*(lam / sqrt(m)).
 
     Z = N Q [-Q^dag G Q]_+ Q^dag, with Q the eigenvectors of rho of eigenvalue
     at most ``_NULL_EIGENVALUE`` and G = R(rho) - 1, cancels the part of the
@@ -448,7 +462,8 @@ def _lagrangian_gap(frame: _Frame, counts: np.ndarray, rho: np.ndarray) -> float
     lam^2 = min {sum v^2 / w : ell^T v r = gradient} from above, however
     inexact X was.
     """
-    if not counts.min() >= 1.0:
+    smallest = counts.min()
+    if not smallest >= 1.0:
         return np.inf
     ell, r, ell_pinv, r_pinv, coordinates = frame.pauli
     probs = frame.probabilities(rho)
@@ -483,11 +498,11 @@ def _lagrangian_gap(frame: _Frame, counts: np.ndarray, rho: np.ndarray) -> float
     v += ell_pinv @ (target - ell.T @ v @ r) @ r_pinv
     # an imaginary part of v, from rounding in the pseudo-inverses, only
     # raises the sum, which stays an upper bound
-    lam = float(np.sqrt(np.sum(np.abs(v)**2 / weights)))
-    if not lam < 1.0:
+    scaled = float(np.sqrt(np.sum(np.abs(v)**2 / weights) / smallest))
+    if not scaled < 1.0:
         return np.inf
     return float(np.vdot(z, rho).real + total * (1.0 - np.trace(rho).real)
-                 - lam - np.log1p(-lam))
+                 - smallest * (scaled + np.log1p(-scaled)))
 
 
 def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None,
@@ -510,16 +525,21 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
     extrapolation would halve a counted probability. Every likelihood change
     is computed from the probabilities of the step itself, not as a
     difference of two likelihoods, so ascent stays testable far below their
-    ~1e-16 rounding. By concavity L* - L(rho) <= lambda_max(R(rho)) - 1 per
-    count (Glancy, Knill & Girard, NJP 14, 095017, 2012), a bound that
-    shrinks only linearly with the distance to the optimum. So every
-    ``_LAGRANGIAN_EVERY``-th step, once the likelihood rose by at most
-    ``options.tol`` nats over that many accepted steps, the fit also takes
-    the Lagrangian bound of ``_lagrangian_gap``, which shrinks quadratically
-    and is inf unless every outcome is counted; the gap is the smaller of the
-    two, in total nats. The fit ends ``certified`` once the gap is at most
+    ~1e-16 rounding. The fit stops on one certificate, chosen by ``counts``
+    and named in the report's ``metadata["certificate"]``. With a count
+    below 1 it is ``gkg``: by concavity L* - L(rho) <= lambda_max(R(rho)) - 1
+    per count (Glancy, Knill & Girard, NJP 14, 095017, 2012), a bound that
+    shrinks only linearly with the distance to the optimum, taken at every
+    step. With every outcome counted it is ``lagrangian``: the bound of
+    ``_lagrangian_gap``, which shrinks quadratically, tried at every step
+    once the likelihood rose by at most ``options.tol`` nats over the last
+    min(``_LAGRANGIAN_WINDOW``, k) of k accepted steps. Such a fit forms no
+    lambda_max(R), and the gradient at the iterate only at a momentum
+    restart. The fit ends ``certified`` once its bound is at most
     ``options.tol`` nats, ``stalled`` when a momentum-free step no longer
-    ascends, and ``max_iter`` otherwise. Log-likelihoods are mean natural-log
+    ascends, and ``max_iter`` otherwise; an uncertified fit reports the
+    smaller of lambda_max(R) - 1 at its estimate, in total nats, and the
+    last Lagrangian bound it tried. Log-likelihoods are mean natural-log
     likelihood per count, and the recorded sequence is non-decreasing. The
     report's estimate is the fitted matrix; callers wrap it in their estimate
     type and add their metadata.
@@ -561,7 +581,10 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
         probs = probs_of(rho)
     current = float(freqs @ np.log(probs.take(counted)))
     grad = gradient(probs)
-    gap = gap_of(grad)
+    # with every outcome counted the gap is the last Lagrangian bound tried,
+    # and the gradient at the iterate is only formed where a step needs it
+    lagrangian = counts.min() >= 1.0
+    gap = np.inf if lagrangian else gap_of(grad)
     trace_log = [current]
     step, theta, iterations, status = 1.0, 1.0, 0, "certified"
     # the extrapolated point sigma = rho + shift: its probabilities, those of
@@ -586,6 +609,7 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
             if sigma is rho:
                 status = "stalled"
                 break
+            grad = gradient(probs) if grad is None else grad
             sigma, sig_probs, shift_probs, sig_grad, sig_rise, theta = rho, probs, 0.0, grad, 0.0, 1.0
             continue
         theta_next = (1.0 + np.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
@@ -593,22 +617,30 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
         move, move_probs = cand - rho, shift_probs + diff_probs
         rho, probs, current = cand, sig_probs + diff_probs, current + cand_rise
         trace_log.append(current)
-        grad = gradient(probs)
-        gap = gap_of(grad)
-        if (gap > options.tol and iterations % _LAGRANGIAN_EVERY == 0
-                and len(trace_log) > _LAGRANGIAN_EVERY
-                and (current - trace_log[-1 - _LAGRANGIAN_EVERY]) * total <= options.tol):
-            gap = min(gap, _lagrangian_gap(frame, counts, rho))
+        if lagrangian:
+            grad = None
+            window = min(_LAGRANGIAN_WINDOW, len(trace_log) - 1)
+            if (current - trace_log[-1 - window]) * total <= options.tol:
+                gap = _lagrangian_gap(frame, counts, rho)
+        else:
+            grad = gradient(probs)
+            gap = gap_of(grad)
+        if gap <= options.tol:
+            break
         step *= _STEP_GROWTH
         shift_probs = momentum * move_probs
         sig_probs = probs + shift_probs
         if momentum == 0.0 or (sig_probs.take(counted) < _MOMENTUM_FLOOR * probs.take(counted)).any():
+            grad = gradient(probs) if grad is None else grad
             sigma, sig_probs, shift_probs, sig_grad, sig_rise = rho, probs, 0.0, grad, 0.0
             theta = theta_next if momentum == 0.0 else 1.0
         else:
             shift = momentum * move
             sigma, theta = rho + shift, theta_next
             sig_grad, sig_rise = gradient(sig_probs), rise(shift_probs, probs, shift, rho)
+    if lagrangian and status != "certified":
+        # the last bound tried still holds, since the likelihood only rose
+        gap = min(gap_of(gradient(probs) if grad is None else grad), gap)
 
     return ReconstructionReport(
         estimate=rho,
@@ -617,7 +649,8 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
         gap=gap,
         status=status,
         log_likelihoods=trace_log,
-        metadata={"total_counts": int(total)},
+        metadata={"total_counts": int(total),
+                  "certificate": "lagrangian" if lagrangian else "gkg"},
     )
 
 

@@ -127,8 +127,10 @@ class TestTomoCommands:
         assert rep["converged"] is True
         assert rep["status"] == "certified"
         assert 0.0 <= rep["gap"] <= MLEOptions.tol
+        # the ideal channel leaves outcomes uncounted, so lambda_max(R) stops the fit
+        assert rep["metadata"]["certificate"] == "gkg"
         out = capsys.readouterr().out
-        assert "status = certified" in out and "nats" in out
+        assert "status = certified, certificate = gkg" in out and "nats" in out
 
     def test_same_seed_same_file(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

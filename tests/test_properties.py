@@ -447,7 +447,9 @@ def _rise_to_floor(frame, counts, rho):
     ``rho`` run until no step ascends, its rise summed from the step's own
     probabilities rather than as a difference of two likelihoods. The
     Lagrangian certificate is switched off, so the floor does not depend on
-    the bound under test and ends where the Glancy-Knill-Girard gap does."""
+    the bound under test: a fit with every outcome counted then has no
+    certificate and ends where no step ascends, and any other fit ends there
+    or where its Glancy-Knill-Girard gap reaches 1e-12 nats."""
     with mock.patch("convgate.tomography._lagrangian_gap", return_value=np.inf):
         floor = _iterate_rho_r(frame, counts, MLEOptions(tol=1e-12, max_iter=50_000), rho)
     assert floor.status != "max_iter"
@@ -456,7 +458,7 @@ def _rise_to_floor(frame, counts, rho):
 
 
 @_settings(25)
-@given(st.sampled_from(PRESET_NAMES), st.sampled_from([1e3, 1e4, 1e5]),
+@given(st.sampled_from(PRESET_NAMES), st.sampled_from([20, 200, 1e3, 1e4, 1e5]),
        st.sampled_from([0.01, 0.1, 1.0]), st.sampled_from(["process", "state"]),
        st.integers(5, 60), seeds)
 def test_lagrangian_gap_bounds_the_shortfall_of_every_iterate(name, mean_counts, noise, kind,
@@ -494,9 +496,10 @@ def _hermitian_basis(d):
 
 def _dense_lagrangian_gap(ops, counts, rho):
     """The Lagrangian bound with the exact Newton decrement: the multiplier
-    Z of ``_lagrangian_gap``, and lam^2 = g^T H^-1 g solved densely from one
-    formed operator per count in an orthonormal Hermitian basis; inf when
-    lam >= 1."""
+    Z of ``_lagrangian_gap``, lam^2 = g^T H^-1 g solved densely from one
+    formed operator per count in an orthonormal Hermitian basis, and the
+    self-concordance of the smallest count m, m omega*(lam / sqrt(m)); inf
+    when lam >= sqrt(m)."""
     d = rho.shape[0]
     basis = _hermitian_basis(d)
     # Tr[E_j B_k], as a product of the flattened operators and transposed basis
@@ -512,11 +515,12 @@ def _dense_lagrangian_gap(ops, counts, rho):
     z = -(held * held_vals[held_vals < 0.0]) @ held.conj().T
     g = np.einsum("kab,ba->k", basis, grad + z).real
     hessian = design.T @ ((counts / probs**2)[:, None] * design)
-    lam = float(np.sqrt(g @ np.linalg.solve(hessian, g)))
+    smallest = counts.min()
+    lam = float(np.sqrt(g @ np.linalg.solve(hessian, g) / smallest))
     if not lam < 1.0:
         return np.inf
     return (np.vdot(z, rho).real + total * (1.0 - np.trace(rho).real)
-            - lam - np.log1p(-lam))
+            - smallest * (lam + np.log1p(-lam)))
 
 
 @_settings(25)

@@ -80,6 +80,22 @@ certified within 1 nat, as above; the largest measured value shift is 0.39
 of its row's std (``ghz/fidelity-raw``, 1.5e-4) and the largest std shift
 0.48 of it (the same row, 1.9e-4, an std of 2 resamples). Every listed value
 and std must stay within half its std there, plus ``RANK_ONE_SLACK``.
+
+``ONE_CERTIFICATE_MOVED`` holds the rows that moved when each fit with every
+outcome counted began to stop on the Lagrangian bound alone, scaled by its
+smallest count, as reported before. Again only ``table2-ghz-calibrated`` has
+such fits. They still end certified within g = 1 nat of the maximum, but at
+other points: each of two such fits lies within about sqrt(2 g) = 1.41 stds
+of the maximum along one metric, so they may end up to 2 sqrt(2 g) = 2.83
+stds apart (``CERTIFIED_STDS``). The stds come from 2 resamples, so the unit
+is the larger of the recorded and the reported std. The largest measured
+value shift is 2.10 of it (``ghz/fidelity-raw``, 4.2e-4, whose std read
+2.0e-4 there and 3.8e-4 in the earlier records) and the largest std shift
+0.17 of it (the same row). Against each earlier record of the case the
+values moved by up to 0.73 of its std (``ghz/fidelity-optimized``), above the
+half std those records allowed. So every row of a case listed here must stay
+within ``CERTIFIED_STDS`` times that larger std, plus ``RANK_ONE_SLACK``, of
+every record of it.
 """
 
 import json
@@ -166,6 +182,17 @@ CERTIFICATE_MOVED = {
     ],
 }
 
+#: (label, value, std) of the rows that one certificate per fit moved, as
+#: reported before it, and the bound on a listed case's shifts in units of the
+#: larger of a recorded and the reported std.
+ONE_CERTIFICATE_MOVED, CERTIFIED_STDS = {
+    "table2-ghz-calibrated": [
+        ("ghz/purity", 0.7737471387244357, 0.0011358883161387517),
+        ("ghz/fidelity-raw", 0.8711641908203842, 0.00019821244036490293),
+        ("ghz/fidelity-optimized", 0.8779445828799981, 0.0006228853896625293),
+    ],
+}, 2.0 * 2.0 ** 0.5
+
 #: (label, value, std) of every row, as reported before the change.
 RECORDED = {
     "table2-ideal": [
@@ -231,15 +258,24 @@ RECORDED = {
 }
 
 
+def _tolerance(case, std0, std):
+    """Half the recorded std ``std0``, or ``CERTIFIED_STDS`` times the larger
+    of it and the reported ``std`` for a case in ``ONE_CERTIFICATE_MOVED``."""
+    if case in ONE_CERTIFICATE_MOVED:
+        return RANK_ONE_SLACK + CERTIFIED_STDS * max(std0 or 0.0, std or 0.0)
+    return RANK_ONE_SLACK + 0.5 * (std0 or 0.0)
+
+
 def _assert_close(case, rows):
     reported = {label: (value, std) for label, value, std in rows}
     for label, value0, std0 in KERNEL_MOVED.get(case, []):
         value, std = reported[label]
         assert abs(value - value0) <= TRACE_NORM_TOLERANCE, label
         assert std is None and std0 is None, label
-    for label, value0, std0 in START_MOVED.get(case, []) + CERTIFICATE_MOVED.get(case, []):
+    for label, value0, std0 in (START_MOVED.get(case, []) + CERTIFICATE_MOVED.get(case, [])
+                                + ONE_CERTIFICATE_MOVED.get(case, [])):
         value, std = reported[label]
-        tolerance = RANK_ONE_SLACK + 0.5 * std0
+        tolerance = _tolerance(case, std0, std)
         assert abs(value - value0) <= tolerance, label
         assert abs(std - std0) <= tolerance, label
     recorded = RECORDED[case]
@@ -251,7 +287,7 @@ def _assert_close(case, rows):
                                                                              std0 or 0.0), label
             continue
         tolerance = (DETERMINISTIC_TOLERANCE if case == "table3-deterministic"
-                     else RANK_ONE_SLACK + 0.5 * (std0 or 0.0))
+                     else _tolerance(case, std0, std))
         assert abs(value - value0) <= tolerance, label
         if std0 is None:
             assert std is None, label

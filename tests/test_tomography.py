@@ -333,10 +333,69 @@ class TestProcessMLE:
         assert (np.diff(report.log_likelihoods) >= 0).all()
         assert abs(report.gap) <= 1e-6
 
+    def test_fit_without_a_certificate_ends_stalled(self, monkeypatch):
+        # every outcome is counted, so the fit stops on the Lagrangian bound
+        # alone; switched off, it leaves the fit no certificate by construction,
+        # and the ascent must end at its numerical floor whatever the rounding
+        mixed = 0.8 * target_state("phi_plus").density().matrix + 0.05 * np.eye(4)
+        data = simulate_state_counts(DensityMatrix(mixed), 0.5, 1e4, seed=29)
+        assert data.counts.min() >= 1
+        monkeypatch.setattr(tomography, "_lagrangian_gap", lambda *args: np.inf)
+        report = mle_density_matrix(data)
+        assert report.status == "stalled" and not report.converged
+        assert report.iterations < MLEOptions().max_iter
+        assert (np.diff(report.log_likelihoods) >= 0).all()
+
     def test_options_are_frozen(self):
         # a NaN tol set after the range check would certify every fit
         with pytest.raises(AttributeError):
             MLEOptions().tol = float("nan")
+
+
+class TestCertificate:
+    """Each fit stops on one certificate, chosen by its data: the Lagrangian
+    bound when every outcome is counted, (lambda_max(R) - 1) x N otherwise."""
+
+    @pytest.fixture(scope="class")
+    def counted(self, chi_ghz):
+        data = simulate_counts(apply_noise(chi_ghz, DEFAULT_CHANNEL_TEMPLATE), 1e4, seed=28)
+        assert data.counts.min() >= 1
+        return tomography._process_operators(data)
+
+    def test_counted_fit_reports_its_lagrangian_bound(self, counted):
+        fit = tomography._iterate_rho_r(*counted, None, None)
+        assert (fit.status, fit.metadata["certificate"]) == ("certified", "lagrangian")
+        assert fit.gap == tomography._lagrangian_gap(*counted, fit.estimate)
+
+    def test_fit_from_its_own_estimate_certifies_within_two_steps(self, counted):
+        # as every Monte Carlo resample starts, at an estimate already certified
+        fit = tomography._iterate_rho_r(*counted, None, None)
+        again = tomography._iterate_rho_r(*counted, None, fit.estimate)
+        assert again.status == "certified" and again.iterations <= 2
+
+    def test_uncertified_counted_fit_reports_the_smaller_gap(self, counted, monkeypatch):
+        # a stand-in Lagrangian bound of 2 nats never certifies at the 1-nat tol
+        tried = []
+        monkeypatch.setattr(tomography, "_lagrangian_gap", lambda *args: tried.append(2.0) or 2.0)
+        gaps = []
+        for max_iter, status in ((10, "max_iter"), (15, "max_iter"), (5000, "stalled")):
+            tried.clear()
+            fit = tomography._iterate_rho_r(*counted, MLEOptions(max_iter=max_iter), None)
+            assert fit.status == status
+            frame, counts = counted
+            r_op = frame.adjoint(counts / frame.probabilities(fit.estimate))
+            gkg = np.linalg.eigvalsh((r_op + r_op.conj().T) / 2.0)[-1] - counts.sum()
+            assert fit.gap == pytest.approx(min([gkg, *tried]), rel=1e-9, abs=1e-6)
+            gaps.append(fit.gap)
+        # no bound tried in 10 steps; one tried below a larger lambda_max gap
+        # in 15; and the floor's lambda_max gap below it
+        assert gaps[0] > 2.0 and gaps[1] == 2.0 and gaps[2] < 2.0
+
+    def test_dataset_with_a_zero_count_stops_on_lambda_max(self, chi_ghz):
+        data = simulate_counts(chi_ghz, 1e3, seed=28)
+        assert data.counts.min() == 0
+        fit = mle_process_matrix(data)
+        assert (fit.status, fit.metadata["certificate"]) == ("certified", "gkg")
 
 
 class TestColdStart:
