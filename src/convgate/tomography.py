@@ -379,17 +379,18 @@ class MLEOptions:
 @dataclass
 class ReconstructionReport:
     """A fit and how it ended. ``gap`` bounds, in total nats, how far the
-    log-likelihood of ``estimate`` lies below the maximum. A certified fit
-    reports its certificate at ``estimate``, named in
-    ``metadata["certificate"]``: ``lagrangian``, the bound of
-    ``_lagrangian_gap``, when every outcome is counted, and ``gkg``,
-    (lambda_max(R) - 1) x N, otherwise. A fit that ends uncertified reports
-    the smaller of (lambda_max(R) - 1) x N at ``estimate`` and the last
-    Lagrangian bound it tried, which still holds since the likelihood only
-    rose. At the rounding floor of a fit at its optimum the gap can read
-    slightly below 0 (~-1e-9 at 1e6 counts; the Lagrangian bound's
-    N (1 - Tr rho) read -7e-9 at 1e5). ``status`` is ``certified`` (gap at
-    most ``MLEOptions.tol``), ``stalled`` or ``max_iter``."""
+    log-likelihood of ``estimate`` lies below the maximum, and
+    ``metadata["certificate"]`` names the bound it comes from: ``lagrangian``,
+    the bound of ``_lagrangian_gap``, or ``gkg``, (lambda_max(R) - 1) x N. A
+    certified fit reports its certificate at ``estimate``: ``lagrangian``
+    when every outcome is counted, ``gkg`` otherwise. A fit that ends
+    uncertified with every outcome counted reports the smaller of
+    (lambda_max(R) - 1) x N at ``estimate`` and the last Lagrangian bound it
+    tried, which still holds since the likelihood only rose. At the rounding
+    floor of a fit at its optimum the gap can read slightly below 0 (~-1e-9
+    at 1e6 counts; the Lagrangian bound's N (1 - Tr rho) read -7e-9 at 1e5).
+    ``status`` is ``certified`` (gap at most ``MLEOptions.tol``), ``stalled``
+    or ``max_iter``."""
 
     estimate: DensityMatrix | ChoiProcess
     iterations: int
@@ -539,7 +540,8 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
     ``options.tol`` nats, ``stalled`` when a momentum-free step no longer
     ascends, and ``max_iter`` otherwise; an uncertified fit reports the
     smaller of lambda_max(R) - 1 at its estimate, in total nats, and the
-    last Lagrangian bound it tried. Log-likelihoods are mean natural-log
+    last Lagrangian bound it tried, and names the one it reports.
+    Log-likelihoods are mean natural-log
     likelihood per count, and the recorded sequence is non-decreasing. The
     report's estimate is the fitted matrix; callers wrap it in their estimate
     type and add their metadata.
@@ -580,16 +582,20 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
         rho = (rho + eye / dim) / 2.0
         probs = probs_of(rho)
     current = float(freqs @ np.log(probs.take(counted)))
-    grad = gradient(probs)
-    # with every outcome counted the gap is the last Lagrangian bound tried,
-    # and the gradient at the iterate is only formed where a step needs it
-    lagrangian = counts.min() >= 1.0
-    gap = np.inf if lagrangian else gap_of(grad)
     trace_log = [current]
     step, theta, iterations, status = 1.0, 1.0, 0, "certified"
     # the extrapolated point sigma = rho + shift: its probabilities, those of
     # the shift, its gradient and L(sigma) - L(rho)
-    sigma, sig_probs, shift_probs, sig_grad, sig_rise = rho, probs, 0.0, grad, 0.0
+    sigma, sig_probs, shift_probs, sig_grad, sig_rise = rho, probs, 0.0, gradient(probs), 0.0
+    # with every outcome counted the gap is the last Lagrangian bound tried,
+    # and the gradient at the iterate is formed only at a momentum restart;
+    # otherwise ``grad`` holds it at every step, for its lambda_max gap
+    lagrangian = counts.min() >= 1.0
+    if lagrangian:
+        gap = np.inf
+    else:
+        grad = sig_grad
+        gap = gap_of(grad)
     while gap > options.tol:
         if iterations == options.max_iter:
             status = "max_iter"
@@ -609,8 +615,8 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
             if sigma is rho:
                 status = "stalled"
                 break
-            grad = gradient(probs) if grad is None else grad
-            sigma, sig_probs, shift_probs, sig_grad, sig_rise, theta = rho, probs, 0.0, grad, 0.0, 1.0
+            sigma, sig_probs, shift_probs, sig_rise, theta = rho, probs, 0.0, 0.0, 1.0
+            sig_grad = gradient(probs) if lagrangian else grad
             continue
         theta_next = (1.0 + np.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         momentum = (theta - 1.0) / theta_next
@@ -618,7 +624,6 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
         rho, probs, current = cand, sig_probs + diff_probs, current + cand_rise
         trace_log.append(current)
         if lagrangian:
-            grad = None
             window = min(_LAGRANGIAN_WINDOW, len(trace_log) - 1)
             if (current - trace_log[-1 - window]) * total <= options.tol:
                 gap = _lagrangian_gap(frame, counts, rho)
@@ -631,16 +636,19 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
         shift_probs = momentum * move_probs
         sig_probs = probs + shift_probs
         if momentum == 0.0 or (sig_probs.take(counted) < _MOMENTUM_FLOOR * probs.take(counted)).any():
-            grad = gradient(probs) if grad is None else grad
-            sigma, sig_probs, shift_probs, sig_grad, sig_rise = rho, probs, 0.0, grad, 0.0
+            sigma, sig_probs, shift_probs, sig_rise = rho, probs, 0.0, 0.0
+            sig_grad = gradient(probs) if lagrangian else grad
             theta = theta_next if momentum == 0.0 else 1.0
         else:
             shift = momentum * move
             sigma, theta = rho + shift, theta_next
             sig_grad, sig_rise = gradient(sig_probs), rise(shift_probs, probs, shift, rho)
+    certificate = "lagrangian" if lagrangian else "gkg"
     if lagrangian and status != "certified":
         # the last bound tried still holds, since the likelihood only rose
-        gap = min(gap_of(gradient(probs) if grad is None else grad), gap)
+        gkg_gap = gap_of(gradient(probs))
+        if gkg_gap < gap:
+            gap, certificate = gkg_gap, "gkg"
 
     return ReconstructionReport(
         estimate=rho,
@@ -649,8 +657,7 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
         gap=gap,
         status=status,
         log_likelihoods=trace_log,
-        metadata={"total_counts": int(total),
-                  "certificate": "lagrangian" if lagrangian else "gkg"},
+        metadata={"total_counts": int(total), "certificate": certificate},
     )
 
 

@@ -88,17 +88,18 @@ bound, whichever of it and (lambda_max(R) - 1) x N first reaches 1 nat: its
 fits now stop earlier, both certified within 1 nat of the maximum. Values
 moved by at most 0.39 of their row's std (``ghz/fidelity-raw``, 1.5e-4) and
 stds by at most 0.48 of it (the same row, 1.9e-4, an std of 2 resamples);
-``test_report_values.py`` bounds them in ``CERTIFICATE_MOVED``. No fit of
+``test_report_values.py`` bounded them then. No fit of
 another case tries the new bound, and none moved. ``table2-ghz-calibrated``
 was re-recorded again when each fit with every outcome counted began to stop
 on the Lagrangian bound alone, with the self-concordance of its smallest
 count rather than of a single count, tried at every step once the
 likelihood has stopped rising: its fits stop at other points, still
-certified within 1 nat. Values moved by at most 2.10 times the larger of the
-old and new std (``ghz/fidelity-raw``, 4.2e-4, an std of 2 resamples) and
-stds by at most 0.17 of it; ``test_report_values.py`` bounds them in
-``ONE_CERTIFICATE_MOVED``. Every fit of another case has an uncounted
-outcome, stops on (lambda_max(R) - 1) x N as before, and did not move.
+certified within 1 nat. Values moved by at most 2.10 of the old std
+(``ghz/fidelity-raw``, 4.2e-4, an std of 2 resamples) and stds by at most
+0.17 of it; ``test_report_values.py`` bounds them in ``RECERTIFIED``, whose
+rows supersede the earlier records of the case. Every fit of another case has
+an uncounted outcome, stops on (lambda_max(R) - 1) x N as before, and did not
+move.
 """
 
 import hashlib

@@ -377,7 +377,7 @@ class TestCertificate:
         # a stand-in Lagrangian bound of 2 nats never certifies at the 1-nat tol
         tried = []
         monkeypatch.setattr(tomography, "_lagrangian_gap", lambda *args: tried.append(2.0) or 2.0)
-        gaps = []
+        gaps, certificates = [], []
         for max_iter, status in ((10, "max_iter"), (15, "max_iter"), (5000, "stalled")):
             tried.clear()
             fit = tomography._iterate_rho_r(*counted, MLEOptions(max_iter=max_iter), None)
@@ -387,9 +387,12 @@ class TestCertificate:
             gkg = np.linalg.eigvalsh((r_op + r_op.conj().T) / 2.0)[-1] - counts.sum()
             assert fit.gap == pytest.approx(min([gkg, *tried]), rel=1e-9, abs=1e-6)
             gaps.append(fit.gap)
+            certificates.append(fit.metadata["certificate"])
         # no bound tried in 10 steps; one tried below a larger lambda_max gap
-        # in 15; and the floor's lambda_max gap below it
+        # in 15; and the floor's lambda_max gap below it; each named by the
+        # bound it came from
         assert gaps[0] > 2.0 and gaps[1] == 2.0 and gaps[2] < 2.0
+        assert certificates == ["gkg", "lagrangian", "gkg"]
 
     def test_dataset_with_a_zero_count_stops_on_lambda_max(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1e3, seed=28)
