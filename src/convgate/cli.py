@@ -6,8 +6,8 @@ multiples of pi written like ``3pi/8``. Qubit targets on the command line are
 1-based (the library API is 0-based). Exit codes: 0 success, 2 invalid
 arguments, 3 numerical-domain errors, 4 degenerate post-selection outcomes.
 
-Input files name their own kind: ``tomo reconstruct`` fits a state to a
-single-preparation dataset and a process to any other, and ``metrics
+Input files name their own kind: ``tomo reconstruct`` fits a state to the
+records of one preparation and a process to all 324 settings, and ``metrics
 --estimate`` takes a state or a Choi file. Artifacts written by ``gate``,
 ``convert``, ``tomo`` and ``metrics`` get a ``<name>.meta.json`` sibling with
 the command line, seed and tool version; ``reproduce`` reports carry their
@@ -221,14 +221,13 @@ def cmd_metrics(args) -> int:
         if not args.data:
             raise InvalidArgumentError("--monte-carlo needs --data with the counts")
         data = serialize.dataset_from_json(serialize.load_json(args.data))
-        # the counts must be of the estimate's kind: the dataset picks its
-        # reconstruction from its preparations
-        if isinstance(estimate, ChoiProcess):
-            data.require_full()
-        else:
-            data.single_preparation()
+        # the fit of the estimate's kind rejects counts of the other kind
+        fit = (tomography.mle_process_matrix if isinstance(estimate, ChoiProcess)
+               else tomography.mle_density_matrix)
+        start = fit(data).estimate
         seed = _ensure_seed(args)
-        table = tomography.monte_carlo_metric_table(data, args.monte_carlo, functions, seed)
+        table = tomography.monte_carlo_metric_table(data, args.monte_carlo, functions, seed,
+                                                    start=start)
         stds = {name: std for name, (_, std) in table.items()}
 
     reports = []

@@ -13,7 +13,9 @@ All floats are IEEE doubles serialized with Python's shortest round-trip
             normalized at load (success_scale = trace / 4)
 * dataset:  {"mean_counts": x, "seed": s, "records": [{"prep": ["H", "+"],
              "basis": ["Z", "X"], "counts": {"00": n, ...}}, ...]}
-            (outcome bit 0 selects the first-listed basis state H/+/R)
+            (outcome bit 0 selects the first-listed basis state H/+/R);
+            read in any record order, written in frame order, with "prep"
+            null for every record of one preparation
 * noise:    {"depolarizing_p": x, "dephasing_p": y,
              "mode_phases": [p1, p2, p3, p4]}
 
@@ -148,7 +150,7 @@ def choi_from_json(obj: dict) -> ChoiProcess:
 
 def dataset_to_json(data: CoincidenceDataset) -> dict:
     records = []
-    for prep, basis, counts in zip(data.preps, data.bases, data.counts):
+    for prep, basis, counts in zip(data.preps, data.bases, data.counts.reshape(-1, 4)):
         records.append({
             "prep": list(prep) if prep is not None else None,
             "basis": list(basis),
@@ -164,28 +166,20 @@ def dataset_to_json(data: CoincidenceDataset) -> dict:
 
 def dataset_from_json(obj: dict) -> CoincidenceDataset:
     try:
-        records = obj["records"]
         preps, bases, counts = [], [], []
-        for rec in records:
-            prep = rec["prep"]
-            preps.append(tuple(prep) if prep is not None else None)
+        for rec in obj["records"]:
+            preps.append(None if rec["prep"] is None else tuple(rec["prep"]))
             bases.append(tuple(rec["basis"]))
             counts.append([_count(rec["counts"][key], "counts") for key in OUTCOME_KEYS])
-        counts = np.asarray(counts, dtype=np.int64)
         mean_counts, seed = obj.get("mean_counts"), obj.get("seed")
         mean_counts = _number(mean_counts, "mean_counts") if mean_counts is not None else None
         seed = _count(seed, "seed") if seed is not None else None
         metadata = dict(obj.get("metadata", {}))
+        # an unhashable label fails here with a TypeError
+        return CoincidenceDataset.from_records(preps, bases, counts, mean_counts=mean_counts,
+                                               seed=seed, metadata=metadata)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed dataset object: {exc}") from None
-    return CoincidenceDataset(
-        preps=preps,
-        bases=bases,
-        counts=counts,
-        mean_counts=mean_counts,
-        seed=seed,
-        metadata=metadata,
-    )
 
 
 def noise_spec_to_json(spec: NoiseSpec) -> dict:

@@ -37,9 +37,12 @@ projected onto unit-trace PSD matrices (Guta, Kahn, Kueng & Tropp, J. Phys. A
 the dataset it was drawn from, and the resamples whose fit is not certified
 are counted.
 
-The dataset picks its reconstruction in ``reconstruct``: one with a single
-preparation (output-state tomography, 9 basis records) gets the 4x4 density
-matrix, any other gets the process matrix and must hold all 324 settings.
+A dataset's counts are in frame order, and their shape picks its
+reconstruction in ``reconstruct``: (9, 4) counts of one preparation
+(output-state tomography) get the 4x4 density matrix, (36, 9, 4) counts of all
+324 settings the process matrix. Records may come in any order, and those of
+one preparation make a state, whose repeated bases add; files are written in
+frame order, with null preparations for a state.
 For process reconstruction the Choi matrix is treated as a 16x16
 density-like object with effective operators E = rho_prep^T (x) Pi_out,
 which sum to a multiple of the identity for this preparation/measurement
@@ -125,10 +128,8 @@ def outcome_projectors(basis: tuple[str, str]) -> np.ndarray:
 #: (36, 4, 4) transposed preparation density matrices, in label order.
 _PREP_TRANSPOSES = np.stack([prep_state(p).density().matrix.T
                              for p in enumerate_preparations()])
-#: (9, 4, 4, 4) outcome projectors of every basis pair, in label order.
-_BASIS_PROJECTORS = np.stack([outcome_projectors(b) for b in enumerate_bases()])
-_BASIS_INDEX = {b: i for i, b in enumerate(enumerate_bases())}
-_SETTING_INDEX = {s: i for i, s in enumerate(enumerate_settings())}
+#: (36, 4, 4) outcome projectors of the 9 basis pairs, basis-major, in label order.
+_PROJECTORS = np.concatenate([outcome_projectors(b) for b in enumerate_bases()])
 _NO_PREPARATION = np.ones((1, 1, 1), complex)
 
 
@@ -213,8 +214,6 @@ class _Frame:
         return ell, r, _pseudo_inverse(ell).T, _pseudo_inverse(r), bases.probabilities
 
 
-#: (36, 4, 4) outcome projectors of the 9 basis pairs, basis-major.
-_PROJECTORS = _BASIS_PROJECTORS.reshape(36, 4, 4)
 _PROCESS_FRAME = _Frame(_PREP_TRANSPOSES, _PROJECTORS)
 _STATE_FRAME = _Frame(_NO_PREPARATION, _PROJECTORS)
 
@@ -232,68 +231,83 @@ PROBABILITY_WINDOW = 1e-9
 
 @dataclass
 class CoincidenceDataset:
-    """Counts indexed by (preparation pair, basis pair, two-photon outcome).
+    """Coincidence counts in frame order: (36, 9, 4) by preparation pair,
+    basis pair and two-photon outcome for a process, (9, 4) for the output
+    state of one preparation. ``from_records`` reads records in any order.
+    ``preps`` and ``bases`` label the records ``counts.reshape(-1, 4)`` in
+    ``enumerate_settings`` order, the order files are written in, with
+    preparation None for every record of a state: a one-preparation file
+    loads as a state, and is written back with null preparations."""
 
-    ``preps[i]`` may be None for output-state tomography records where the
-    preparation is fixed outside the six-state set.
-    """
-
-    preps: list[tuple[str, str] | None]
-    bases: list[tuple[str, str]]
-    counts: np.ndarray  # (n_records, 4) nonnegative integers
+    counts: np.ndarray
     mean_counts: float | None = None
     seed: int | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2 or self.counts.shape[1] != 4:
-            raise InvalidArgumentError("counts must have shape (n_records, 4)")
-        if len(self.preps) != len(self.bases) or len(self.preps) != self.counts.shape[0]:
-            raise InvalidArgumentError("record field lengths disagree")
-        if (self.counts < 0).any():
-            raise InvalidArgumentError("counts must be nonnegative")
+        if self.counts.shape not in ((36, 9, 4), (9, 4)) or (self.counts < 0).any():
+            raise InvalidArgumentError("counts must be nonnegative, of shape (36, 9, 4) or (9, 4)")
         if self.mean_counts is not None:
             _check_mean_counts(self.mean_counts)
 
+    @classmethod
+    def from_records(cls, preps: list[tuple[str, str] | None], bases: list[tuple[str, str]],
+                     counts, **fields) -> "CoincidenceDataset":
+        """The dataset of the records (``preps[i]``, ``bases[i]``, ``counts[i]``)
+        in any order, with the other ``fields``. Records of one preparation (or
+        None) make a state, which needs all 9 basis pairs and adds the counts of
+        a repeated one; others make a process, which needs each setting once."""
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (len(preps), 4) or len(bases) != len(preps) or (counts < 0).any():
+            raise InvalidArgumentError("each record needs two labels and four nonnegative counts")
+        if len(set(preps)) <= 1:
+            index = {basis: i for i, basis in enumerate(enumerate_bases())}
+            rows = [index.get(basis, -1) for basis in bases]
+            if set(rows) != set(range(9)):
+                raise InvalidArgumentError("state tomography needs counts for all 9 basis pairs")
+            frame = np.zeros((9, 4), dtype=np.int64)
+            np.add.at(frame, rows, counts)
+            return cls(frame, **fields)
+        index = {setting: i for i, setting in enumerate(enumerate_settings())}
+        rows = [index.get(setting, -1) for setting in zip(preps, bases)]
+        if sorted(rows) != list(range(324)):
+            raise InvalidArgumentError(
+                f"process tomography needs all 324 settings; dataset has {len(counts)} records")
+        return cls(counts[np.argsort(rows)].reshape(36, 9, 4), **fields)
+
+    @property
+    def preps(self) -> list[tuple[str, str] | None]:
+        return [None] * 9 if self.counts.ndim == 2 else [p for p, _ in enumerate_settings()]
+
+    @property
+    def bases(self) -> list[tuple[str, str]]:
+        return enumerate_bases() * (len(self) // 9)
+
     def __len__(self):
-        return self.counts.shape[0]
+        return self.counts.size // 4
 
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def restrict_to(self, prep: tuple[str, str] | None) -> "CoincidenceDataset":
-        idx = [i for i, p in enumerate(self.preps) if p == (tuple(prep) if prep else None)]
-        if not idx:
+    def restrict_to(self, prep: tuple[str, str]) -> "CoincidenceDataset":
+        """The state dataset of one preparation of a process dataset."""
+        preparations, prep = enumerate_preparations(), tuple(prep)
+        if self.counts.ndim == 2 or prep not in preparations:
             raise InvalidArgumentError(f"dataset has no records for preparation {prep}")
-        return replace(self, preps=[self.preps[i] for i in idx], bases=[self.bases[i] for i in idx],
-                       counts=self.counts[idx], metadata=dict(self.metadata))
-
-    def require_full(self):
-        """Check all 36 x 9 settings are present exactly once."""
-        seen = {(p, b) for p, b in zip(self.preps, self.bases) if p is not None}
-        if seen != _SETTING_INDEX.keys() or len(self) != 324:
-            raise InvalidArgumentError(
-                f"process tomography needs all 324 settings; dataset has {len(self)} records"
-            )
-
-    def single_preparation(self) -> tuple[str, str] | None:
-        values = set(self.preps)
-        if len(values) != 1:
-            raise InvalidArgumentError("dataset holds more than one preparation")
-        return next(iter(values))
+        return replace(self, counts=self.counts[preparations.index(prep)].copy(),
+                       metadata=dict(self.metadata))
 
     def resampled(self, rng: np.random.Generator) -> "CoincidenceDataset":
         """Poisson resample with the observed counts as means."""
-        return replace(self, preps=list(self.preps), bases=list(self.bases),
-                       counts=_poisson(rng, self.counts), metadata=dict(self.metadata))
+        return replace(self, counts=_poisson(rng, self.counts), metadata=dict(self.metadata))
 
 
 def _expected_counts(chi: ChoiProcess, mean_counts: float) -> np.ndarray:
-    """(324, 4) expected counts mean * 4 * scale * Tr[(prep^T (x) Pi) chi] by
+    """(36, 9, 4) expected counts mean * 4 * scale * Tr[(prep^T (x) Pi) chi] by
     the fit's contraction of the two stacks, clamped by ``_clamped``."""
     lam = mean_counts * _PROCESS_FRAME.probabilities(chi.unnormalized())
-    return _clamped(lam.reshape(324, 4), mean_counts)
+    return _clamped(lam.reshape(36, 9, 4), mean_counts)
 
 
 def _clamped(lam: np.ndarray, mean_counts: float) -> np.ndarray:
@@ -319,13 +333,11 @@ def _poisson(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
     return rng.poisson(lam)
 
 
-def _poisson_dataset(preps, bases, lam: np.ndarray, mean_counts: float,
-                     seed: int) -> CoincidenceDataset:
-    """Counts drawn from Poisson means ``lam`` with ``PCG64(seed)``."""
+def _poisson_dataset(lam: np.ndarray, mean_counts: float, seed: int) -> CoincidenceDataset:
+    """Counts drawn from Poisson means ``lam`` in frame order with ``PCG64(seed)``."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    return CoincidenceDataset(preps=preps, bases=bases, counts=_poisson(rng, lam),
-                              mean_counts=float(mean_counts), seed=int(seed),
-                              metadata={"generator": GENERATOR_NOTE})
+    return CoincidenceDataset(_poisson(rng, lam), mean_counts=float(mean_counts),
+                              seed=int(seed), metadata={"generator": GENERATOR_NOTE})
 
 
 def simulate_counts(chi: ChoiProcess, mean_counts: float, seed: int) -> CoincidenceDataset:
@@ -336,9 +348,7 @@ def simulate_counts(chi: ChoiProcess, mean_counts: float, seed: int) -> Coincide
     the conditional outcome probability.
     """
     _check_mean_counts(mean_counts)
-    settings = enumerate_settings()
-    return _poisson_dataset([p for p, _ in settings], [b for _, b in settings],
-                            _expected_counts(chi, mean_counts), mean_counts, seed)
+    return _poisson_dataset(_expected_counts(chi, mean_counts), mean_counts, seed)
 
 
 def simulate_state_counts(rho: DensityMatrix, success_probability: float,
@@ -353,7 +363,7 @@ def simulate_state_counts(rho: DensityMatrix, success_probability: float,
     _check_mean_counts(mean_counts)
     probs = _STATE_FRAME.probabilities(rho.matrix).reshape(9, 4)
     lam = _clamped(mean_counts * success_probability * probs, mean_counts)
-    return _poisson_dataset([None] * 9, enumerate_bases(), lam, mean_counts, seed)
+    return _poisson_dataset(lam, mean_counts, seed)
 
 
 @dataclass(frozen=True)
@@ -662,20 +672,16 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
 
 
 def _state_operators(data: CoincidenceDataset) -> tuple[_Frame, np.ndarray]:
-    """The state frame and the records' counts in its projector order, as one
-    row; repeated bases add their counts."""
-    if set(data.bases) != set(_BASIS_INDEX):
-        raise InvalidArgumentError("state tomography needs counts for all 9 basis pairs")
-    counts = np.zeros((9, 4))
-    np.add.at(counts, [_BASIS_INDEX[b] for b in data.bases], data.counts)
-    return _STATE_FRAME, counts.reshape(1, 36)
+    """The state frame and the counts in its projector order, as one row."""
+    return _STATE_FRAME, data.counts.reshape(1, 36)
 
 
 def mle_density_matrix(data: CoincidenceDataset,
                        options: MLEOptions | None = None,
                        start: DensityMatrix | None = None) -> ReconstructionReport:
-    """Maximum-likelihood two-qubit state from single-preparation counts."""
-    data.single_preparation()
+    """Maximum-likelihood two-qubit state from the counts of one preparation."""
+    if data.counts.ndim != 2:
+        raise InvalidArgumentError("dataset holds more than one preparation")
     fit = _iterate_rho_r(*_state_operators(data), options,
                          None if start is None else start.matrix)
     return replace(fit, estimate=DensityMatrix(fit.estimate),
@@ -684,10 +690,7 @@ def mle_density_matrix(data: CoincidenceDataset,
 
 def _process_operators(data: CoincidenceDataset) -> tuple[_Frame, np.ndarray]:
     """The process frame and the counts in its setting order, 36 x 36."""
-    order = [_SETTING_INDEX[setting] for setting in zip(data.preps, data.bases)]
-    counts = np.empty((324, 4))
-    counts[order] = data.counts
-    return _PROCESS_FRAME, counts.reshape(36, 36)
+    return _PROCESS_FRAME, data.counts.reshape(36, 36)
 
 
 def mle_process_matrix(data: CoincidenceDataset,
@@ -699,7 +702,9 @@ def mle_process_matrix(data: CoincidenceDataset,
     post-selected and trace-decreasing. The success scale is estimated from
     the grand total counts relative to the dataset's nominal mean counts.
     """
-    data.require_full()
+    if data.counts.ndim != 3:
+        raise InvalidArgumentError(
+            f"process tomography needs all 324 settings; dataset has {len(data)} records")
     fit = _iterate_rho_r(*_process_operators(data), options,
                          None if start is None else start.choi)
     if data.mean_counts:
@@ -719,8 +724,8 @@ def mle_process_matrix(data: CoincidenceDataset,
 
 def reconstruct(data: CoincidenceDataset, options: MLEOptions | None = None,
                 start=None) -> ReconstructionReport:
-    """State MLE for a single-preparation dataset, process MLE otherwise."""
-    fit = mle_density_matrix if len(set(data.preps)) == 1 else mle_process_matrix
+    """State MLE for a state dataset, process MLE for a process dataset."""
+    fit = mle_density_matrix if data.counts.ndim == 2 else mle_process_matrix
     return fit(data, options, start)
 
 
@@ -747,7 +752,7 @@ def monte_carlo_metric_table(data: CoincidenceDataset, n_samples: int,
     """Monte Carlo means/stds of several metrics sharing the same resamples.
 
     ``metrics`` maps a name to a function of an estimate: a DensityMatrix
-    when ``data`` holds a single preparation, a ChoiProcess otherwise.
+    when ``data`` is a state dataset, a ChoiProcess otherwise.
     Resamples come from ``_resamples(data, n_samples, seed)``, and
     every resample's reconstruction starts at ``start``, the estimate of
     ``data`` itself; when it is None, ``data`` is reconstructed once here.

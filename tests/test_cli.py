@@ -133,11 +133,16 @@ class TestTomoCommands:
         assert "status = certified, certificate = gkg" in out and "nats" in out
 
     def test_same_seed_same_file(self, tmp_path):
+        import hashlib
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
             main(["tomo", "simulate", "--preset", "dicke", "--mean-counts", "500",
                   "--seed", "3", "--out", str(path)])
         assert a.read_text() == b.read_text()
+        # sha256 recorded when datasets still stored a label per record: a
+        # file keeps its record layout and bytes with frame-order counts
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+            "a423a76a010f97981fcabb3ce75a747d13f3bee548bf7ec09c515d662295470c")
 
     def test_reconstruct_rejects_incomplete_dataset(self, tmp_path):
         data = tmp_path / "short.json"
@@ -346,6 +351,13 @@ MALFORMED_INPUTS = {
     "trace-normalized-string": ("choi", lambda o: o.update(trace_normalized="false")),
     "trace-normalized-int": ("choi", lambda o: o.update(trace_normalized=0)),
     "qubits-mismatch": ("density", lambda o: o.update(qubits=3)),
+    "records-empty": ("dataset", lambda o: o.update(records=[])),
+    "record-repeated": ("dataset", lambda o: o["records"].__setitem__(1, o["records"][0])),
+    "prep-unknown": ("dataset", lambda o: o["records"][0].update(prep=["Q", "H"])),
+    "basis-unknown": ("dataset", lambda o: o["records"][0].update(basis=["W", "Z"])),
+    "basis-unhashable": ("dataset", lambda o: o["records"][0].update(basis=[["Z"], "X"])),
+    "state-basis-missing": ("dataset", lambda o: o.update(
+        records=[r for r in o["records"] if r["prep"] == ["H", "H"]][:8])),
 }
 _READERS = {
     "dataset": ["tomo", "reconstruct", "--data", "input.json", "--out", "x.json"],

@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -42,3 +43,20 @@ def test_every_name_the_gap_bound_imports_resolves():
     assert imports  # the bound rebuilds its operators from convgate's enumeration
     assert [(module, name) for module, name in imports
             if not hasattr(importlib.import_module(module), name)] == []
+
+
+@pytest.mark.parametrize("kind", ["process", "state"])
+def test_gap_bound_reads_the_dataset_in_its_counts_order(layers, kind):
+    # GapBound pairs dataset.preps and dataset.bases with counts.reshape(-1):
+    # a label order that disagreed with the counts would misread the gap
+    from convgate.gate import GateSettings, ideal_choi, target_state
+    from convgate.tomography import reconstruct, simulate_counts, simulate_state_counts
+    if kind == "process":
+        data = simulate_counts(ideal_choi(GateSettings(0.0, np.pi / 4)), 1e3, seed=28)
+    else:
+        data = simulate_state_counts(target_state("phi_plus").density(), 1.0, 1e3, seed=28)
+    assert data.counts.min() == 0  # so the fit stops on (lambda_max(R) - 1) x N
+    report = reconstruct(data)
+    assert report.metadata["certificate"] == "gkg"
+    bound = layers.GapBound()(data, report) * data.total()
+    assert bound == pytest.approx(report.gap, abs=1e-6)

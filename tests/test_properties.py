@@ -256,8 +256,7 @@ def test_discord_follows_the_measured_qubit_under_swap(seed, rank, qubit):
 @given(st.lists(st.just(0) | st.integers(0, 1000), min_size=36, max_size=36))
 def test_state_mle_is_a_unit_trace_psd_matrix(counts):
     assume(sum(counts) > 0)
-    data = CoincidenceDataset(preps=[None] * 9, bases=enumerate_bases(),
-                              counts=np.reshape(counts, (9, 4)))
+    data = CoincidenceDataset(np.reshape(counts, (9, 4)))
     rho = reconstruct(data).estimate
     assert isinstance(rho, DensityMatrix)
     assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
@@ -293,12 +292,12 @@ def _setting_operators(prep, basis):
 
 
 def kron_means(chi, mean_counts):
-    """(324, 4) Poisson means of the per-setting loop over formed products
+    """(36, 9, 4) Poisson means of the per-setting loop over formed products
     prep^T (x) Pi that the contraction replaced, before the clamp."""
     chi_u = chi.unnormalized()
     return np.array([[mean_counts * float(np.einsum("ij,ji->", e, chi_u).real)
                       for e in _setting_operators(prep, basis)]
-                     for prep, basis in enumerate_settings()])
+                     for prep, basis in enumerate_settings()]).reshape(36, 9, 4)
 
 
 def projector_means(rho, success_probability, mean_counts):
@@ -364,8 +363,9 @@ def test_factored_fit_matches_per_setting_kron_products(seed, kind, zero_fractio
     counts[rng.random(counts.shape) < zero_fraction] = 0
     assume(counts.sum() > 0)
     order = rng.permutation(len(records))  # record order must not matter
-    data = CoincidenceDataset(preps=[records[i][0] for i in order],
-                              bases=[records[i][1] for i in order], counts=counts[order])
+    data = CoincidenceDataset.from_records([records[i][0] for i in order],
+                                           [records[i][1] for i in order], counts[order])
+    assert np.array_equal(data.counts.reshape(-1, 4), counts)
     start = _ginibre(seed, dim, dim)
     frame, factored_counts = operators(data)
     assert factored_counts.shape == ((36, 36) if kind == "process" else (1, 36))
@@ -592,8 +592,7 @@ def _assert_within_certified_gap_of_oracle(data):
 @given(st.lists(st.just(0) | st.integers(0, 1000), min_size=36, max_size=36))
 def test_state_fit_is_within_its_gap_of_rho_r_at_its_floor(counts):
     assume(sum(counts) > 0)
-    _assert_within_certified_gap_of_oracle(CoincidenceDataset(
-        preps=[None] * 9, bases=enumerate_bases(), counts=np.reshape(counts, (9, 4))))
+    _assert_within_certified_gap_of_oracle(CoincidenceDataset(np.reshape(counts, (9, 4))))
 
 
 @pytest.mark.parametrize("name,noisy", [("ghz", True), ("dicke", False)])

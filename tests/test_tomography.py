@@ -85,7 +85,7 @@ class TestSettings:
 
 def _row(chi, prep, basis):
     """The four expected counts of one setting at one mean count."""
-    return _expected_counts(chi, 1.0)[enumerate_settings().index((prep, basis))]
+    return _expected_counts(chi, 1.0).reshape(324, 4)[enumerate_settings().index((prep, basis))]
 
 
 class TestOutcomeProbabilities:
@@ -121,7 +121,7 @@ class TestSimulateCounts:
     def test_deterministic_outcome_at_large_counts(self, chi_identity):
         data = simulate_counts(chi_identity, 1e6, seed=1)
         idx = enumerate_settings().index((("H", "H"), ("Z", "Z")))
-        counts = data.counts[idx]
+        counts = data.counts.reshape(324, 4)[idx]
         assert abs(counts[0] - 1e6) < 5 * np.sqrt(1e6)
         assert counts[1] == counts[2] == counts[3] == 0
 
@@ -145,7 +145,7 @@ class TestSimulateCounts:
             for o in range(4):
                 total += 1
                 sigma = max(np.sqrt(lam[o]), 1.0)
-                if abs(data.counts[i, o] - lam[o]) <= 3 * sigma:
+                if abs(data.counts.reshape(324, 4)[i, o] - lam[o]) <= 3 * sigma:
                     within += 1
         assert within / total >= 0.95
 
@@ -191,18 +191,28 @@ class TestDataset:
         with pytest.raises(InvalidArgumentError):
             data.restrict_to(("Q", "Q"))
 
-    def test_require_full_detects_missing_settings(self, chi_ghz):
+    def test_restrict_to_indexes_one_preparation(self, chi_ghz):
         data = simulate_counts(chi_ghz, 100, seed=5)
-        clipped = CoincidenceDataset(
-            preps=data.preps[:300], bases=data.bases[:300], counts=data.counts[:300],
-            mean_counts=data.mean_counts, seed=data.seed)
-        with pytest.raises(InvalidArgumentError):
-            clipped.require_full()
+        state = data.restrict_to(("+", "H"))
+        assert state.counts.shape == (9, 4)
+        assert np.array_equal(state.counts, data.counts[enumerate_preparations().index(("+", "H"))])
+        with pytest.raises(InvalidArgumentError, match="no records for preparation"):
+            state.restrict_to(("+", "H"))
+
+    def test_from_records_detects_missing_settings(self, chi_ghz):
+        data = simulate_counts(chi_ghz, 100, seed=5)
+        with pytest.raises(InvalidArgumentError, match="needs all 324 settings; dataset has 300"):
+            CoincidenceDataset.from_records(
+                data.preps[:300], data.bases[:300], data.counts.reshape(324, 4)[:300],
+                mean_counts=data.mean_counts, seed=data.seed)
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            CoincidenceDataset(preps=[None], bases=[("Z", "Z")],
-                               counts=np.array([[1, -1, 0, 0]]))
+        counts = np.zeros((9, 4), dtype=int)
+        counts[0] = [1, -1, 0, 0]
+        with pytest.raises(InvalidArgumentError, match="nonnegative"):
+            CoincidenceDataset.from_records([None] * 9, enumerate_bases(), counts)
+        with pytest.raises(InvalidArgumentError, match="nonnegative"):
+            CoincidenceDataset(counts)
 
     def test_resample_determinism(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=5)
@@ -239,10 +249,8 @@ class TestStateMLE:
 
     def test_needs_all_bases(self, chi_ghz):
         data = simulate_state_counts(target_state("phi_plus").density(), 1.0, 100, seed=1)
-        clipped = CoincidenceDataset(
-            preps=data.preps[:5], bases=data.bases[:5], counts=data.counts[:5])
-        with pytest.raises(InvalidArgumentError):
-            mle_density_matrix(clipped)
+        with pytest.raises(InvalidArgumentError, match="all 9 basis pairs"):
+            CoincidenceDataset.from_records(data.preps[:5], data.bases[:5], data.counts[:5])
 
     def test_mixed_preparations_rejected(self, chi_ghz):
         data = simulate_counts(chi_ghz, 100, seed=2)
@@ -287,10 +295,12 @@ class TestProcessMLE:
 
     def test_requires_full_dataset(self, chi_ghz):
         data = simulate_counts(chi_ghz, 100, seed=26)
-        clipped = CoincidenceDataset(
-            preps=data.preps[:100], bases=data.bases[:100], counts=data.counts[:100])
-        with pytest.raises(InvalidArgumentError):
-            mle_process_matrix(clipped)
+        with pytest.raises(InvalidArgumentError, match="needs all 324 settings; dataset has 100"):
+            CoincidenceDataset.from_records(data.preps[:100], data.bases[:100],
+                                            data.counts.reshape(324, 4)[:100])
+        state = simulate_state_counts(target_state("phi_plus").density(), 1.0, 100, seed=26)
+        with pytest.raises(InvalidArgumentError, match="needs all 324 settings; dataset has 9"):
+            mle_process_matrix(state)
 
     def test_max_iter_reported_as_unconverged(self, chi_ghz):
         # the noisy channel is full rank: its cold fit takes ~30 steps from the
@@ -425,7 +435,7 @@ class TestColdStart:
         # that followed the gradient f / p of a ~1e-33 stalled at a gap of 1e34
         counts = np.zeros((9, 4), dtype=int)
         counts[0] = [990, 0, 0, 10]
-        data = CoincidenceDataset(preps=[None] * 9, bases=enumerate_bases(), counts=counts)
+        data = CoincidenceDataset(counts)
         frame, rows = tomography._state_operators(data)
         start = tomography._project_unit_trace_psd(frame.least_squares(rows / rows.sum()))
         assert abs(frame.probabilities(start)[0, 3]) <= tomography.PROBABILITY_WINDOW
@@ -441,16 +451,18 @@ class TestColdStart:
         # gap of ~1.5e3 nats when only a probability of 0 or less was mixed
         counts = np.zeros((9, 4), dtype=int)
         counts[0] = [990, 0, 0, 10]
-        data = CoincidenceDataset(preps=[None] * 9, bases=enumerate_bases(), counts=counts)
+        data = CoincidenceDataset(counts)
         ket = np.array([1.0, 0.0, 0.0, 1e-15]) / np.sqrt(1.0 + 1e-30)
         report = mle_density_matrix(data, start=DensityMatrix(np.outer(ket, ket)))
         assert report.status == "certified"
 
     def test_repeated_state_bases_add_their_counts(self):
         data = simulate_state_counts(target_state("psi_plus").density(), 0.5, 1e3, seed=16)
-        split = CoincidenceDataset(preps=[None] * 10, bases=[*data.bases, data.bases[4]],
-                                   counts=[*data.counts[:4], data.counts[4] // 2,
-                                           *data.counts[5:], data.counts[4] - data.counts[4] // 2])
+        split = CoincidenceDataset.from_records(
+            [None] * 10, [*data.bases, data.bases[4]],
+            [*data.counts[:4], data.counts[4] // 2, *data.counts[5:],
+             data.counts[4] - data.counts[4] // 2])
+        assert np.array_equal(split.counts, data.counts)
         whole, parts = mle_density_matrix(data), mle_density_matrix(split)
         assert parts.iterations == whole.iterations
         assert np.abs(parts.estimate.matrix - whole.estimate.matrix).max() <= 1e-14
@@ -499,9 +511,10 @@ class TestOperatorTable:
     def test_shuffled_process_records_reconstruct_identically(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1e4, seed=42)
         perm = np.random.default_rng(43).permutation(len(data))
-        shuffled = CoincidenceDataset(
-            preps=[data.preps[i] for i in perm], bases=[data.bases[i] for i in perm],
-            counts=data.counts[perm], mean_counts=data.mean_counts)
+        shuffled = CoincidenceDataset.from_records(
+            [data.preps[i] for i in perm], [data.bases[i] for i in perm],
+            data.counts.reshape(324, 4)[perm], mean_counts=data.mean_counts)
+        assert np.array_equal(shuffled.counts, data.counts)
         a, b = mle_process_matrix(data), mle_process_matrix(shuffled)
         assert np.array_equal(a.estimate.choi, b.estimate.choi)
         assert a.estimate.success_scale == b.estimate.success_scale
@@ -510,9 +523,9 @@ class TestOperatorTable:
     def test_state_records_may_repeat_a_basis(self):
         psi = target_state("psi_plus")
         data = simulate_state_counts(psi.density(), 0.5, 1e4, seed=44)
-        doubled = CoincidenceDataset(
-            preps=data.preps + [None], bases=data.bases + [data.bases[4]],
-            counts=np.vstack([data.counts, data.counts[4:5]]))
+        doubled = CoincidenceDataset.from_records(
+            data.preps + [None], data.bases + [data.bases[4]],
+            np.vstack([data.counts, data.counts[4:5]]))
         report = mle_density_matrix(doubled)
         assert report.metadata["total_counts"] == data.total() + int(data.counts[4].sum())
         assert fidelity(report.estimate, psi.density()) > 0.99
