@@ -31,9 +31,6 @@ PHASE_GRID_POINTS = 16
 PHASE_TOL = 1e-8
 #: Cap on the Newton rounds of the phase refinement.
 PHASE_ROUNDS = 16
-#: Best points of the overlap screen whose exact fidelity picks the refinement
-#: seed when neither argument is pure.
-PHASE_SEEDS = 4096
 #: (theta, phi) points of the Bloch-sphere grid the discord search screens.
 DISCORD_GRID = (20, 40)
 #: Cap on the stencil rounds of the discord refinement.
@@ -102,20 +99,15 @@ def _is_pure(m: np.ndarray) -> bool:
     return abs(purity(m) - 1.0) < 1e-12
 
 
-def _root_fidelity(root_a: np.ndarray, root_b: np.ndarray) -> np.ndarray:
-    """Uhlmann's F = ||sqrt(a) sqrt(b)||_tr^2 from the square roots, batched
-    over leading axes. Its singular values keep the zero ones of
-    rank-deficient pairs at rounding level, where square roots of the
-    eigenvalues of sqrt(a) b sqrt(a) would lift each to ~sqrt(eps)."""
-    return np.linalg.svd(root_a @ root_b, compute_uv=False).sum(axis=-1) ** 2
-
-
 def _uhlmann(a: np.ndarray, b: np.ndarray) -> float:
     # when either unit-trace argument is pure the fidelity is the exact
     # overlap Tr[a b]
     if _is_pure(a) or _is_pure(b):
         return max(float(np.einsum("ij,ji->", a, b).real), 0.0)
-    return float(_root_fidelity(matrix_sqrt(a), matrix_sqrt(b)))
+    # ||sqrt(a) sqrt(b)||_tr^2 by singular values, which keep the zero ones of
+    # rank-deficient pairs at rounding level, where square roots of the
+    # eigenvalues of sqrt(a) b sqrt(a) would lift each to ~sqrt(eps)
+    return float(np.linalg.svd(matrix_sqrt(a) @ matrix_sqrt(b), compute_uv=False).sum() ** 2)
 
 
 def _cap_fidelity(value: float) -> float:
@@ -296,16 +288,6 @@ def discord(m: DensityMatrix, measured_qubit: int) -> float:
     return float(max(0.0, value)) if value > -1e-9 else float(value)
 
 
-def _phase_objective(chi: ChoiProcess, chi_th: ChoiProcess):
-    """The fidelity of a mixed pair as a function of a stack of 16-component
-    phase vectors w, one per row."""
-    # F(w) = ||sqrt(D chi D^dag) sqrt(chi_th)||_tr^2 and sqrt(D chi D^dag) =
-    # D sqrt(chi) D^dag, so F(w) is the squared trace norm of
-    # (sqrt(chi) D^dag) sqrt(chi_th) up to a unitary factor
-    root_chi, root_th = matrix_sqrt(chi.choi), matrix_sqrt(chi_th.choi)
-    return lambda ws: _root_fidelity(root_chi * ws.conj()[:, None, :], root_th)
-
-
 def _mode_bits(n: int) -> np.ndarray:
     """(2^n, n) array of the mode bits of every basis index, mode 1 first."""
     return (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
@@ -316,9 +298,11 @@ def _phase_vectors(phases_grid: np.ndarray) -> np.ndarray:
     return np.exp(1j * (phases_grid @ _mode_bits(phases_grid.shape[1]).T))
 
 
-# A form sum_jk w_j B_jk conj(w_k) of the phase vector is the trigonometric
-# polynomial Re sum_f C_f e^{i theta.f} of the four phases, whose frequencies
-# f = b_j - b_k lie in {-1, 0, 1}^4: 81 terms, the first phase varying slowest.
+# The phase search. A form sum_jk w_j B_jk conj(w_k) of the phase vector, such
+# as the overlap Tr[D chi D^dag chi_th] with B_jk = chi_jk chi_th_kj, is the
+# trigonometric polynomial Re sum_f C_f e^{i theta.f} of the four phases, whose
+# frequencies f = b_j - b_k lie in {-1, 0, 1}^4: 81 terms, the first phase
+# varying slowest. With a pure argument the overlap is the fidelity.
 _FREQUENCIES = np.stack(np.meshgrid(*[[-1, 0, 1]] * 4, indexing="ij"), axis=-1).reshape(81, 4)
 # C = _GATHER @ B.ravel() sums the entries B_jk of each frequency b_j - b_k
 _GATHER = (np.arange(81)[:, None] == ((_mode_bits(4)[:, None, :] - _mode_bits(4)[None, :, :] + 1)
@@ -326,22 +310,10 @@ _GATHER = (np.arange(81)[:, None] == ((_mode_bits(4)[:, None, :] - _mode_bits(4)
 _GRID_AXIS = np.linspace(0.0, TWO_PI, PHASE_GRID_POINTS, endpoint=False)
 # e^{i theta f} for every grid phase theta (rows) and frequency f (columns)
 _GRID_WAVES = np.exp(1j * np.outer(_GRID_AXIS, [-1.0, 0.0, 1.0]))
-# half-width (radians) of the stencil that differentiates a mixed pair's
-# fidelity: truncation leaves a Newton step ~1e-9 from the maximum, ~1e-17 in
-# value, and rounding of ~1e-14 in the fidelity ~1e-10 in the gradient
-_PHASE_STENCIL = 1e-4
-_EYE = np.eye(4)
-_PAIRS = np.triu_indices(4, 1)
-# the 33 stencil offsets: the centre, -+ one unit along each phase, and the
-# corners (+, +), (+, -), (-, +), (-, -) of each pair of phases
-_STENCIL_OFFSETS = np.concatenate([
-    np.zeros((1, 4)), _EYE, -_EYE,
-    (_EYE[_PAIRS[0], None, :] * [[1.0], [1.0], [-1.0], [-1.0]]
-     + _EYE[_PAIRS[1], None, :] * [[1.0], [-1.0], [1.0], [-1.0]]).reshape(24, 4)])
 # a Hessian eigenvalue is curved below minus this fraction of the largest
-# magnitude: along a channel's phase symmetries the polynomial's are rounding,
-# ~1e-16 of the largest. A stencil's carry ~1e-6 of rounding there, so a
-# stencil step may move along a symmetry, which leaves the fidelity unchanged.
+# magnitude: along a channel's phase symmetries the polynomial's curvatures are
+# rounding, ~1e-16 of the largest, so the cut keeps every Newton step off the
+# symmetries, along which the fidelity does not change
 _FLAT_CURVATURE = 1e-9
 
 
@@ -368,32 +340,40 @@ def _polynomial_derivatives(coeffs: np.ndarray):
     return derivatives
 
 
-def _stencil_derivatives(objective):
-    """theta -> (F, gradient, Hessian) of a batched phase objective, by central
-    differences over ``_STENCIL_OFFSETS`` evaluated in one call."""
-    h = _PHASE_STENCIL
+def phase_optimized_fidelity(chi: ChoiProcess,
+                             chi_th: ChoiProcess) -> tuple[float, PhaseCorrection]:
+    """Maximum process fidelity over the four local mode phases applied to chi,
+    for a pair of which at least one argument is pure by the purity rule of
+    ``fidelity``; two mixed arguments raise ``InvalidArgumentError``.
 
-    def derivatives(theta: np.ndarray):
-        f = objective(_phase_vectors(theta + h * _STENCIL_OFFSETS))
-        plus, minus = f[1:5], f[5:9]
-        hess = np.diag((plus - 2.0 * f[0] + minus) / h**2)
-        mixed = f[9:].reshape(6, 4) @ [1.0, -1.0, -1.0, 1.0] / (4.0 * h**2)
-        hess[_PAIRS] = hess[_PAIRS[::-1]] = mixed
-        return f[0], (plus - minus) / (2.0 * h), hess
-
-    return derivatives
-
-
-def _newton_ascent(theta: np.ndarray, derivatives) -> tuple[np.ndarray, float]:
-    """Phases and value reached by at most ``PHASE_ROUNDS`` Newton steps up a
-    fidelity from theta.
+    With a pure argument the fidelity of the phase-corrected estimate is its
+    overlap Tr[D chi D^dag chi_th], the trigonometric polynomial
+    Re sum_f C_f e^{i theta.f} with frequencies f in {-1, 0, 1}^4. It is
+    evaluated exactly on the ``PHASE_GRID_POINTS``^4 grid (which holds the
+    zero-phase point) by four separable contractions, and the lowest grid
+    index within 1e-12 of the grid maximum seeds at most ``PHASE_ROUNDS``
+    Newton steps from the polynomial's closed-form gradient and Hessian.
 
     Each step is taken in the Hessian's eigenbasis: a Newton step along every
     direction of negative curvature, none along flat directions (a channel's
     phase symmetries, where the fidelity does not change) or along directions
     of positive curvature. A step that lowers the fidelity is refused and ends
-    the rounds; so does an accepted step shorter than ``PHASE_TOL``.
+    the rounds; so does an accepted step shorter than ``PHASE_TOL``. The
+    lowest-index rule keeps the grid points tied by the phase symmetries from
+    making the result depend on rounding: the returned phases are the seed's
+    along them, one of many phase settings of the same value. The result is
+    never below the raw fidelity.
     """
+    raw = process_fidelity(chi, chi_th)
+    if not (_is_pure(chi.choi) or _is_pure(chi_th.choi)):
+        raise InvalidArgumentError(
+            "phase-optimized fidelity needs a pure estimate or target (purity within "
+            "1e-12 of 1); both are mixed")
+    coeffs = _GATHER @ (chi.choi * chi_th.choi.T).ravel()
+    values = _grid_values(coeffs).ravel()
+    seed = np.argmax(values >= values.max() - 1e-12)
+    theta = _GRID_AXIS[np.array(np.unravel_index(seed, (PHASE_GRID_POINTS,) * 4))]
+    derivatives = _polynomial_derivatives(coeffs)
     value, grad, hess = derivatives(theta)
     for _ in range(PHASE_ROUNDS):
         curvatures, axes = np.linalg.eigh(hess)
@@ -405,50 +385,9 @@ def _newton_ascent(theta: np.ndarray, derivatives) -> tuple[np.ndarray, float]:
         theta, (value, grad, hess) = theta + step, trial
         if np.linalg.norm(step) < PHASE_TOL:
             break
-    return theta, value
-
-
-def phase_optimized_fidelity(chi: ChoiProcess,
-                             chi_th: ChoiProcess) -> tuple[float, PhaseCorrection]:
-    """Maximum process fidelity over the four local mode phases applied to chi.
-
-    The overlap Tr[D chi D^dag chi_th] of the phase-corrected estimate is the
-    trigonometric polynomial Re sum_f C_f e^{i theta.f} with frequencies f in
-    {-1, 0, 1}^4. It is evaluated exactly on the ``PHASE_GRID_POINTS``^4 grid
-    (which holds the zero-phase point) by four separable contractions. When
-    either argument is pure, by the purity rule of ``fidelity``, the overlap
-    is the fidelity: the lowest grid index within 1e-12 of the grid maximum
-    seeds Newton steps from the polynomial's closed-form gradient and Hessian.
-    Otherwise the overlap is a screen: the fidelity ||sqrt(D chi D^dag)
-    sqrt(chi_th)||_tr^2 ranks its ``PHASE_SEEDS`` best points by the same
-    rule, and the Newton steps take their gradient and Hessian from a
-    33-point central-difference stencil evaluated in one batched call.
-
-    The lowest-index rule keeps the grid points tied by a channel's phase
-    symmetries from making the result depend on rounding, and no polynomial
-    Newton step moves along such a symmetry: the returned phases are the
-    seed's there, one of many phase settings of the same value. The result is
-    never below the raw fidelity.
-    """
-    raw = process_fidelity(chi, chi_th)
-    coeffs = _GATHER @ (chi.choi * chi_th.choi.T).ravel()
-    values = _grid_values(coeffs).ravel()
-    if _is_pure(chi.choi) or _is_pure(chi_th.choi):
-        # the polynomial is the fidelity, so the screen ranks every grid point
-        scores, candidates = values, np.arange(values.size)
-        derivatives = _polynomial_derivatives(coeffs)
-    else:
-        objective = _phase_objective(chi, chi_th)
-        candidates = np.sort(np.argpartition(values, -PHASE_SEEDS)[-PHASE_SEEDS:])
-        grid = _GRID_AXIS[np.stack(np.unravel_index(candidates, (PHASE_GRID_POINTS,) * 4), axis=1)]
-        scores = objective(_phase_vectors(grid))
-        derivatives = _stencil_derivatives(objective)
-    seed = candidates[np.argmax(scores >= scores.max() - 1e-12)]
-    theta = _GRID_AXIS[np.array(np.unravel_index(seed, (PHASE_GRID_POINTS,) * 4))]
-    theta, best = _newton_ascent(theta, derivatives)
-    if best <= raw:
+    if value <= raw:
         return raw, PhaseCorrection.zero()
-    return float(best), PhaseCorrection(tuple(theta))
+    return float(value), PhaseCorrection(tuple(theta))
 
 
 #: CLI / Monte Carlo metric names.

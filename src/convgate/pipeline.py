@@ -56,7 +56,7 @@ from .serialize import noise_spec_to_json
 from .tomography import (
     GENERATOR_NOTE,
     CoincidenceDataset,
-    _resamples,
+    MetricTable,
     derive_seed,
     monte_carlo_metric_table,
     reconstruct,
@@ -240,32 +240,31 @@ def run_tomography_suite(config: ExperimentConfig) -> TableReport:
             "fidelity-optimized": metric_function("process-fidelity-optimized", chi_th),
         }
         rows += _sampled_rows(name, data, metrics, config.monte_carlo_samples, seed,
-                              derive_seed(seed, f"mc:{name}"), uncertified)
+                              derive_seed(seed, f"mc:{name}"), uncertified)[0]
     return TableReport(title="table2-sim", rows=rows,
                        metadata=_provenance(config, uncertified))
 
 
-def _sampled_rows(prefix: str, data: CoincidenceDataset, metrics: dict,
-                  n: int, seed: int, mc_seed: int, uncertified: dict) -> list[TableRow]:
+def _sampled_rows(prefix: str, data: CoincidenceDataset, metrics: dict, n: int, seed: int,
+                  mc_seed: int, uncertified: dict) -> tuple[list[TableRow], MetricTable]:
     """One row per metric: its value on the reconstruction of ``data`` and its
-    Monte Carlo std over ``n`` resamples of ``data`` drawn from ``mc_seed``.
-    A non-zero count of uncertified resamples goes to ``uncertified[prefix]``."""
+    Monte Carlo std over ``n`` resamples of ``data`` drawn from ``mc_seed``,
+    and the table of those resamples. A non-zero count of uncertified
+    resamples goes to ``uncertified[prefix]``."""
     estimate = reconstruct(data).estimate
     table = monte_carlo_metric_table(data, n, metrics, mc_seed, start=estimate)
     if table.uncertified:
         uncertified[prefix] = table.uncertified
     return [TableRow(f"{prefix}/{name}", float(fn(estimate)), table[name][1], n, seed)
-            for name, fn in metrics.items()]
+            for name, fn in metrics.items()], table
 
 
-def _success_row(data: CoincidenceDataset, n: int, seed: int, mc_seed: int) -> TableRow:
+def _success_row(data: CoincidenceDataset, totals, seed: int) -> TableRow:
     """The success-probability estimate total_counts / (9 * mean_counts) with
-    its Monte Carlo std over the resamples ``_sampled_rows`` fits for the
-    same ``mc_seed``."""
+    its Monte Carlo std over the resample ``totals``."""
     norm = 9.0 * data.mean_counts
-    values = [sample.total() / norm for sample in _resamples(data, n, mc_seed)]
     return TableRow("sampled/success-probability", data.total() / norm,
-                    float(np.std(values, ddof=1)), n, seed)
+                    float(np.std(np.asarray(totals) / norm, ddof=1)), len(totals), seed)
 
 
 def _state_demo(config: ExperimentConfig, title: str, settings: GateSettings,
@@ -279,8 +278,8 @@ def _state_demo(config: ExperimentConfig, title: str, settings: GateSettings,
     data = simulate_state_counts(rho_out, prob, config.mean_counts,
                                  derive_seed(seed, f"{title}:data"))
     n, mc_seed, uncertified = config.monte_carlo_samples, derive_seed(seed, f"{title}:mc"), {}
-    rows = rows + _sampled_rows("sampled", data, metrics, n, seed, mc_seed, uncertified)
-    rows.append(_success_row(data, n, seed, mc_seed))
+    sampled, table = _sampled_rows("sampled", data, metrics, n, seed, mc_seed, uncertified)
+    rows = rows + sampled + [_success_row(data, table.totals, seed)]
     return TableReport(title=title, rows=rows, metadata=_provenance(config, uncertified))
 
 

@@ -255,13 +255,15 @@ class CoincidenceDataset:
     def from_records(cls, preps: list[tuple[str, str] | None], bases: list[tuple[str, str]],
                      counts, **fields) -> "CoincidenceDataset":
         """The dataset of the records (``preps[i]``, ``bases[i]``, ``counts[i]``)
-        in any order, with the other ``fields``. Records of one preparation (or
-        None) make a state, which needs all 9 basis pairs and adds the counts of
+        in any order, with the other ``fields``. Records of one known preparation
+        (or None) make a state, which needs all 9 basis pairs and adds the counts of
         a repeated one; others make a process, which needs each setting once."""
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (len(preps), 4) or len(bases) != len(preps) or (counts < 0).any():
             raise InvalidArgumentError("each record needs two labels and four nonnegative counts")
         if len(set(preps)) <= 1:
+            if preps and preps[0] is not None and preps[0] not in enumerate_preparations():
+                raise InvalidArgumentError(f"unknown preparation {preps[0]}")
             index = {basis: i for i, basis in enumerate(enumerate_bases())}
             rows = [index.get(basis, -1) for basis in bases]
             if set(rows) != set(range(9)):
@@ -739,12 +741,14 @@ def _resamples(data: CoincidenceDataset, n: int, seed: int):
 
 
 class MetricTable(dict):
-    """Metric name -> (Monte Carlo mean, std), and in ``uncertified`` the
-    number of resamples whose fit ended without a certified gap."""
+    """Metric name -> (Monte Carlo mean, std), in ``uncertified`` the number
+    of resamples whose fit ended without a certified gap, and in ``totals``
+    each resample's total count, in resample order."""
 
-    def __init__(self, values: dict, uncertified: int = 0):
+    def __init__(self, values: dict, uncertified: int = 0, totals: tuple = ()):
         super().__init__(values)
         self.uncertified = uncertified
+        self.totals = totals
 
 
 def monte_carlo_metric_table(data: CoincidenceDataset, n_samples: int,
@@ -763,14 +767,15 @@ def monte_carlo_metric_table(data: CoincidenceDataset, n_samples: int,
     if start is None:
         start = reconstruct(data).estimate
     values = {name: [] for name in metrics}
-    uncertified = 0
+    uncertified, totals = 0, []
     for sample in _resamples(data, n_samples, seed):
         fit = reconstruct(sample, start=start)
         uncertified += fit.status != "certified"
+        totals.append(fit.metadata["total_counts"])
         for name, fn in metrics.items():
             values[name].append(fn(fit.estimate))
     out = {}
     for name, vals in values.items():
         arr = np.asarray(vals)
         out[name] = (float(arr.mean()), float(arr.std(ddof=1)))
-    return MetricTable(out, uncertified)
+    return MetricTable(out, uncertified, tuple(totals))

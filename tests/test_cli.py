@@ -358,6 +358,8 @@ MALFORMED_INPUTS = {
     "basis-unhashable": ("dataset", lambda o: o["records"][0].update(basis=[["Z"], "X"])),
     "state-basis-missing": ("dataset", lambda o: o.update(
         records=[r for r in o["records"] if r["prep"] == ["H", "H"]][:8])),
+    "state-prep-unknown": ("dataset", lambda o: o.update(
+        records=[dict(r, prep=["Q", "Q"]) for r in o["records"] if r["prep"] == ["H", "H"]])),
 }
 _READERS = {
     "dataset": ["tomo", "reconstruct", "--data", "input.json", "--out", "x.json"],
@@ -444,8 +446,7 @@ class TestMetricsCommand:
         estimate = apply_noise(chi, NoiseSpec(
             depolarizing_p=0.1, mode_phases=PhaseCorrection((0.4, 2.5, 1.3, 5.0))))
         serialize.dump_json(serialize.choi_to_json(estimate), tmp_path / "est.json")
-        serialize.dump_json(serialize.choi_to_json(
-            apply_noise(chi, NoiseSpec(depolarizing_p=0.2))), tmp_path / "target.json")
+        serialize.dump_json(serialize.choi_to_json(chi), tmp_path / "target.json")
         out = tmp_path / "metrics.json"
         assert main(["metrics", "--estimate", str(tmp_path / "est.json"),
                      "--target", str(tmp_path / "target.json"),
@@ -456,6 +457,27 @@ class TestMetricsCommand:
             mode_phases=PhaseCorrection(tuple(report["metadata"]["phases"]))))
         target = serialize.choi_from_json(serialize.load_json(tmp_path / "target.json"))
         assert abs(process_fidelity(corrected, target) - printed) <= 1e-9
+
+    def test_optimized_fidelity_of_two_mixed_matrices_exits_2(self, tmp_path, capsys):
+        from convgate.metrics import PhaseCorrection
+        from convgate.noise import NoiseSpec, apply_noise
+        chi = ideal_choi(GateSettings(0.0, np.pi / 4))
+        estimate = apply_noise(chi, NoiseSpec(
+            depolarizing_p=0.1, mode_phases=PhaseCorrection((0.4, 2.5, 1.3, 5.0))))
+        serialize.dump_json(serialize.choi_to_json(estimate), tmp_path / "est.json")
+        serialize.dump_json(serialize.choi_to_json(
+            apply_noise(chi, NoiseSpec(depolarizing_p=0.2))), tmp_path / "target.json")
+        out = tmp_path / "metrics.json"
+        argv = ["metrics", "--estimate", str(tmp_path / "est.json"),
+                "--target", str(tmp_path / "target.json"), "--out", str(out)]
+        assert main([*argv, "--metric", "process-fidelity",
+                     "--metric", "process-fidelity-optimized"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "pure estimate or target" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        # the raw fidelity of the same pair is still defined
+        assert main([*argv, "--metric", "process-fidelity"]) == 0
 
     def test_state_metric_with_monte_carlo(self, tmp_path, capsys):
         from convgate.core import PureState

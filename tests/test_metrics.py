@@ -16,7 +16,6 @@ from convgate.core import (
     DensityMatrix,
     PureState,
     apply_choi_channel,
-    matrix_sqrt,
     partial_trace,
 )
 from convgate.errors import InvalidArgumentError
@@ -203,14 +202,11 @@ class TestPhaseOptimizedFidelity:
         value, _ = phase_optimized_fidelity(shifted, chi_th)
         assert value == pytest.approx(base, abs=1e-9)
 
-    # depolarizing strengths (estimate, target): 0 is pure, 5e-5 leaves a
-    # residual spectrum below 1e-4 of the trace, 0.1 and 0.2 are mixed
+    # depolarizing strengths (estimate, target): 0 is pure, 0.1 is mixed
     @pytest.mark.parametrize("p_est,p_th", [
         (0.1, 0.0),    # target pure
         (0.0, 0.1),    # estimate pure
-        (0.1, 5e-5),   # near-pure target
-        (0.1, 0.2),    # mixed-mixed
-    ], ids=["target-pure", "estimate-pure", "near-pure", "mixed-mixed"])
+    ], ids=["target-pure", "estimate-pure"])
     def test_planted_phases_in_every_purity_regime(self, rng, p_est, p_th):
         chi = ideal_choi(preset("ghz").settings)
         chi_th = apply_noise(chi, NoiseSpec(depolarizing_p=p_th)) if p_th else chi
@@ -229,6 +225,19 @@ class TestPhaseOptimizedFidelity:
                                    chi_th)
         assert reached == pytest.approx(value, abs=1e-9)
 
+    # depolarizing strengths (estimate, target): 5e-5 leaves the target's
+    # purity 1.9e-4 below 1, mixed by the purity rule like 0.1 and 0.2
+    @pytest.mark.parametrize("p_est,p_th", [(0.1, 5e-5), (0.1, 0.2)],
+                             ids=["near-pure", "mixed-mixed"])
+    def test_two_mixed_arguments_raise(self, p_est, p_th):
+        chi = ideal_choi(preset("ghz").settings)
+        estimate, target = (apply_noise(chi, NoiseSpec(depolarizing_p=p)) for p in (p_est, p_th))
+        for pair in ((estimate, target), (target, estimate)):
+            with pytest.raises(InvalidArgumentError, match="needs a pure estimate or target"):
+                phase_optimized_fidelity(*pair)
+        # raw fidelity of the same pair stays defined
+        assert 0.0 < process_fidelity(estimate, target) <= 1.0
+
     def test_pure_target_search_allocates_little(self):
         # the 16^4-point screen ends in one 1 MiB complex array; the 65,536
         # phase vectors it replaces would take 16 MiB complex at once
@@ -244,25 +253,15 @@ class TestPhaseOptimizedFidelity:
 
 
 def _reference_screen_function(chi, chi_th):
-    """The evaluator of the blocked screen: the quadratic form of a pure or
-    near-pure argument (residual spectrum below 1e-9, then 1e-4, of the
-    trace), else the Uhlmann formula: exact but for the near-pure form."""
-    for deficit in (1e-9, 1e-4):
-        for pure, other in ((chi_th.choi, chi.choi), (chi.choi.T, chi_th.choi.T)):
-            vals, vecs = np.linalg.eigh(pure)
-            if vals[-1] >= np.trace(pure).real - deficit:
-                quad = np.outer(vecs[:, -1].conj(), vecs[:, -1]) * other
-                return lambda ws: np.einsum("gj,gj->g", ws @ quad, ws.conj()).real
-    root_chi, root_th = matrix_sqrt(chi.choi), matrix_sqrt(chi_th.choi)
-
-    def uhlmann(ws):
-        # the trace norm of sqrt(chi) D^dag sqrt(chi_th) by singular values:
-        # square roots of the eigenvalues of its square would lift each zero
-        # one of a rank-deficient pair to ~1e-8, which Nelder-Mead climbs
-        p = root_chi[None, :, :] * ws.conj()[:, None, :]
-        return np.linalg.svd(p @ root_th, compute_uv=False).sum(axis=1) ** 2
-
-    return uhlmann
+    """The evaluator of the blocked screen: the quadratic form of the pure
+    argument (residual spectrum below 1e-9 of the trace), the fidelity of a
+    pair with one pure argument."""
+    for pure, other in ((chi_th.choi, chi.choi), (chi.choi.T, chi_th.choi.T)):
+        vals, vecs = np.linalg.eigh(pure)
+        if vals[-1] >= np.trace(pure).real - 1e-9:
+            quad = np.outer(vecs[:, -1].conj(), vecs[:, -1]) * other
+            return lambda ws: np.einsum("gj,gj->g", ws @ quad, ws.conj()).real
+    raise AssertionError("the reference screen needs a pure argument")
 
 
 def _reference_screen(chi, chi_th):
@@ -324,22 +323,6 @@ class TestPhaseScreenOracle:
                            for _ in range(2))
             grid = _grid_values(_overlap_coefficients(chi, chi_th))
             assert np.max(np.abs(grid.ravel() - _reference_screen(chi, chi_th))) <= 1e-13
-
-    @pytest.mark.parametrize("kind", ["noisy-gate", "ginibre"])
-    def test_mixed_pairs_never_below_the_uhlmann_grid_search(self, rng, kind):
-        # noisy channels of a random gate setting against a noisy target of the
-        # same gate, and random Choi matrices of random rank, where the overlap
-        # seeds worst; the exact fidelity re-ranks the screen's best points
-        for _ in range(3):
-            if kind == "noisy-gate":
-                settings = GateSettings(*rng.uniform(0.0, np.pi, 2))
-                chi = _noisy_gate_channel(rng, settings)
-                chi_th = _noisy_gate_channel(rng, settings, planted=False)
-            else:
-                chi, chi_th = (ChoiProcess(random_density_matrix(
-                    rng, 4, rank=int(rng.integers(2, 17))).matrix) for _ in range(2))
-            value, _ = phase_optimized_fidelity(chi, chi_th)
-            assert value >= _reference_search(chi, chi_th) - 1e-9
 
     @pytest.mark.parametrize("name", CONVERSION_PRESET_NAMES)
     def test_seed_does_not_follow_last_bit_rounding(self, name):
@@ -434,9 +417,8 @@ from convgate.metrics import phase_optimized_fidelity
 from convgate.noise import NoiseSpec, apply_noise
 chi_th = ideal_choi(preset("ghz").settings)
 noisy = apply_noise(chi_th, NoiseSpec(depolarizing_p=0.1))
-for target in (chi_th, apply_noise(chi_th, NoiseSpec(depolarizing_p=0.2))):
-    value, _ = phase_optimized_fidelity(noisy, target)
-    assert 0.0 < value <= 1.0
+value, _ = phase_optimized_fidelity(noisy, chi_th)
+assert 0.0 < value <= 1.0
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -21,6 +21,7 @@ from convgate.pipeline import (
     run_tomography_suite,
 )
 from convgate.tomography import (
+    CoincidenceDataset,
     _resamples,
     derive_seed,
     reconstruct,
@@ -146,7 +147,7 @@ class TestTable3:
 class TestOneResamplingStream:
     def test_success_std_is_the_poisson_value(self):
         data = simulate_state_counts(target_state("psi_plus").density(), 0.5, 1e3, seed=61)
-        row = _success_row(data, 2000, 61, 62)
+        row = _success_row(data, [sample.total() for sample in _resamples(data, 2000, 62)], 61)
         poisson = np.sqrt(data.total()) / (9.0 * data.mean_counts)
         # the std of 2000 resamples scatters by 1/sqrt(2 * 1999) ~ 1.6%
         assert abs(row.std / poisson - 1.0) <= 0.08
@@ -165,6 +166,18 @@ class TestOneResamplingStream:
                         for sample in samples]
         assert report.row("sampled/success-probability").std == float(np.std(totals, ddof=1))
         assert report.row("sampled/concurrence").std == float(np.std(concurrences, ddof=1))
+
+    def test_state_report_draws_each_resample_once(self, monkeypatch):
+        n, calls = 10, []
+        original = CoincidenceDataset.resampled
+
+        def counted(self, rng):
+            calls.append(1)
+            return original(self, rng)
+
+        monkeypatch.setattr(CoincidenceDataset, "resampled", counted)
+        run_entangler_demo(ExperimentConfig(seed=13, mean_counts=1e3, monte_carlo_samples=n))
+        assert len(calls) == n
 
 
 class TestFixtures:

@@ -26,12 +26,14 @@ from convgate.core import (
     channel_output_unnormalized,
     partial_trace,
 )
+from convgate.errors import InvalidArgumentError
 from convgate.gate import PRESET_NAMES, GateSettings, build_gate, ideal_choi, preset
 from convgate.metrics import (
     PhaseCorrection,
     discord,
     phase_optimized_fidelity,
     process_fidelity,
+    purity,
 )
 from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, NoiseSpec, apply_noise
 from convgate.tomography import (
@@ -163,13 +165,20 @@ def test_channel_noise_equals_state_noise_around_the_channel(seed, theta1, theta
 @_settings(8)
 @given(angles, angles, st.floats(0.0, 0.5), phase_corrections,
        st.sampled_from([0.0, 1e-13, 1e-10, 5e-10]))
-# a white admixture of 1e-10 leaves the target's purity 1.9e-10 below 1:
-# mixed by the purity rule, so raw and optimized fidelity are both Uhlmann's
+# a white admixture of 1e-13 leaves the target's purity 1.9e-13 below 1: pure
+# by the purity rule, so the overlap polynomial is the fidelity
+@example(0.0, np.pi / 4, 0.05, PhaseCorrection((0.3, 1.1, 2.0, 0.7)), 1e-13)
+# one of 1e-10 leaves it 1.9e-10 below 1: mixed by the rule, so with a mixed
+# estimate the phase search raises
 @example(0.0, np.pi / 4, 0.05, PhaseCorrection((0.3, 1.1, 2.0, 0.7)), 1e-10)
 def test_phase_optimized_fidelity_is_at_least_raw(theta1, theta2, p, planted, white):
     pure = _nondegenerate_channel(theta1, theta2)
     chi_th = ChoiProcess((1.0 - white) * pure.choi + white * np.eye(16) / 16.0)
     chi = apply_noise(pure, NoiseSpec(depolarizing_p=p, mode_phases=planted))
+    if white >= 1e-10 and purity(chi) < 1.0 - 1e-12:
+        with pytest.raises(InvalidArgumentError, match="needs a pure estimate or target"):
+            phase_optimized_fidelity(chi, chi_th)
+        return
     value, correction = phase_optimized_fidelity(chi, chi_th)
     assert value >= process_fidelity(chi, chi_th) - 1e-12
     undone = apply_noise(chi, NoiseSpec(mode_phases=planted.scaled(-1)))

@@ -485,7 +485,7 @@ def pinned_simulations(tmp_path_factory):
         for simulate in (simulate_counts, simulate_state_counts):
             for module in (pipeline, tomography):
                 patch.setattr(module, simulate.__name__, recording(simulate))
-        patch.setattr(pipeline, "_sampled_rows", lambda *args: [])
+        patch.setattr(pipeline, "_sampled_rows", lambda *args: ([], tomography.MetricTable({})))
         patch.setattr(pipeline, "_success_row", lambda *args: pipeline.TableRow("stub", 0.0))
         for run, _, _ in CASES.values():
             run()
