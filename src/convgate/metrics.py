@@ -210,12 +210,14 @@ def _refined_conditional_entropy(rho: np.ndarray, measured_qubit: int, theta: fl
     central-difference gradient and Hessian. A Newton step that stays within the
     stencil half-width from a positive definite Hessian becomes the next
     centre, with the step length as the next half-width; otherwise the centre
-    moves to a better stencil point, or the stencil shrinks fourfold. A stencil
+    moves to a better stencil point and the half-width doubles, up to h, or the
+    stencil shrinks fourfold. Without the doubling, a half-width cut to a short
+    Newton step would advance only that far per round. A stencil
     whose nine values agree to rounding ends the rounds: the entropy is flat
     there, as on pure and Bell states. The chart is rebuilt at every centre, so
     the poles and the phi = 0 seam are ordinary points.
     """
-    best = np.inf
+    best, widest = np.inf, h
     for _ in range(DISCORD_ROUNDS):
         st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
         # (e_theta, e_phi) is orthonormal and tangent at the poles too, where
@@ -247,6 +249,7 @@ def _refined_conditional_entropy(rho: np.ndarray, measured_qubit: int, theta: fl
         k = int(np.argmin(values))
         if values[k] < values[4]:
             theta, phi = thetas[k], phis[k]
+            h = min(2.0 * h, widest)
         else:
             h /= 4.0
             if h < _STENCIL_FLOOR:
@@ -254,17 +257,33 @@ def _refined_conditional_entropy(rho: np.ndarray, measured_qubit: int, theta: fl
     return best
 
 
+def _screen_directions() -> tuple[np.ndarray, np.ndarray]:
+    """(theta, phi) of the distinct projective measurements of ``DISCORD_GRID``.
+
+    The directions n and -n measure the same projector pair with the outcomes
+    swapped, and the grid's rows theta_i and theta_{n_theta - 1 - i}, shifted by
+    pi in phi, are antipodes; the pole row repeats one direction. So the screen
+    keeps the pole once, at phi = 0, and the rows strictly between it and the
+    equator at every phi: 1 + (n_theta / 2 - 1) n_phi directions, 361 of 800.
+    """
+    n_theta, n_phi = DISCORD_GRID
+    theta, phi = np.meshgrid(np.linspace(0.0, np.pi, n_theta)[1:n_theta // 2],
+                             np.linspace(0.0, TWO_PI, n_phi, endpoint=False), indexing="ij")
+    return np.append(0.0, theta.ravel()), np.append(0.0, phi.ravel())
+
+
 def discord(m: DensityMatrix, measured_qubit: int) -> float:
     """Quantum discord with projective measurements on the chosen qubit.
 
     The conditional entropy is minimized over measurement directions by
-    screening the Bloch-sphere grid ``DISCORD_GRID`` in one batched
-    evaluation, then refining from the first best grid point by at most
+    screening each distinct measurement of the Bloch-sphere grid
+    ``DISCORD_GRID`` once (``_screen_directions``) in one batched
+    evaluation, then refining from the first best screened point by at most
     ``DISCORD_ROUNDS`` stencil-Newton rounds, each one batched evaluation of
     nine directions (``_refined_conditional_entropy``). The conditional
     entropy is a smooth function of the direction wherever the conditional
     states keep their rank, so a few Newton steps reach its minimum; the
-    result is never above the grid minimum.
+    result is never above the screened minimum.
     """
     if not isinstance(m, DensityMatrix) or m.qubits != 2:
         raise InvalidArgumentError("discord is defined for two-qubit density matrices")
@@ -274,14 +293,11 @@ def discord(m: DensityMatrix, measured_qubit: int) -> float:
     s_total = von_neumann_entropy(m)
 
     rho = m.matrix
-    n_theta, n_phi = DISCORD_GRID
-    theta, phi = np.meshgrid(np.linspace(0.0, np.pi, n_theta),
-                             np.linspace(0.0, TWO_PI, n_phi, endpoint=False), indexing="ij")
-    theta, phi = theta.ravel(), phi.ravel()
+    theta, phi = _screen_directions()
     values = _conditional_entropies(rho, measured_qubit, theta, phi)
     best = int(np.argmin(values))
     refined = _refined_conditional_entropy(rho, measured_qubit, theta[best], phi[best],
-                                           np.pi / (n_theta - 1))
+                                           np.pi / (DISCORD_GRID[0] - 1))
     value = s_measured - s_total + min(float(values[best]), refined)
     # discord is nonnegative and the three entropies carry rounding of order
     # 1e-15, so a value above -1e-9 is clamped; only an invalid state goes lower

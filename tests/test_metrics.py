@@ -41,6 +41,7 @@ from convgate.metrics import (
     _phase_vectors,
     _polynomial_derivatives,
     _refined_conditional_entropy,
+    _screen_directions,
     concurrence,
     discord,
     fidelity,
@@ -497,9 +498,8 @@ def _reference_grid(n_theta=20, n_phi=40):
             for phi in np.linspace(0.0, TWO_PI, n_phi, endpoint=False)]
 
 
-def _reference_discord(m, measured_qubit):
+def _reference_conditional_minimum(rho, measured_qubit):
     """Per-point grid loop (first strict minimum) and Nelder-Mead refinement."""
-    rho = m.matrix
     best_val, best_angles = np.inf, (0.0, 0.0)
     for theta, phi in _reference_grid():
         val = _reference_conditional_entropy(rho, measured_qubit, theta, phi)
@@ -508,10 +508,12 @@ def _reference_discord(m, measured_qubit):
     res = minimize(lambda x: _reference_conditional_entropy(rho, measured_qubit, x[0], x[1]),
                    x0=np.array(best_angles), method="Nelder-Mead",
                    options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
-    if res.fun < best_val:
-        best_val = float(res.fun)
+    return min(best_val, float(res.fun))
+
+
+def _reference_discord(m, measured_qubit):
     value = (von_neumann_entropy(partial_trace(m, {measured_qubit}))
-             - von_neumann_entropy(m) + best_val)
+             - von_neumann_entropy(m) + _reference_conditional_minimum(m.matrix, measured_qubit))
     return float(max(0.0, value)) if value > -1e-9 else float(value)
 
 
@@ -578,6 +580,57 @@ REFINEMENT_EDGE_STATES = {
 }
 
 
+def _bloch_vectors(theta, phi):
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+                    axis=-1)
+
+
+class TestDiscordScreen:
+    """The screen holds each projective measurement of ``DISCORD_GRID`` once:
+    n and -n are one measurement with the outcomes swapped."""
+
+    def test_no_two_screened_directions_are_one_measurement(self):
+        theta, phi = _screen_directions()
+        assert len(theta) == len(phi) == 361
+        overlaps = np.abs(_bloch_vectors(theta, phi) @ _bloch_vectors(theta, phi).T)
+        np.fill_diagonal(overlaps, 0.0)
+        assert overlaps.max() < 1.0 - 1e-12
+
+    def test_every_grid_point_is_screened_or_its_antipode_is(self):
+        grid = _bloch_vectors(*np.array(_reference_grid()).T)
+        assert len(grid) == DISCORD_GRID[0] * DISCORD_GRID[1]
+        overlaps = grid @ _bloch_vectors(*_screen_directions()).T
+        assert np.all(np.abs(overlaps).max(axis=1) >= 1.0 - 1e-12)
+
+    @pytest.mark.parametrize("measured_qubit", [0, 1])
+    def test_screened_minimum_is_the_grid_minimum(self, measured_qubit):
+        grid = np.array(_reference_grid()).T
+        states = {**ORACLE_STATES,
+                  **{name: make(measured_qubit) for name, make in REFINEMENT_EDGE_STATES.items()}}
+        for name, m in states.items():
+            screened = _conditional_entropies(m.matrix, measured_qubit, *_screen_directions())
+            full = _conditional_entropies(m.matrix, measured_qubit, *grid)
+            assert abs(screened.min() - full.min()) <= 1e-15, name
+
+
+# the 321st discord(., 0) estimate of ``convgate reproduce discord --seed 3``, a
+# rank-2 fit. From the pole seeds at phi index 9, 19, 29 and 39 a Newton step
+# cuts the stencil half-width to 3.6e-4; a refinement that keeps that
+# half-width on each move to a better stencil point creeps 3.6e-4 per round
+# and ends at the round cap, 3.4e-6 above the minimum
+STALL_STATE = np.array([
+    [0.13297250258088186, 0.13302986084620227, -0.002149901399452229, -0.027741677451252833],
+    [0.13302986084620227, 0.13383955178202195, -0.0105042621834124, -0.009685481470988362],
+    [-0.002149901399452229, -0.0105042621834124, 0.13062235988512041, -0.27772938455150026],
+    [-0.027741677451252833, -0.009685481470988362, -0.27772938455150026, 0.6025655857519749],
+]) + 1j * np.array([
+    [0.0, -0.004237950454034236, -0.006043574841336068, 0.018617933450866507],
+    [0.004237950454034236, 0.0, -0.008834905921743906, 0.022042259949780672],
+    [0.006043574841336068, 0.008834905921743906, 0.0, 0.02113813379244589],
+    [-0.018617933450866507, -0.022042259949780672, -0.02113813379244589, 0.0],
+])
+
+
 class TestDiscordRefinement:
     """Optima on a pole and across the phi seam, and flat or degenerate
     conditional entropies, where the Hessian carries no information."""
@@ -620,11 +673,30 @@ class TestDiscordRefinement:
         assert len(calls) <= 3
         assert abs(value - _reference_discord(m, measured_qubit)) <= DISCORD_REFINEMENT_TOL
 
+    def test_every_pole_seed_reaches_the_minimum_before_the_round_cap(self, monkeypatch):
+        minimum = _reference_conditional_minimum(STALL_STATE, 0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _conditional_entropies(*args)
+
+        monkeypatch.setattr("convgate.metrics._conditional_entropies", counted)
+        for phi in np.linspace(0.0, TWO_PI, DISCORD_GRID[1], endpoint=False):
+            calls.clear()
+            refined = _refined_conditional_entropy(STALL_STATE, 0, 0.0, phi,
+                                                   np.pi / (DISCORD_GRID[0] - 1))
+            # fewer rounds than the cap: the refinement ended by its own rule
+            assert len(calls) < DISCORD_ROUNDS, phi
+            assert abs(refined - minimum) <= DISCORD_REFINEMENT_TOL, phi
+        m = DensityMatrix(STALL_STATE, validate=False)
+        assert abs(discord(m, 0) - _reference_discord(m, 0)) <= DISCORD_REFINEMENT_TOL
+
     @pytest.mark.parametrize("measured_qubit", [0, 1])
     def test_crosses_the_phi_seam_from_the_nearest_grid_point(self, measured_qubit):
-        # the grid screen may pick either of the two antipodal optima, so the
-        # refinement starts from the grid point on phi = 0 nearest the optimum
-        # just below 2 pi
+        # the screen may seed the refinement on either side of the seam, so it
+        # starts here from the grid point on phi = 0 nearest the optimum just
+        # below 2 pi
         m, minimum = _classical_quantum_state(measured_qubit, *SEAM)
         spacing = np.pi / (DISCORD_GRID[0] - 1)
         start = spacing * round(SEAM[0] / spacing)

@@ -58,6 +58,7 @@ from convgate.tomography import (
 )
 
 from conftest import expand_operator, random_unitary
+from test_metrics import DISCORD_REFINEMENT_TOL
 
 
 # hypothesis caches constants parsed from local sources in its home directory
@@ -241,15 +242,32 @@ def test_discord_vanishes_on_classical_quantum_states(seed, p, rank0, rank1, qub
     assert abs(discord(DensityMatrix(mat, validate=False), qubit)) <= 1e-6
 
 
+def _rotated_discords(seed, rank, qubit, on_measured):
+    """discord of a Ginibre state and of the same state after a random unitary
+    on the measured or on the other qubit."""
+    rho = _ginibre(seed, 4, rank)
+    v = random_unitary(np.random.default_rng(seed), 2)
+    u = np.kron(np.eye(2), v) if (qubit == 0) != on_measured else np.kron(v, np.eye(2))
+    rotated = DensityMatrix(u @ rho @ u.conj().T, validate=False)
+    return discord(rotated, qubit), discord(DensityMatrix(rho, validate=False), qubit)
+
+
 @_settings(30)
 @given(seeds, st.integers(1, 4), measured_qubits)
 def test_discord_is_invariant_under_unitaries_on_the_unmeasured_qubit(seed, rank, qubit):
-    rho = _ginibre(seed, 4, rank)
-    v = random_unitary(np.random.default_rng(seed), 2)
-    u = np.kron(np.eye(2), v) if qubit == 0 else np.kron(v, np.eye(2))
-    rotated = DensityMatrix(u @ rho @ u.conj().T, validate=False)
-    original = DensityMatrix(rho, validate=False)
-    assert abs(discord(rotated, qubit) - discord(original, qubit)) <= 1e-6
+    # the conditional entropy is the same function of the direction, so the
+    # search takes the same path up to rounding
+    rotated, original = _rotated_discords(seed, rank, qubit, on_measured=False)
+    assert abs(rotated - original) <= DISCORD_REFINEMENT_TOL
+
+
+@_settings(30)
+@given(seeds, st.integers(1, 4), measured_qubits)
+def test_discord_is_invariant_under_unitaries_on_the_measured_qubit(seed, rank, qubit):
+    # the conditional entropy turns with the Bloch sphere, so the screen seeds
+    # the refinement from another direction, which must reach the same minimum
+    rotated, original = _rotated_discords(seed, rank, qubit, on_measured=True)
+    assert abs(rotated - original) <= DISCORD_REFINEMENT_TOL
 
 
 @_settings(30)
