@@ -13,6 +13,7 @@ from convgate import serialize
 from convgate.cli import format_angle, main, parse_angle
 from convgate.errors import InvalidArgumentError
 from convgate.gate import GateSettings, build_gate, ideal_choi, target_state
+from convgate.noise import DEFAULT_CHANNEL_TEMPLATE
 from convgate.tomography import MLEOptions
 
 
@@ -131,6 +132,34 @@ class TestTomoCommands:
         assert rep["metadata"]["certificate"] == "gkg"
         out = capsys.readouterr().out
         assert "status = certified, certificate = gkg" in out and "nats" in out
+
+    # sha256 of the reconstruct --out and --report files, recorded before the
+    # fit loop was restructured: ideal GHZ counts leave outcomes uncounted
+    # (``gkg``), calibrated-template noisy ones count every outcome
+    # (``lagrangian``)
+    @pytest.mark.parametrize("noise,mean,out_digest,report_digest", [
+        pytest.param(None, "20000",
+                     "6fc204482464fdb12b5131d08a756f25028c8164ae5af58e58d10985e5366b8f",
+                     "5d5db72567882968dd584e5ef9cd45ca7cf32a1a27cda378d0b1ce8cfcc1822c", id="gkg"),
+        pytest.param(DEFAULT_CHANNEL_TEMPLATE, "10000",
+                     "37fea6d5bb6383e0ce51a5a498c8344e35129da9d51e7bf9f4cdf71eacdf5e13",
+                     "e02f9074195a5142126edeb6c4796e011c940750619c0a80cb5b30959601718c",
+                     id="lagrangian"),
+    ])
+    def test_reconstruct_output_bytes(self, tmp_path, noise, mean, out_digest, report_digest):
+        import hashlib
+        argv = ["tomo", "simulate", "--preset", "ghz", "--mean-counts", mean, "--seed", "7"]
+        if noise is not None:
+            serialize.dump_json(serialize.noise_spec_to_json(noise), tmp_path / "noise.json")
+            argv += ["--noise", str(tmp_path / "noise.json")]
+        data, chi_out, report = tmp_path / "data.json", tmp_path / "chi.json", tmp_path / "r.json"
+        assert main([*argv, "--out", str(data)]) == 0
+        assert main(["tomo", "reconstruct", "--data", str(data),
+                     "--out", str(chi_out), "--report", str(report)]) == 0
+        certificate = json.loads(report.read_text())["metadata"]["certificate"]
+        assert certificate == ("gkg" if noise is None else "lagrangian")
+        assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (chi_out, report)] == [
+            out_digest, report_digest]
 
     def test_same_seed_same_file(self, tmp_path):
         import hashlib

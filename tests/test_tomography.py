@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 
 import numpy as np
@@ -409,6 +410,104 @@ class TestCertificate:
         assert data.counts.min() == 0
         fit = mle_process_matrix(data)
         assert (fit.status, fit.metadata["certificate"]) == ("certified", "gkg")
+
+
+def _noisy_ghz(mean_counts, seed):
+    chi = apply_noise(ideal_choi(GateSettings(0.0, np.pi / 4)), DEFAULT_CHANNEL_TEMPLATE)
+    return simulate_counts(chi, mean_counts, seed)
+
+
+def _z_basis_counts():
+    # the Z-basis counts of the cold-start tests: their fit restarts its
+    # momentum at step 3, where the extrapolation would halve a counted
+    # probability
+    counts = np.zeros((9, 4), dtype=int)
+    counts[0] = [990, 0, 0, 10]
+    return CoincidenceDataset(counts)
+
+
+def _warm(data):
+    """The first resample of ``data``, fitted from the estimate of ``data``."""
+    return next(_resamples(data, 1, 0)), None, tomography.reconstruct(data).estimate
+
+
+#: name -> (dataset, options, start) of the pinned fits.
+FIT_CASES = {
+    "noisy-ghz-1e4-cold": lambda: (_noisy_ghz(1e4, 28), None, None),
+    "noisy-ghz-1e4-warm": lambda: _warm(_noisy_ghz(1e4, 28)),
+    "ideal-ghz-1e3-cold": lambda: (simulate_counts(ideal_choi(GateSettings(0.0, np.pi / 4)),
+                                                   1e3, seed=11), None, None),
+    "ideal-ghz-1e3-warm": lambda: _warm(simulate_counts(
+        ideal_choi(GateSettings(0.0, np.pi / 4)), 1e3, seed=11)),
+    "noisy-ghz-1e3-from-ideal": lambda: (_noisy_ghz(1e3, 30), None,
+                                         ideal_choi(GateSettings(0.0, np.pi / 4))),
+    "phi-plus-1e7-stalled": lambda: (simulate_state_counts(
+        target_state("phi_plus").density(), 0.5, 1e7, seed=29), MLEOptions(tol=1e-12), None),
+    "noisy-ghz-1e4-max-iter": lambda: (_noisy_ghz(1e4, 27), MLEOptions(max_iter=5), None),
+    "mixed-state-1e4-tol-1e-9": lambda: (simulate_state_counts(DensityMatrix(
+        0.8 * target_state("phi_plus").density().matrix + 0.05 * np.eye(4)), 0.5, 1e4, seed=29),
+        MLEOptions(tol=1e-9), None),
+    "z-basis-momentum-floor": lambda: (_z_basis_counts(), None, None),
+}
+
+
+def _fit_pin(data, options, start):
+    """iterations, status, certificate, repr(gap) and the sha256 of the
+    estimate and of the log-likelihoods of ``reconstruct``."""
+    fit = tomography.reconstruct(data, options, start)
+    estimate = fit.estimate.matrix if data.counts.ndim == 2 else fit.estimate.choi
+    return (fit.iterations, fit.status, fit.metadata["certificate"], repr(fit.gap),
+            hashlib.sha256(estimate.tobytes()).hexdigest(),
+            hashlib.sha256(np.asarray(fit.log_likelihoods).tobytes()).hexdigest())
+
+
+class TestFitPins:
+    """Byte-level pins of single fits, recorded before the loop of
+    ``_iterate_rho_r`` was restructured: cold and warm fits of both
+    certificates, a rank-one start, a stall, a ``max_iter`` stop and a
+    momentum restart at the probability floor. Like the report hashes they
+    depend on the BLAS build and CPU kernel, and are never re-recorded to
+    follow a refactor."""
+
+    PINS = {
+        "noisy-ghz-1e4-cold": (11, "certified", "lagrangian", "0.11154243528087705",
+            "3dda809ba09214f047dd489915adf77c4255904228afc86d20788d6b3b2a726f",
+            "2914cc6efc48fee7a46e861b3a73c9a5739273ff820cd0261a4001825c0a5f8a"),
+        "noisy-ghz-1e4-warm": (18, "certified", "lagrangian", "0.03212841254573458",
+            "0ef25f592273266d1d8154c4a634303de99ba56c407feec5adbdf695f6e114db",
+            "2053d11e6200455d5cabc8c7ecbbf0f771e61e557fd6f5b75bcaa0b503c19e65"),
+        "ideal-ghz-1e3-cold": (2, "certified", "gkg", "np.float64(0.6761045616415112)",
+            "85d01b7bdfa633154214e9c66051c2a6d952d1083b5abff81eff53bf18be97b7",
+            "62b99ed3293ff8ad5ae79241c5b368187cdcfea9e54ce7dd46487d30e2dad4ca"),
+        "ideal-ghz-1e3-warm": (2, "certified", "gkg", "np.float64(0.6858736081905008)",
+            "26ef13e7eba01b6dff78818ac4fb56909eb8ea1aac43006feb49f2cfb5a6836e",
+            "93f6b43170b6921a8a52eacf459e5e70fa7cf61e71cfb80d9df270f90c7c52fa"),
+        "noisy-ghz-1e3-from-ideal": (21, "certified", "lagrangian", "0.17126375804425753",
+            "f05e22ea6e5126de4979c0f5f70b2909e9adedbc63e4aa740639a7629de93129",
+            "8ceacc0bb2c762bbe26dba9ec3251a3a73014fe87a559dab0ef10b7ded448feb"),
+        "phi-plus-1e7-stalled": (15, "stalled", "gkg", "np.float64(1.873138830647805e-08)",
+            "df659836c437fa6f2992e78ca5a2143b2552870a4cf6caf4be2d8d633d860c99",
+            "f1f65772280db9bcccea739e4aa6414baef0906f3281adeca0d4ffd9ea4f7437"),
+        "noisy-ghz-1e4-max-iter": (5, "max_iter", "gkg", "np.float64(650.5830796536193)",
+            "4690d9e6dd85456fcc1bf98d4326c8d31574edd3f03a6acccd1d29c3db2cd1c5",
+            "6a0ea5622f6764a0fc7ad8d564c4be2b06c9a40bafa2ec2ee5ffb11dbff2af71"),
+        "mixed-state-1e4-tol-1e-9": (24, "certified", "lagrangian", "9.132239787151952e-13",
+            "2f6e985e6041f08f4a00874ec523911e0ad6b083c58b96acaac53b4a57cd74bb",
+            "ec62f61f44f4cffe40233f63541260663a9fdd0503a5b357aa19121b6c0077dc"),
+        "z-basis-momentum-floor": (7, "certified", "gkg", "np.float64(0.013910773670744447)",
+            "a150d54a0a3f364c14bdf0f21f712d5e1eea8c44ba08b3a57f1c508a23709fd1",
+            "b96c3b1bf5feeabca2bd538bac490292b999088e9861d247812ded52516de8f4"),
+    }
+
+    @pytest.mark.parametrize("name", FIT_CASES)
+    def test_fit_is_pinned(self, name):
+        assert _fit_pin(*FIT_CASES[name]()) == self.PINS[name]
+
+    def test_floor_case_takes_a_momentum_floor_restart(self, monkeypatch):
+        # without the floor its extrapolations run on and the fit differs
+        pinned = _fit_pin(*FIT_CASES["z-basis-momentum-floor"]())
+        monkeypatch.setattr(tomography, "_MOMENTUM_FLOOR", -np.inf)
+        assert _fit_pin(*FIT_CASES["z-basis-momentum-floor"]()) != pinned
 
 
 class TestColdStart:
