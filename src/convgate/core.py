@@ -79,7 +79,7 @@ class PureState:
         norm_sq = float(np.vdot(amps, amps).real)
         if normalize:
             if norm_sq < NORM_FLOOR:
-                raise DegenerateOutcomeError("cannot normalize a vanishing state", 0.0)
+                raise DegenerateOutcomeError("cannot normalize a vanishing state")
             amps = amps / np.sqrt(norm_sq)
         elif norm_sq > 1.0 + 1e-12:
             raise InvalidArgumentError(
@@ -272,7 +272,7 @@ def normalize_state(s: PureState) -> tuple[PureState, float]:
     """Unit-norm copy of the state plus the pre-normalization squared norm."""
     norm_sq = s.norm_squared
     if norm_sq < NORM_FLOOR:
-        raise DegenerateOutcomeError("post-selection succeeds with probability 0", 0.0)
+        raise DegenerateOutcomeError("post-selection succeeds with probability 0")
     return PureState(s.amplitudes / np.sqrt(norm_sq)), norm_sq
 
 
@@ -305,5 +305,5 @@ def apply_choi_channel(rho_in: DensityMatrix, chi: ChoiProcess,
     out = channel_output_unnormalized(rho_in, chi, targets)
     prob = float(np.trace(out).real)
     if prob < NORM_FLOOR:
-        raise DegenerateOutcomeError("channel annihilates this input", 0.0)
+        raise DegenerateOutcomeError("channel annihilates this input")
     return DensityMatrix(out / prob, validate=False), prob

@@ -29,7 +29,3 @@ class DegenerateOutcomeError(ToolkitError):
     """Post-selection never succeeds (output trace numerically zero)."""
 
     exit_code = 4
-
-    def __init__(self, message: str, probability: float = 0.0):
-        super().__init__(message)
-        self.probability = probability

@@ -196,7 +196,7 @@ def ideal_choi(settings: GateSettings) -> ChoiProcess:
     vec = g.T.ravel() / 2
     weight = float(np.vdot(vec, vec).real)  # = Tr[G^dag G] / 4
     if weight < 1e-14:
-        raise DegenerateOutcomeError("gate operator is numerically zero", 0.0)
+        raise DegenerateOutcomeError("gate operator is numerically zero")
     chi = np.outer(vec, vec.conj()) / weight
     return ChoiProcess(chi, success_scale=weight, validate=False)
 

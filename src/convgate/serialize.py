@@ -143,7 +143,7 @@ def choi_from_json(obj: dict) -> ChoiProcess:
     if not normalized:
         trace = float(np.trace(matrix).real)
         if trace < NORM_FLOOR:
-            raise DegenerateOutcomeError("Choi matrix has vanishing trace", 0.0)
+            raise DegenerateOutcomeError("Choi matrix has vanishing trace")
         matrix, scale = matrix / trace, trace / 4.0
     return ChoiProcess(matrix, success_scale=scale)
 

@@ -531,32 +531,32 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
     Tropp, J. Phys. A 53, 204001, 2020), which leaves the fit only the
     statistical distance to cover. A start that gives a counted outcome a
     probability within ``PROBABILITY_WINDOW`` of 0 is first mixed halfway to
-    the maximally mixed state. Each step moves along the gradient R - 1 from
-    a Nesterov extrapolation and projects back onto unit-trace PSD matrices,
-    with a backtracking step size (Shang, Zhang & Ng, PRA 95, 062336, 2017).
-    The momentum restarts when a step fails to raise the likelihood or the
-    extrapolation would halve a counted probability. Every likelihood change
-    is computed from the probabilities of the step itself, not as a
-    difference of two likelihoods, so ascent stays testable far below their
-    ~1e-16 rounding. The fit stops on one certificate, chosen by ``counts``
-    and named in the report's ``metadata["certificate"]``. With a count
-    below 1 it is ``gkg``: by concavity L* - L(rho) <= lambda_max(R(rho)) - 1
-    per count (Glancy, Knill & Girard, NJP 14, 095017, 2012), a bound that
-    shrinks only linearly with the distance to the optimum, taken at every
-    step. With every outcome counted it is ``lagrangian``: the bound of
-    ``_lagrangian_gap``, which shrinks quadratically, tried at every step
-    once the likelihood rose by at most ``options.tol`` nats over the last
-    min(``_LAGRANGIAN_WINDOW``, k) of k accepted steps. Such a fit forms no
-    lambda_max(R), and the gradient at the iterate only at a momentum
-    restart. The fit ends ``certified`` once its bound is at most
-    ``options.tol`` nats, ``stalled`` when a momentum-free step no longer
-    ascends, and ``max_iter`` otherwise; an uncertified fit reports the
-    smaller of lambda_max(R) - 1 at its estimate, in total nats, and the
-    last Lagrangian bound it tried, and names the one it reports.
-    Log-likelihoods are mean natural-log
-    likelihood per count, and the recorded sequence is non-decreasing. The
-    report's estimate is the fitted matrix; callers wrap it in their estimate
-    type and add their metadata.
+    the maximally mixed state. A step carries over the iterate rho, the step
+    size, the Nesterov weight theta, the gap and the last accepted move with
+    its momentum (Shang, Zhang & Ng, PRA 95, 062336, 2017). It first derives
+    the extrapolated point rho + momentum x move: a momentum of 0 restarts
+    from rho, as does an extrapolation that would halve a counted
+    probability, which also resets theta to 1. It then moves along the
+    gradient R - 1 from that point and projects back onto unit-trace PSD
+    matrices, with a backtracking step size. A step that does not raise the
+    likelihood sets the momentum to 0 and theta to 1, and ends the fit
+    ``stalled`` if it started from rho. Every likelihood change is computed
+    from the probabilities of the step itself, not as a difference of two
+    likelihoods, so ascent stays testable far below their ~1e-16 rounding.
+    Each accepted step tests one certificate, chosen by ``counts`` and named
+    in ``metadata["certificate"]``. With a count below 1 it is ``gkg``: by
+    concavity L* - L(rho) <= lambda_max(R(rho)) - 1 per count (Glancy, Knill
+    & Girard, NJP 14, 095017, 2012), a bound that shrinks only linearly with
+    the distance to the optimum. With every outcome counted it is
+    ``lagrangian``: the bound of ``_lagrangian_gap``, which shrinks
+    quadratically, tried once the likelihood rose by at most ``options.tol``
+    nats over the last min(``_LAGRANGIAN_WINDOW``, k) of k accepted steps;
+    such a fit forms no lambda_max(R). The fit ends ``certified`` once its
+    bound is at most ``options.tol`` nats, and ``max_iter`` after
+    ``options.max_iter`` steps; an uncertified fit reports the smaller of
+    lambda_max(R) - 1 at its estimate, in total nats, and the last Lagrangian
+    bound it tried, and names it. Log-likelihoods, per count, never decrease;
+    callers wrap the fitted matrix in their estimate type and metadata.
     """
     options = options or MLEOptions()
     total = counts.sum()
@@ -596,23 +596,29 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
     current = float(freqs @ np.log(probs.take(counted)))
     trace_log = [current]
     step, theta, iterations, status = 1.0, 1.0, 0, "certified"
-    # the extrapolated point sigma = rho + shift: its probabilities, those of
-    # the shift, its gradient and L(sigma) - L(rho)
-    sigma, sig_probs, shift_probs, sig_grad, sig_rise = rho, probs, 0.0, gradient(probs), 0.0
-    # with every outcome counted the gap is the last Lagrangian bound tried,
-    # and the gradient at the iterate is formed only at a momentum restart;
-    # otherwise ``grad`` holds it at every step, for its lambda_max gap
+    # the last accepted move and its probabilities, and the momentum it carries
+    move = move_probs = momentum = 0.0
+    # with every outcome counted the gap is the last Lagrangian bound tried
     lagrangian = counts.min() >= 1.0
-    if lagrangian:
-        gap = np.inf
-    else:
-        grad = sig_grad
-        gap = gap_of(grad)
+    gap = np.inf if lagrangian else gap_of(gradient(probs))
     while gap > options.tol:
         if iterations == options.max_iter:
             status = "max_iter"
             break
         iterations += 1
+        # the extrapolated point sigma = rho + momentum x move: its
+        # probabilities, those of the shift, its gradient and L(sigma) - L(rho)
+        shift_probs = momentum * move_probs
+        sig_probs = probs + shift_probs
+        if momentum and (sig_probs.take(counted) < _MOMENTUM_FLOOR * probs.take(counted)).any():
+            momentum, theta = 0.0, 1.0
+        if momentum == 0.0:  # restart from the iterate itself
+            sigma, sig_probs, shift_probs, sig_rise = rho, probs, 0.0, 0.0
+            sig_grad = gradient(probs)
+        else:
+            shift = momentum * move
+            sigma = rho + shift
+            sig_grad, sig_rise = gradient(sig_probs), rise(shift_probs, probs, shift, rho)
         while True:  # backtrack until the quadratic model bounds the step
             cand = _project_unit_trace_psd(sigma + step * sig_grad)
             diff = cand - sigma
@@ -624,37 +630,22 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
             step *= _STEP_SHRINK
         cand_rise += sig_rise
         if not cand_rise > 0.0:
-            if sigma is rho:
+            if momentum == 0.0:
                 status = "stalled"
                 break
-            sigma, sig_probs, shift_probs, sig_rise, theta = rho, probs, 0.0, 0.0, 1.0
-            sig_grad = gradient(probs) if lagrangian else grad
+            momentum, theta = 0.0, 1.0
             continue
         theta_next = (1.0 + np.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
-        momentum = (theta - 1.0) / theta_next
+        momentum, theta = (theta - 1.0) / theta_next, theta_next
         move, move_probs = cand - rho, shift_probs + diff_probs
         rho, probs, current = cand, sig_probs + diff_probs, current + cand_rise
         trace_log.append(current)
-        if lagrangian:
-            window = min(_LAGRANGIAN_WINDOW, len(trace_log) - 1)
-            if (current - trace_log[-1 - window]) * total <= options.tol:
-                gap = _lagrangian_gap(frame, counts, rho)
-        else:
-            grad = gradient(probs)
-            gap = gap_of(grad)
-        if gap <= options.tol:
-            break
         step *= _STEP_GROWTH
-        shift_probs = momentum * move_probs
-        sig_probs = probs + shift_probs
-        if momentum == 0.0 or (sig_probs.take(counted) < _MOMENTUM_FLOOR * probs.take(counted)).any():
-            sigma, sig_probs, shift_probs, sig_rise = rho, probs, 0.0, 0.0
-            sig_grad = gradient(probs) if lagrangian else grad
-            theta = theta_next if momentum == 0.0 else 1.0
-        else:
-            shift = momentum * move
-            sigma, theta = rho + shift, theta_next
-            sig_grad, sig_rise = gradient(sig_probs), rise(shift_probs, probs, shift, rho)
+        window = min(_LAGRANGIAN_WINDOW, len(trace_log) - 1)
+        if not lagrangian:
+            gap = gap_of(gradient(probs))
+        elif (current - trace_log[-1 - window]) * total <= options.tol:
+            gap = _lagrangian_gap(frame, counts, rho)
     certificate = "lagrangian" if lagrangian else "gkg"
     if lagrangian and status != "certified":
         # the last bound tried still holds, since the likelihood only rose
@@ -752,20 +743,17 @@ class MetricTable(dict):
 
 
 def monte_carlo_metric_table(data: CoincidenceDataset, n_samples: int,
-                             metrics: dict, seed: int, *, start=None) -> MetricTable:
+                             metrics: dict, seed: int, *, start) -> MetricTable:
     """Monte Carlo means/stds of several metrics sharing the same resamples.
 
     ``metrics`` maps a name to a function of an estimate: a DensityMatrix
-    when ``data`` is a state dataset, a ChoiProcess otherwise.
-    Resamples come from ``_resamples(data, n_samples, seed)``, and
-    every resample's reconstruction starts at ``start``, the estimate of
-    ``data`` itself; when it is None, ``data`` is reconstructed once here.
+    when ``data`` is a state dataset, a ChoiProcess otherwise. Resamples come
+    from ``_resamples(data, n_samples, seed)``, and every resample's
+    reconstruction starts at ``start``, the estimate of ``data`` itself.
     Every resample counts, certified or not; the table says how many were not.
     """
     if n_samples < 2:
         raise InvalidArgumentError("Monte Carlo needs n_samples >= 2")
-    if start is None:
-        start = reconstruct(data).estimate
     values = {name: [] for name in metrics}
     uncertified, totals = 0, []
     for sample in _resamples(data, n_samples, seed):

@@ -178,12 +178,13 @@ def test_criterion_7_noise_calibration_pipeline():
         checks[f"{name} calibration {achieved:.6f} within 1e-4 of {target}"] = (
             abs(achieved - target) <= 1e-4)
         data = simulate_counts(chi_noisy, 1e5, seed=derive_seed(707, f"calib:{name}"))
-        raw = process_fidelity(mle_process_matrix(data).estimate, chi_th)
+        estimate = mle_process_matrix(data).estimate
+        raw = process_fidelity(estimate, chi_th)
         checks[f"{name} reconstructed raw {raw:.4f} within 0.02 of {target}"] = (
             abs(raw - target) <= 0.02)
         mean, std = monte_carlo_metric_table(
             data, 100, {"process-fidelity": metric_function("process-fidelity", chi_th)},
-            derive_seed(707, f"calib-mc:{name}"))["process-fidelity"]
+            derive_seed(707, f"calib-mc:{name}"), start=estimate)["process-fidelity"]
         checks[f"{name} Monte Carlo std {std:.2e} reported from 100 resamples"] = (
             np.isfinite(std) and std > 0.0 and np.isfinite(mean))
     _report(7, "noise calibration and simulated tomography", checks,
@@ -219,7 +220,8 @@ def test_criterion_9_statistical_scaling():
                                seed=derive_seed(2026, f"scaling:{mean_counts}"))
         _, std = monte_carlo_metric_table(
             data, 100, {"process-fidelity": metric_function("process-fidelity", chi_th)},
-            derive_seed(2026, f"scaling-mc:{mean_counts}"))["process-fidelity"]
+            derive_seed(2026, f"scaling-mc:{mean_counts}"),
+            start=mle_process_matrix(data).estimate)["process-fidelity"]
         stds[mean_counts] = std
     ratio = stds[1e3] / stds[1e4]
     lo, hi = 0.7 * np.sqrt(10), 1.3 * np.sqrt(10)

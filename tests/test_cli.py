@@ -403,7 +403,6 @@ _READERS = {
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
 def test_malformed_input_files_exit_2(tmp_path, monkeypatch, capsys, case):
     from convgate.core import DensityMatrix, PureState
-    from convgate.noise import DEFAULT_CHANNEL_TEMPLATE
     from convgate.tomography import simulate_counts
     kind, edit, *flags = MALFORMED_INPUTS[case]
     chi = ideal_choi(GateSettings(0.0, np.pi / 4))

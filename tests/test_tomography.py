@@ -15,7 +15,6 @@ from convgate.core import (
 from convgate.errors import InvalidArgumentError, NumericalDomainError
 from convgate.gate import GateSettings, ideal_choi, preset, target_state
 from convgate.metrics import (
-    concurrence,
     fidelity,
     metric_function,
     process_fidelity,
@@ -634,7 +633,7 @@ class TestMonteCarlo:
     def test_trace_metric_degenerate(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=31)
         mean, std = monte_carlo_metric_table(data, 3, {"trace": metric_function("trace")},
-                                             32)["trace"]
+                                             32, start=mle_process_matrix(data).estimate)["trace"]
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert std < 1e-12
 
@@ -642,36 +641,29 @@ class TestMonteCarlo:
         data = simulate_counts(chi_ghz, 1000, seed=33)
         mean, std = monte_carlo_metric_table(
             data, 2, {"process-fidelity": metric_function("process-fidelity", chi_ghz)},
-            34)["process-fidelity"]
+            34, start=mle_process_matrix(data).estimate)["process-fidelity"]
         assert np.isfinite(mean) and np.isfinite(std)
 
     def test_rejects_single_sample(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=35)
         with pytest.raises(InvalidArgumentError):
-            monte_carlo_metric_table(data, 1, {"purity": metric_function("purity")}, 36)
+            monte_carlo_metric_table(data, 1, {"purity": metric_function("purity")}, 36,
+                                     start=chi_ghz)
 
     def test_state_metric_path(self):
         psi = target_state("psi_plus")
         data = simulate_state_counts(psi.density(), 0.5, 1e4, seed=37)
         mean, std = monte_carlo_metric_table(
-            data, 3, {"concurrence": metric_function("concurrence")}, 38)["concurrence"]
+            data, 3, {"concurrence": metric_function("concurrence")}, 38,
+            start=mle_density_matrix(data).estimate)["concurrence"]
         assert mean > 0.98
         assert std < 0.05
-
-    def test_given_start_matches_own_reconstruction(self):
-        psi = target_state("psi_plus")
-        data = simulate_state_counts(psi.density(), 0.5, 1e3, seed=45)
-        metrics = {"purity": purity, "concurrence": concurrence}
-        own = monte_carlo_metric_table(data, 3, metrics, 46)
-        given = monte_carlo_metric_table(data, 3, metrics, 46,
-                                         start=mle_density_matrix(data).estimate)
-        assert own == given
 
     def test_table_equals_hand_loop_over_labeled_resamples(self):
         psi = target_state("psi_plus")
         data = simulate_state_counts(psi.density(), 0.5, 1e3, seed=47)
         base = mle_density_matrix(data).estimate
-        table = monte_carlo_metric_table(data, 4, {"purity": purity}, 48)
+        table = monte_carlo_metric_table(data, 4, {"purity": purity}, 48, start=base)
         values = np.asarray([purity(mle_density_matrix(sample, start=base).estimate)
                              for sample in _resamples(data, 4, 48)])
         assert table == {"purity": (float(values.mean()), float(values.std(ddof=1)))}
@@ -703,7 +695,8 @@ class TestMonteCarlo:
         data = simulate_counts(chi_ghz, 1000, seed=39)
         with pytest.raises(InvalidArgumentError):
             monte_carlo_metric_table(
-                data, 2, {"negativity-cubed": metric_function("negativity-cubed")}, 40)
+                data, 2, {"negativity-cubed": metric_function("negativity-cubed")}, 40,
+                start=chi_ghz)
 
 
 class TestSeeds:
