@@ -251,20 +251,31 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+# reproduce target -> (its runner of a config and the parsed arguments, the
+# flags it does not read). table1 and table3 are exact and sample nothing: a
+# flag they do not read would still enter the report's config and config hash
+_REPRODUCE = {
+    "table1": (lambda config, args: pipeline.run_table1(),
+               ("noise", "seed", "samples", "mean_counts")),
+    "table2-sim": (lambda config, args: pipeline.run_tomography_suite(config), ()),
+    "entangler": (lambda config, args: pipeline.run_entangler_demo(config), ()),
+    "discord": (lambda config, args: pipeline.run_discord_demo(config), ()),
+    "table3": (lambda config, args: pipeline.run_table3(
+        config, calibrate_channels=not args.ideal_channels), ("samples", "mean_counts", "seed")),
+}
+
+
 def cmd_reproduce(args) -> int:
     if args.ideal_channels and (args.target != "table3" or args.noise):
         raise InvalidArgumentError("--ideal-channels applies to table3 without --noise")
-    # table1 and table3 are exact and sample nothing: a flag they do not read
-    # would still enter the report's config and config hash
-    unread = {"table1": ("noise", "seed", "samples", "mean_counts"),
-              "table3": ("samples", "mean_counts", "seed")}
-    for name in unread.get(args.target, ()):
+    runner, unread = _REPRODUCE[args.target]
+    for name in unread:
         if getattr(args, name) is not None:
             raise InvalidArgumentError(
                 f"{args.target} does not read --{name.replace('_', '-')}")
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = None if "seed" in unread.get(args.target, ()) else _ensure_seed(args)
+    seed = None if "seed" in unread else _ensure_seed(args)
 
     given = {"mean_counts": args.mean_counts, "monte_carlo_samples": args.samples}
     config = pipeline.ExperimentConfig(
@@ -272,18 +283,7 @@ def cmd_reproduce(args) -> int:
     if args.noise:
         spec = serialize.noise_spec_from_json(serialize.load_json(args.noise))
         config = dataclasses.replace(config, noise=spec)
-    if args.target == "table1":
-        report = pipeline.run_table1()
-    elif args.target == "table2-sim":
-        report = pipeline.run_tomography_suite(config)
-    elif args.target == "entangler":
-        report = pipeline.run_entangler_demo(config)
-    elif args.target == "discord":
-        report = pipeline.run_discord_demo(config)
-    elif args.target == "table3":
-        report = pipeline.run_table3(config, calibrate_channels=not args.ideal_channels)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidArgumentError(f"unknown reproduction target {args.target!r}")
+    report = runner(config, args)
 
     base = out_dir / report.title
     Path(f"{base}.json").write_text(report.to_json())
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.set_defaults(func=cmd_metrics)
 
     p_rep = sub.add_parser("reproduce", help="run a benchmark pipeline")
-    p_rep.add_argument("target", choices=["table1", "table2-sim", "entangler", "discord", "table3"])
+    p_rep.add_argument("target", choices=list(_REPRODUCE))
     p_rep.add_argument("--seed", type=int)
     p_rep.add_argument("--out-dir", default=".")
     p_rep.add_argument("--mean-counts", type=float,

@@ -201,33 +201,31 @@ def ideal_choi(settings: GateSettings) -> ChoiProcess:
     return ChoiProcess(chi, success_scale=weight, validate=False)
 
 
-_TARGET_KINDS = ("cluster", "ghz4", "dicke4_2", "bell_pair_product", "psi_plus", "phi_plus")
+def _basis_superposition(indices, n_qubits: int = 4) -> PureState:
+    """Equal-weight superposition of the given basis indices."""
+    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps[list(indices)] = 1 / np.sqrt(len(indices))
+    return PureState(amps)
+
+
+# target kind -> its canonical normalized state
+_TARGETS = {
+    "cluster": cluster_state_c4,
+    "ghz4": lambda: _basis_superposition((0b0000, 0b1111)),
+    "dicke4_2": lambda: _basis_superposition((0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)),
+    # (|HV>+|VH>) on qubits 1&4 times (|HV>+|VH>) on qubits 2&3
+    "bell_pair_product": lambda: _basis_superposition((0b0011, 0b0101, 0b1010, 0b1100)),
+    "psi_plus": lambda: _basis_superposition((0b01, 0b10), 2),
+    "phi_plus": lambda: _basis_superposition((0b00, 0b11), 2),
+}
+_TARGET_KINDS = tuple(_TARGETS)
 
 
 def target_state(kind: str) -> PureState:
     """Canonical normalized target states used by the conversion benchmarks."""
-    if kind == "cluster":
-        return cluster_state_c4()
-    if kind == "ghz4":
-        amps = np.zeros(16, dtype=complex)
-        amps[0b0000] = amps[0b1111] = 1 / np.sqrt(2)
-        return PureState(amps)
-    if kind == "dicke4_2":
-        amps = np.zeros(16, dtype=complex)
-        for idx in (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100):
-            amps[idx] = 1 / np.sqrt(6)
-        return PureState(amps)
-    if kind == "bell_pair_product":
-        # (|HV>+|VH>) on qubits 1&4 times (|HV>+|VH>) on qubits 2&3
-        amps = np.zeros(16, dtype=complex)
-        for idx in (0b0011, 0b0101, 0b1010, 0b1100):
-            amps[idx] = 0.5
-        return PureState(amps)
-    if kind == "psi_plus":
-        return PureState(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
-    if kind == "phi_plus":
-        return PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
-    raise InvalidArgumentError(f"unknown target kind {kind!r}; expected one of {_TARGET_KINDS}")
+    if kind not in _TARGETS:
+        raise InvalidArgumentError(f"unknown target kind {kind!r}; expected one of {_TARGET_KINDS}")
+    return _TARGETS[kind]()
 
 
 def discord_demo_input() -> DensityMatrix:

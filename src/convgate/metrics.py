@@ -406,18 +406,21 @@ def phase_optimized_fidelity(chi: ChoiProcess,
     return float(value), PhaseCorrection(tuple(theta))
 
 
+# name -> (its value on an estimate m against a target t, the target it needs
+# or None); each looks its function up when called, so a patched one runs
+_METRICS = {
+    "purity": (lambda m, t: purity(m), None),
+    "trace": (lambda m, t: float(np.trace(_as_matrix(m)).real), None),
+    "fidelity": (lambda m, t: fidelity(m, t), "a target state"),
+    "process-fidelity": (lambda m, t: process_fidelity(m, t), "a target process"),
+    "process-fidelity-optimized": (lambda m, t: phase_optimized_fidelity(m, t)[0], "a target"),
+    "concurrence": (lambda m, t: concurrence(m), None),
+    "log-negativity": (lambda m, t: log_negativity(m), None),
+    "discord-q1": (lambda m, t: discord(m, 0), None),
+    "discord-q2": (lambda m, t: discord(m, 1), None),
+}
 #: CLI / Monte Carlo metric names.
-METRIC_NAMES = (
-    "purity",
-    "trace",
-    "fidelity",
-    "process-fidelity",
-    "process-fidelity-optimized",
-    "concurrence",
-    "log-negativity",
-    "discord-q1",
-    "discord-q2",
-)
+METRIC_NAMES = tuple(_METRICS)
 
 
 def metric_function(name: str, target=None):
@@ -426,28 +429,9 @@ def metric_function(name: str, target=None):
     Fidelity-type metrics need a ``target`` (a DensityMatrix or a
     ChoiProcess); the discord variants encode the measured qubit.
     """
-    if name == "purity":
-        return purity
-    if name == "trace":
-        return lambda m: float(np.trace(_as_matrix(m)).real)
-    if name == "fidelity":
-        if target is None:
-            raise InvalidArgumentError("metric 'fidelity' needs a target state")
-        return lambda m: fidelity(m, target)
-    if name == "process-fidelity":
-        if target is None:
-            raise InvalidArgumentError("metric 'process-fidelity' needs a target process")
-        return lambda m: process_fidelity(m, target)
-    if name == "process-fidelity-optimized":
-        if target is None:
-            raise InvalidArgumentError("metric 'process-fidelity-optimized' needs a target")
-        return lambda m: phase_optimized_fidelity(m, target)[0]
-    if name == "concurrence":
-        return concurrence
-    if name == "log-negativity":
-        return log_negativity
-    if name == "discord-q1":
-        return lambda m: discord(m, 0)
-    if name == "discord-q2":
-        return lambda m: discord(m, 1)
-    raise InvalidArgumentError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
+    if name not in _METRICS:
+        raise InvalidArgumentError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
+    value, needs = _METRICS[name]
+    if needs is not None and target is None:
+        raise InvalidArgumentError(f"metric {name!r} needs {needs}")
+    return lambda m: value(m, target)

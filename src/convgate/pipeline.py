@@ -73,6 +73,9 @@ RAW_FIDELITY_TARGETS = {
     "bell-pair": 0.947,
 }
 
+# conversion -> the target kind of its Table 1 fidelity, except the Dicke rows
+_TABLE1_TARGETS = {"cluster-identity": "cluster", "ghz": "ghz4", "bell-pair": "bell_pair_product"}
+
 #: State-fidelity target for the realistic cluster fixture.
 REALISTIC_CLUSTER_FIDELITY = 0.915
 
@@ -189,7 +192,10 @@ def run_table1() -> TableReport:
         index = counters.get(kind, 0)
         counters[kind] = index + 1
         out, prob = convert_cluster(settings)
-        target = _table1_target(kind, settings)
+        # the Dicke rows are characterized by the derived closed-form amplitude
+        # pattern, not the literal Dicke state
+        target = (PureState(converted_cluster_amplitudes(settings), normalize=True)
+                  if kind == "dicke" else target_state(_TABLE1_TARGETS[kind]))
         fid = abs(out.overlap(target)) ** 2
         tag = f"{kind}[{index}]"
         rows.append(TableRow(f"{tag}/success-probability", float(prob)))
@@ -200,20 +206,6 @@ def run_table1() -> TableReport:
         metadata=_provenance(None, expected_probabilities={
             name: float(preset(name).expected_success) for name in CONVERSION_PRESET_NAMES}),
     )
-
-
-def _table1_target(kind: str, settings: GateSettings) -> PureState:
-    if kind == "cluster-identity":
-        return target_state("cluster")
-    if kind == "ghz":
-        return target_state("ghz4")
-    if kind == "bell-pair":
-        return target_state("bell_pair_product")
-    if kind == "dicke":
-        # documented characterization: the derived closed-form amplitude
-        # pattern, not the literal Dicke state
-        return PureState(converted_cluster_amplitudes(settings), normalize=True)
-    raise InvalidArgumentError(f"unknown conversion kind {kind!r}")
 
 
 def _noisy_channel(chi_th, spec: _noise.NoiseSpec | None):

@@ -21,7 +21,7 @@ All floats are IEEE doubles serialized with Python's shortest round-trip
 
 Every number is a finite JSON int or float, never a bool or a string; counts,
 sizes, qubit numbers and seeds are also integral. ``trace_normalized`` is a
-JSON bool, and a density matrix has 2^qubits rows. A breach exits 2.
+JSON bool, and a state has 2^qubits amplitudes or rows. A breach exits 2.
 """
 
 from __future__ import annotations
@@ -114,15 +114,19 @@ def state_from_json(obj: dict) -> PureState | DensityMatrix:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed state object: {exc}") from None
     if kind == "pure":
-        amps = _from_entries(data, 2**qubits, 1).ravel()
-        return PureState(amps)
-    if kind == "density":
-        matrix = matrix_from_json(data)
-        if matrix.shape[0] != 2**qubits:
-            raise InvalidArgumentError(
-                f"density matrix has {matrix.shape[0]} rows, not 2^{qubits} for {qubits} qubits")
-        return DensityMatrix(matrix)
-    raise InvalidArgumentError(f"unknown state kind {kind!r}")
+        # a list's own length, so that data of any other type fails as entries
+        size = len(data) if isinstance(data, list) else 0
+        matrix, holds = _from_entries(data, size, 1), "pure state has {} amplitudes"
+    elif kind == "density":
+        matrix, holds = matrix_from_json(data), "density matrix has {} rows"
+    else:
+        raise InvalidArgumentError(f"unknown state kind {kind!r}")
+    rows = matrix.shape[0]
+    # rows = 2^qubits, tested without forming the power: a huge qubits would
+    # make one too large to format or to hold
+    if rows & (rows - 1) or rows.bit_length() != qubits + 1:
+        raise InvalidArgumentError(f"{holds.format(rows)}, not 2^{qubits} for {qubits} qubits")
+    return PureState(matrix.ravel()) if kind == "pure" else DensityMatrix(matrix)
 
 
 def choi_to_json(chi: ChoiProcess) -> dict:

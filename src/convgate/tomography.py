@@ -248,6 +248,11 @@ class CoincidenceDataset:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.shape not in ((36, 9, 4), (9, 4)) or (self.counts < 0).any():
             raise InvalidArgumentError("counts must be nonnegative, of shape (36, 9, 4) or (9, 4)")
+        # the int64 total must not wrap: a float total screens, the exact one decides
+        if self.counts.sum(dtype=float) > 2.0**62:
+            total = sum(self.counts.ravel().tolist())
+            if total > np.iinfo(np.int64).max:
+                raise InvalidArgumentError(f"counts total {total} exceeds the int64 range")
         if self.mean_counts is not None:
             _check_mean_counts(self.mean_counts)
 
@@ -547,16 +552,18 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
     in ``metadata["certificate"]``. With a count below 1 it is ``gkg``: by
     concavity L* - L(rho) <= lambda_max(R(rho)) - 1 per count (Glancy, Knill
     & Girard, NJP 14, 095017, 2012), a bound that shrinks only linearly with
-    the distance to the optimum. With every outcome counted it is
-    ``lagrangian``: the bound of ``_lagrangian_gap``, which shrinks
-    quadratically, tried once the likelihood rose by at most ``options.tol``
-    nats over the last min(``_LAGRANGIAN_WINDOW``, k) of k accepted steps;
-    such a fit forms no lambda_max(R). The fit ends ``certified`` once its
-    bound is at most ``options.tol`` nats, and ``max_iter`` after
-    ``options.max_iter`` steps; an uncertified fit reports the smaller of
-    lambda_max(R) - 1 at its estimate, in total nats, and the last Lagrangian
-    bound it tried, and names it. Log-likelihoods, per count, never decrease;
-    callers wrap the fitted matrix in their estimate type and metadata.
+    the distance to the optimum, tested at the top of each step from the
+    gradient at rho, which a restart then ascends along. With every outcome
+    counted it is ``lagrangian``: the bound of ``_lagrangian_gap``, which
+    shrinks quadratically, tried once the likelihood rose by at most
+    ``options.tol`` nats over the last min(``_LAGRANGIAN_WINDOW``, k) of k
+    accepted steps; such a fit forms no lambda_max(R). The fit ends
+    ``certified`` once its bound is at most ``options.tol`` nats, and
+    ``max_iter`` after ``options.max_iter`` steps; an uncertified fit reports
+    the smaller of lambda_max(R) - 1 at its estimate, in total nats, and the
+    last Lagrangian bound it tried, and names it. Log-likelihoods, per count,
+    never decrease; callers wrap the fitted matrix in their estimate type and
+    metadata.
     """
     options = options or MLEOptions()
     total = counts.sum()
@@ -599,22 +606,26 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
     # the last accepted move and its probabilities, and the momentum it carries
     move = move_probs = momentum = 0.0
     # with every outcome counted the gap is the last Lagrangian bound tried
-    lagrangian = counts.min() >= 1.0
-    gap = np.inf if lagrangian else gap_of(gradient(probs))
-    while gap > options.tol:
-        if iterations == options.max_iter:
-            status = "max_iter"
-            break
-        iterations += 1
+    lagrangian, gap = counts.min() >= 1.0, np.inf
+    while True:
         # the extrapolated point sigma = rho + momentum x move: its
         # probabilities, those of the shift, its gradient and L(sigma) - L(rho)
         shift_probs = momentum * move_probs
         sig_probs = probs + shift_probs
         if momentum and (sig_probs.take(counted) < _MOMENTUM_FLOOR * probs.take(counted)).any():
             momentum, theta = 0.0, 1.0
+        # the gradient at the iterate gives the GKG gap and a restart's ascent
+        grad = gradient(probs) if momentum == 0.0 or not lagrangian else None
+        if not lagrangian:
+            gap = gap_of(grad)
+        if not gap > options.tol:
+            break
+        if iterations == options.max_iter:
+            status = "max_iter"
+            break
+        iterations += 1
         if momentum == 0.0:  # restart from the iterate itself
-            sigma, sig_probs, shift_probs, sig_rise = rho, probs, 0.0, 0.0
-            sig_grad = gradient(probs)
+            sigma, sig_probs, shift_probs, sig_rise, sig_grad = rho, probs, 0.0, 0.0, grad
         else:
             shift = momentum * move
             sigma = rho + shift
@@ -642,9 +653,7 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
         trace_log.append(current)
         step *= _STEP_GROWTH
         window = min(_LAGRANGIAN_WINDOW, len(trace_log) - 1)
-        if not lagrangian:
-            gap = gap_of(gradient(probs))
-        elif (current - trace_log[-1 - window]) * total <= options.tol:
+        if lagrangian and (current - trace_log[-1 - window]) * total <= options.tol:
             gap = _lagrangian_gap(frame, counts, rho)
     certificate = "lagrangian" if lagrangian else "gkg"
     if lagrangian and status != "certified":

@@ -263,6 +263,14 @@ def test_poisson_means_beyond_the_generator_range_exit_2(tmp_path, monkeypatch, 
     assert list(tmp_path.rglob("*.json")) == []
 
 
+def test_counts_whose_total_wraps_int64_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["tomo", "simulate", "--preset", "cluster-identity", "--seed", "1",
+                 "--out", "x.json", "--mean-counts", "6e16"]) == 2
+    assert "exceeds the int64 range" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*.json")) == []
+
+
 @pytest.mark.parametrize("phase", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("command", [
     ["tomo", "simulate", "--preset", "ghz", "--mean-counts", "100", "--seed", "1",
@@ -380,6 +388,9 @@ MALFORMED_INPUTS = {
     "trace-normalized-string": ("choi", lambda o: o.update(trace_normalized="false")),
     "trace-normalized-int": ("choi", lambda o: o.update(trace_normalized=0)),
     "qubits-mismatch": ("density", lambda o: o.update(qubits=3)),
+    # 2^20000 has more digits than Python formats
+    "qubits-huge": ("density", lambda o: o.update(qubits=20000)),
+    "convert-qubits-huge": ("pure", lambda o: o.update(qubits=20000)),
     "records-empty": ("dataset", lambda o: o.update(records=[])),
     "record-repeated": ("dataset", lambda o: o["records"].__setitem__(1, o["records"][0])),
     "prep-unknown": ("dataset", lambda o: o["records"][0].update(prep=["Q", "H"])),

@@ -214,6 +214,18 @@ class TestDataset:
         with pytest.raises(InvalidArgumentError, match="nonnegative"):
             CoincidenceDataset(counts)
 
+    def test_a_total_beyond_the_int64_range_is_rejected(self):
+        # 6e16 mean counts stay below MAX_POISSON_MEAN, yet the counts sum to
+        # 1.94e19, which an int64 total wraps to 9.9e17
+        with pytest.raises(InvalidArgumentError, match="19439999993063378542 exceeds the int64"):
+            simulate_counts(ideal_choi(preset("cluster-identity").settings), 6e16, 1)
+        counts = np.zeros((9, 4), dtype=np.int64)
+        counts[0, 0] = np.iinfo(np.int64).max
+        assert CoincidenceDataset(counts).total() == np.iinfo(np.int64).max
+        counts[1, 0] = 1
+        with pytest.raises(InvalidArgumentError, match="exceeds the int64 range"):
+            CoincidenceDataset(counts)
+
     def test_resample_determinism(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=5)
         rng1 = np.random.Generator(np.random.PCG64(9))
