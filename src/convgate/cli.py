@@ -274,7 +274,10 @@ def cmd_reproduce(args) -> int:
             raise InvalidArgumentError(
                 f"{args.target} does not read --{name.replace('_', '-')}")
     out_dir = Path(args.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot create {out_dir}: {exc.strerror}") from None
     seed = None if "seed" in unread else _ensure_seed(args)
 
     given = {"mean_counts": args.mean_counts, "monte_carlo_samples": args.samples}
@@ -286,8 +289,11 @@ def cmd_reproduce(args) -> int:
     report = runner(config, args)
 
     base = out_dir / report.title
-    Path(f"{base}.json").write_text(report.to_json())
-    Path(f"{base}.csv").write_text(report.to_csv())
+    try:
+        Path(f"{base}.json").write_text(report.to_json())
+        Path(f"{base}.csv").write_text(report.to_csv())
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {exc.filename}: {exc.strerror}") from None
     for row in report.rows:
         std = "" if row.std is None else f" ± {row.std:.6f}"
         print(f"{row.label:45s} {row.value:.6f}{std}")

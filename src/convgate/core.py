@@ -62,6 +62,21 @@ def _qubit_count(dim: int, what: str) -> int:
     return n
 
 
+def _hermitian_part(m: np.ndarray, what: str, validate: bool) -> np.ndarray:
+    """(m + m^dag) / 2, stable under eigh; with ``validate``, m is Hermitian, unit-trace, PSD."""
+    hermitian = (m + m.conj().T) / 2.0
+    if validate:
+        defect, tr = hermiticity_defect(m), complex(np.trace(m))
+        if defect > ATOL_HERMITIAN:
+            raise NumericalDomainError(f"{what} is not Hermitian (defect {defect:.3e})")
+        if abs(tr - 1.0) > ATOL_TRACE:
+            raise NumericalDomainError(f"{what} trace {tr} differs from 1")
+        low = float(np.linalg.eigvalsh(hermitian).min())
+        if low < -EIG_CLAMP:
+            raise NumericalDomainError(f"{what} has eigenvalue {low:.3e} below -{EIG_CLAMP}")
+    return hermitian
+
+
 class PureState:
     """Pure state of 1..4 polarization qubits as a dense amplitude vector.
 
@@ -129,18 +144,7 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgumentError(f"density matrix must be square, got shape {m.shape}")
         self.qubits = _qubit_count(m.shape[0], "density matrix")
-        if validate:
-            defect = hermiticity_defect(m)
-            if defect > ATOL_HERMITIAN:
-                raise NumericalDomainError(f"matrix is not Hermitian (defect {defect:.3e})")
-            tr = complex(np.trace(m))
-            if abs(tr - 1.0) > ATOL_TRACE:
-                raise NumericalDomainError(f"trace {tr} differs from 1")
-            low = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
-            if low < -EIG_CLAMP:
-                raise NumericalDomainError(f"matrix has eigenvalue {low:.3e} below -{EIG_CLAMP}")
-        # store the exactly Hermitian part so downstream eigh calls are stable
-        self.matrix = (m + m.conj().T) / 2.0
+        self.matrix = _hermitian_part(m, "matrix", validate)
 
     @classmethod
     def maximally_mixed(cls, qubits: int) -> "DensityMatrix":
@@ -166,16 +170,7 @@ class ChoiProcess:
             raise InvalidArgumentError(f"Choi matrix must be 16x16, got shape {m.shape}")
         if not 0.0 <= success_scale < np.inf:
             raise InvalidArgumentError("success_scale must be finite and nonnegative")
-        if validate:
-            defect = hermiticity_defect(m)
-            if defect > ATOL_HERMITIAN:
-                raise NumericalDomainError(f"Choi matrix is not Hermitian (defect {defect:.3e})")
-            low = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
-            if low < -EIG_CLAMP:
-                raise NumericalDomainError(f"Choi matrix eigenvalue {low:.3e} below -{EIG_CLAMP}")
-            if abs(complex(np.trace(m)) - 1.0) > ATOL_TRACE:
-                raise NumericalDomainError(f"stored Choi trace {np.trace(m)} differs from 1")
-        self.choi = (m + m.conj().T) / 2.0
+        self.choi = _hermitian_part(m, "Choi matrix", validate)
         self.success_scale = float(success_scale)
 
     def unnormalized(self) -> np.ndarray:

@@ -124,6 +124,8 @@ def fidelity(a, b) -> float:
     It is the overlap Tr[a b] when either state is pure (purity within 1e-12
     of 1), else the squared sum of the singular values of sqrt(a) sqrt(b).
     """
+    if {type(a), type(b)} == {DensityMatrix, ChoiProcess}:
+        raise InvalidArgumentError("fidelity compares two states or two processes")
     am, bm = _as_matrix(a), _as_matrix(b)
     if am.shape != bm.shape:
         raise InvalidArgumentError(f"dimension mismatch {am.shape} vs {bm.shape}")
@@ -133,10 +135,9 @@ def fidelity(a, b) -> float:
 def process_fidelity(chi: ChoiProcess, chi_th: ChoiProcess) -> float:
     """Uhlmann fidelity between two unit-trace process matrices, by the same
     purity rule and formula as ``fidelity``."""
-    a, b = _as_matrix(chi), _as_matrix(chi_th)
-    if a.shape != (16, 16) or b.shape != (16, 16):
+    if not (isinstance(chi, ChoiProcess) and isinstance(chi_th, ChoiProcess)):
         raise InvalidArgumentError("process fidelity expects 16x16 Choi matrices")
-    return _cap_fidelity(_uhlmann(a, b))
+    return _cap_fidelity(_uhlmann(chi.choi, chi_th.choi))
 
 
 def von_neumann_entropy(m) -> float:
@@ -146,10 +147,14 @@ def von_neumann_entropy(m) -> float:
     return float(-(vals * np.log2(vals)).sum())
 
 
+def _require_two_qubits(m, name: str) -> None:
+    if not isinstance(m, DensityMatrix) or m.qubits != 2:
+        raise InvalidArgumentError(f"{name} is defined for two-qubit density matrices")
+
+
 def concurrence(m: DensityMatrix) -> float:
     """Two-qubit concurrence from the spin-flipped spectrum."""
-    if not isinstance(m, DensityMatrix) or m.qubits != 2:
-        raise InvalidArgumentError("concurrence is defined for two-qubit density matrices")
+    _require_two_qubits(m, "concurrence")
     yy = np.kron(PAULI_Y, PAULI_Y)
     tilde = yy @ m.matrix.conj() @ yy
     # eigenvalues of rho rho~ are real and nonnegative up to float noise
@@ -160,8 +165,7 @@ def concurrence(m: DensityMatrix) -> float:
 
 def log_negativity(m: DensityMatrix) -> float:
     """log2 of the trace norm of the partial transpose; zero on PPT states."""
-    if not isinstance(m, DensityMatrix) or m.qubits != 2:
-        raise InvalidArgumentError("log-negativity is defined for two-qubit density matrices")
+    _require_two_qubits(m, "log-negativity")
     vals = np.linalg.eigvalsh(partial_transpose(m, 1))
     return float(np.log2(np.abs(vals).sum()))
 
@@ -272,28 +276,32 @@ def _screen_directions() -> tuple[np.ndarray, np.ndarray]:
     return np.append(0.0, theta.ravel()), np.append(0.0, phi.ravel())
 
 
+#: (theta, phi) of the screen, built once for every discord, read-only
+_SCREEN = _screen_directions()
+_SCREEN[0].flags.writeable = _SCREEN[1].flags.writeable = False
+
+
 def discord(m: DensityMatrix, measured_qubit: int) -> float:
     """Quantum discord with projective measurements on the chosen qubit.
 
     The conditional entropy is minimized over measurement directions by
     screening each distinct measurement of the Bloch-sphere grid
-    ``DISCORD_GRID`` once (``_screen_directions``) in one batched
-    evaluation, then refining from the first best screened point by at most
-    ``DISCORD_ROUNDS`` stencil-Newton rounds, each one batched evaluation of
-    nine directions (``_refined_conditional_entropy``). The conditional
+    ``DISCORD_GRID`` once (``_SCREEN``, from ``_screen_directions``) in one
+    batched evaluation, then refining from the first best screened point by at
+    most ``DISCORD_ROUNDS`` stencil-Newton rounds, each one batched evaluation
+    of nine directions (``_refined_conditional_entropy``). The conditional
     entropy is a smooth function of the direction wherever the conditional
-    states keep their rank, so a few Newton steps reach its minimum; the
-    result is never above the screened minimum.
+    states keep their rank, so a few Newton steps reach its minimum; the result
+    is never above the screened minimum.
     """
-    if not isinstance(m, DensityMatrix) or m.qubits != 2:
-        raise InvalidArgumentError("discord is defined for two-qubit density matrices")
+    _require_two_qubits(m, "discord")
     if measured_qubit not in (0, 1):
         raise InvalidArgumentError("measured_qubit must be 0 or 1")
     s_measured = von_neumann_entropy(partial_trace(m, {measured_qubit}))
     s_total = von_neumann_entropy(m)
 
     rho = m.matrix
-    theta, phi = _screen_directions()
+    theta, phi = _SCREEN
     values = _conditional_entropies(rho, measured_qubit, theta, phi)
     best = int(np.argmin(values))
     refined = _refined_conditional_entropy(rho, measured_qubit, theta[best], phi[best],

@@ -22,13 +22,13 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import noise as _noise
 from ._version import __version__
-from .core import DensityMatrix, apply_choi_channel
+from .core import DensityMatrix, PureState, apply_choi_channel
 from .errors import InvalidArgumentError
 from .gate import (
     CLUSTER_TARGETS,
@@ -51,12 +51,12 @@ from .metrics import (
     log_negativity,
     metric_function,
 )
-from .core import PureState
 from .serialize import noise_spec_to_json
 from .tomography import (
     GENERATOR_NOTE,
     CoincidenceDataset,
     MetricTable,
+    _check_mean_counts,
     derive_seed,
     monte_carlo_metric_table,
     reconstruct,
@@ -91,8 +91,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.monte_carlo_samples < 2:
             raise InvalidArgumentError("monte_carlo_samples must be at least 2")
-        if not 0.0 < self.mean_counts < np.inf:
-            raise InvalidArgumentError("mean_counts must be positive")
+        _check_mean_counts(self.mean_counts)
         if self.preset is not None:
             preset(self.preset)  # validates the name
 
@@ -139,29 +138,16 @@ class TableReport:
         raise KeyError(label)
 
     def to_json(self) -> str:
-        payload = {
-            "title": self.title,
-            "rows": [
-                {"label": r.label, "value": r.value, "std": r.std,
-                 "n_samples": r.n_samples, "seed": r.seed}
-                for r in self.rows
-            ],
-            "metadata": self.metadata,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        rows = [asdict(r) for r in self.rows]
+        return json.dumps({"title": self.title, "rows": rows, "metadata": self.metadata},
+                          indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["label", "value", "std", "n_samples", "seed"])
-        for r in self.rows:
-            writer.writerow([
-                r.label,
-                repr(r.value),
-                "" if r.std is None else repr(r.std),
-                "" if r.n_samples is None else r.n_samples,
-                "" if r.seed is None else r.seed,
-            ])
+        writer.writerow([f.name for f in fields(TableRow)])
+        # csv writes a float by its repr and None as an empty cell
+        writer.writerows(astuple(r) for r in self.rows)
         return buf.getvalue()
 
 

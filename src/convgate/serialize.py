@@ -208,14 +208,19 @@ def noise_spec_from_json(obj: dict) -> NoiseSpec:
 
 
 def dump_json(obj: dict, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    try:
+        Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def load_json(path) -> dict:
     try:
         obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidArgumentError(f"{path} is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot read {path}: {exc.strerror}") from None
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"{path} must hold a JSON object, not {type(obj).__name__}")
     return obj

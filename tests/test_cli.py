@@ -431,6 +431,96 @@ def test_malformed_input_files_exit_2(tmp_path, monkeypatch, capsys, case):
     assert not Path("x.json").exists()
 
 
+# (estimate, target, metric) of the calls that the kind rules alone make exit
+# 2: each process metric needs two Choi files, and fidelity one kind for
+# estimate and target. Without these rules the three process-fidelity-optimized
+# calls here exited 1 with an AttributeError and the other five exited 0,
+# comparing a 4-qubit state as if it were a process
+CROSS_KIND_CALLS = (
+    ("rho4", "rho4", "process-fidelity"),
+    ("rho4", "rho4", "process-fidelity-optimized"),
+    ("rho4", "choi", "fidelity"),
+    ("rho4", "choi", "process-fidelity"),
+    ("rho4", "choi", "process-fidelity-optimized"),
+    ("choi", "rho4", "fidelity"),
+    ("choi", "rho4", "process-fidelity"),
+    ("choi", "rho4", "process-fidelity-optimized"),
+)
+
+
+def test_every_metrics_call_exits_with_a_documented_code(tmp_path, capsys):
+    from convgate.core import DensityMatrix
+    from convgate.gate import cluster_state_c4, discord_demo_input
+    from convgate.metrics import METRIC_NAMES
+    files = {
+        "pure2": serialize.state_to_json(target_state("psi_plus")),
+        "rho1": serialize.state_to_json(DensityMatrix.maximally_mixed(1)),
+        "rho2": serialize.state_to_json(discord_demo_input()),
+        "rho4": serialize.state_to_json(cluster_state_c4().density()),
+        "choi": serialize.choi_to_json(ideal_choi(GateSettings(0.0, np.pi / 4))),
+    }
+    for name, obj in files.items():
+        serialize.dump_json(obj, tmp_path / f"{name}.json")
+    codes, undocumented = {}, []
+    for estimate in files:
+        for target in [None, *files]:
+            for metric in METRIC_NAMES:
+                argv = ["metrics", "--estimate", str(tmp_path / f"{estimate}.json"),
+                        "--metric", metric]
+                if target is not None:
+                    argv += ["--target", str(tmp_path / f"{target}.json")]
+                try:
+                    code = main(argv)
+                except Exception as exc:  # the installed command exits 1 with a traceback
+                    code = f"1 ({type(exc).__name__}: {exc})"
+                codes[estimate, target, metric] = code
+                err = capsys.readouterr().err
+                if code not in (0, 2, 3, 4) or "Traceback" in err:
+                    undocumented.append((estimate, target, metric, code))
+    assert len(codes) == 270
+    assert undocumented == []
+    assert [codes[call] for call in CROSS_KIND_CALLS] == [2] * len(CROSS_KIND_CALLS)
+
+
+def _metrics_reading(path):
+    return ["metrics", "--estimate", path, "--metric", "purity"]
+
+
+#: name -> (command line reading or writing the path "target", what is made
+#: at that path first)
+UNUSABLE_FILES = {
+    "metrics-estimate-missing": (_metrics_reading("target"), lambda path: None),
+    "reconstruct-data-missing": (["tomo", "reconstruct", "--data", "target", "--out", "x.json"],
+                                 lambda path: None),
+    "metrics-estimate-directory": (_metrics_reading("target"), Path.mkdir),
+    "metrics-estimate-binary": (_metrics_reading("target"),
+                                lambda path: path.write_bytes(b"\xff\xfe\x00\x81")),
+    "simulate-noise-binary": (["tomo", "simulate", "--preset", "ghz", "--mean-counts", "10",
+                               "--seed", "1", "--noise", "target", "--out", "x.json"],
+                              lambda path: path.write_bytes(b"\xff\xfe\x00\x81")),
+    # deeper than the JSON parser's recursion limit
+    "metrics-estimate-nested-too-deep": (
+        _metrics_reading("target"), lambda path: path.write_text("[" * 10**5 + "]" * 10**5)),
+    "reproduce-out-dir-is-a-file": (["reproduce", "table1", "--out-dir", "target"],
+                                    lambda path: path.write_text("{}")),
+    "reproduce-report-is-a-directory": (["reproduce", "table1", "--out-dir", "target"],
+                                        lambda path: (path / "table1.json").mkdir(parents=True)),
+    "gate-out-directory-missing": (["gate", "--preset", "ghz", "--out", "target/dir/g.json"],
+                                   lambda path: None),
+}
+
+
+@pytest.mark.parametrize("case", list(UNUSABLE_FILES))
+def test_a_file_that_cannot_be_read_or_written_exits_2(tmp_path, monkeypatch, capsys, case):
+    argv, make = UNUSABLE_FILES[case]
+    monkeypatch.chdir(tmp_path)
+    make(Path("target"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert "target" in line and "Traceback" not in err
+
+
 class TestMetricsCommand:
     def test_process_metrics(self, tmp_path, capsys):
         chi_path = tmp_path / "chi.json"

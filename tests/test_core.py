@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -366,6 +367,27 @@ class TestTypeInvariants:
             DensityMatrix(np.diag([0.9, 0.2]))
         with pytest.raises(NumericalDomainError):
             DensityMatrix(np.diag([1.1, -0.1]))
+
+    @pytest.mark.parametrize("make,what", [(DensityMatrix, "matrix"),
+                                           (ChoiProcess, "Choi matrix")], ids=["state", "choi"])
+    def test_states_and_choi_matrices_share_one_validation_rule(self, make, what):
+        skew = np.eye(16) / 16
+        skew[0, 1] = 1e-9
+        with pytest.raises(NumericalDomainError, match=rf"^{what} is not Hermitian \(defect "):
+            make(skew)
+        # the trace is tested before the eigenvalues
+        with pytest.raises(NumericalDomainError,
+                           match=re.escape(f"{what} trace (2+0j) differs from 1")):
+            make(np.diag([2.1, -0.1] + [0.0] * 14))
+        with pytest.raises(NumericalDomainError,
+                           match=re.escape(f"{what} has eigenvalue -1.000e-01 below -1e-10")):
+            make(np.diag([1.1, -0.1] + [0.0] * 14))
+        # within the tolerances the stored matrix is the Hermitian part
+        near = np.eye(16) / 16
+        near[0, 1] = 1e-12
+        stored = make(near)
+        matrix = stored.matrix if make is DensityMatrix else stored.choi
+        assert np.array_equal(matrix, (near + near.conj().T) / 2.0)
 
     def test_choi_shape_checked(self):
         with pytest.raises(InvalidArgumentError):

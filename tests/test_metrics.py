@@ -78,6 +78,41 @@ def demo_state() -> DensityMatrix:
     return _demo_state()
 
 
+class TestKindGuards:
+    """Each figure of merit checks the kind of its arguments in one place."""
+
+    def test_fidelity_refuses_a_state_with_a_process(self):
+        rho, chi = DensityMatrix.maximally_mixed(4), ideal_choi(preset("ghz").settings)
+        for a, b in [(rho, chi), (chi, rho)]:
+            with pytest.raises(InvalidArgumentError, match="two states or two processes"):
+                fidelity(a, b)
+        # raw arrays are neither kind: the overlap of 1/16 with a pure matrix
+        assert fidelity(rho.matrix, chi) == pytest.approx(1.0 / 16.0, abs=1e-15)
+        assert fidelity(chi.choi, rho) == pytest.approx(1.0 / 16.0, abs=1e-15)
+
+    @pytest.mark.parametrize("call", [process_fidelity,
+                                      lambda a, b: phase_optimized_fidelity(a, b)[0]],
+                             ids=["process_fidelity", "phase_optimized_fidelity"])
+    def test_process_metrics_take_two_processes(self, call):
+        rho, chi = DensityMatrix.maximally_mixed(4), ideal_choi(preset("ghz").settings)
+        for a, b in [(rho, rho), (rho, chi), (chi, rho), (chi.choi, chi)]:
+            with pytest.raises(InvalidArgumentError,
+                               match="^process fidelity expects 16x16 Choi matrices$"):
+                call(a, b)
+
+    @pytest.mark.parametrize("name,call", [
+        ("concurrence", concurrence),
+        ("log-negativity", log_negativity),
+        ("discord", lambda m: discord(m, 0)),
+    ])
+    def test_two_qubit_measures_take_two_qubit_states(self, name, call):
+        for m in [DensityMatrix.maximally_mixed(1), DensityMatrix.maximally_mixed(3),
+                  ideal_choi(preset("ghz").settings)]:
+            with pytest.raises(InvalidArgumentError,
+                               match=f"^{name} is defined for two-qubit density matrices$"):
+                call(m)
+
+
 class TestPurity:
     def test_pure_state(self):
         assert purity(target_state("phi_plus").density()) == pytest.approx(1.0, abs=1e-14)
@@ -601,6 +636,18 @@ class TestDiscordScreen:
         assert len(grid) == DISCORD_GRID[0] * DISCORD_GRID[1]
         overlaps = grid @ _bloch_vectors(*_screen_directions()).T
         assert np.all(np.abs(overlaps).max(axis=1) >= 1.0 - 1e-12)
+
+    def test_discord_reads_one_read_only_screen_built_at_import(self, monkeypatch, demo_state):
+        from convgate import metrics
+        for built, fresh in zip(metrics._SCREEN, _screen_directions()):
+            assert np.array_equal(built, fresh) and not built.flags.writeable
+        expected = discord(demo_state, 1)
+
+        def rebuilt():
+            raise AssertionError("discord rebuilt its screen")
+
+        monkeypatch.setattr(metrics, "_screen_directions", rebuilt)
+        assert discord(demo_state, 1) == expected
 
     @pytest.mark.parametrize("measured_qubit", [0, 1])
     def test_screened_minimum_is_the_grid_minimum(self, measured_qubit):

@@ -7,20 +7,26 @@ import pytest
 from convgate import pipeline, tomography
 from convgate.core import (
     EIG_CLAMP,
+    IDENTITY_2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     ChoiProcess,
     DensityMatrix,
     PureState,
+    apply_choi_channel,
     channel_output_unnormalized,
 )
 from convgate.errors import InvalidArgumentError, NumericalDomainError
-from convgate.gate import GateSettings, ideal_choi, preset, target_state
+from convgate.gate import GateSettings, apply_gate, ideal_choi, preset, target_state
 from convgate.metrics import (
+    concurrence,
     fidelity,
     metric_function,
     process_fidelity,
     purity,
 )
-from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, apply_noise
+from convgate.noise import DEFAULT_CHANNEL_TEMPLATE, NoiseSpec, apply_noise
 from convgate.tomography import (
     CoincidenceDataset,
     MLEOptions,
@@ -702,6 +708,50 @@ class TestMonteCarlo:
                             fit(sample, MLEOptions(max_iter=1), start))
         metadata = pipeline.run_tomography_suite(config).metadata
         assert metadata["uncertified_resamples"] == {"ghz": 2}
+
+    @pytest.mark.parametrize("mean_counts", [1e3, 1e5])
+    def test_state_std_matches_the_delta_method_in_the_interior(self, mean_counts):
+        # the entangler output through a 5% depolarized channel is full rank
+        # (eigenvalues 0.024 x 3 and 0.929), so the fit is interior and
+        # asymptotically normal with covariance I^-1: the multinomial Fisher
+        # information I = N sum_j grad q_j grad q_j^T / q_j of the 36 outcome
+        # frequencies q_j = Tr[Pi_j rho] / 9, in the 15 traceless Hermitian
+        # directions (sigma_i (x) sigma_k) / 2, at the estimate
+        settings = preset("entangler").settings
+        psi_in = PureState.from_labels("--")
+        target = apply_gate(settings, psi_in)[0].density()
+        chi = apply_noise(ideal_choi(settings), NoiseSpec(depolarizing_p=0.05))
+        rho_out, prob = apply_choi_channel(psi_in.density(), chi)
+        data = simulate_state_counts(rho_out, prob, mean_counts, seed=5)
+        # a fit error far below the error bar, so the spread is the estimator's
+        options, n = MLEOptions(tol=1e-6), 400
+        estimate = tomography.reconstruct(data, options).estimate
+        metrics = {"fidelity": lambda m: fidelity(m, target), "purity": purity,
+                   "concurrence": concurrence}
+        values = {name: [] for name in metrics}
+        for sample in _resamples(data, n, 7):
+            fit = tomography.reconstruct(sample, options, start=estimate).estimate
+            for name, fn in metrics.items():
+                values[name].append(fn(fit))
+
+        paulis = [IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z]
+        directions = np.array([np.kron(a, b) / 2.0 for i, a in enumerate(paulis)
+                               for k, b in enumerate(paulis) if i or k])
+        projectors = np.concatenate([outcome_projectors(b) for b in enumerate_bases()])
+        rho = estimate.matrix
+        q = np.einsum("jab,ba->j", projectors, rho).real / 9.0
+        dq = np.einsum("jab,kba->jk", projectors, directions).real / 9.0
+        covariance = np.linalg.inv(data.total() * (dq.T / q) @ dq)
+        h = 1e-6
+        # a std of n normal samples has a relative sampling error 1 / sqrt(2 (n - 1)),
+        # 3.5% at n = 400
+        band = 3.0 / np.sqrt(2.0 * (n - 1))
+        for name, fn in metrics.items():
+            grad = np.array([(fn(DensityMatrix(rho + h * d, validate=False))
+                              - fn(DensityMatrix(rho - h * d, validate=False))) / (2.0 * h)
+                             for d in directions])
+            delta = np.sqrt(grad @ covariance @ grad)
+            assert abs(np.std(values[name], ddof=1) / delta - 1.0) <= band, name
 
     def test_unknown_metric(self, chi_ghz):
         data = simulate_counts(chi_ghz, 1000, seed=39)
