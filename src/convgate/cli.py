@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -98,6 +101,18 @@ def _write_with_metadata(payload: dict, path: str, args, seed=None) -> None:
         "version": __version__,
     }
     serialize.dump_json(meta, str(path) + ".meta.json")
+
+
+def _check_writable(path) -> None:
+    """Raise, before any work, the error that writing ``path`` would raise
+    when its directory is missing or not a directory, or ``path`` is one."""
+    try:
+        if not stat.S_ISDIR(os.stat(Path(path).parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _ensure_seed(args) -> int:
@@ -385,6 +400,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._argv = argv
     try:
+        for name in ("out", "report"):
+            if getattr(args, name, None):
+                _check_writable(getattr(args, name))
         return args.func(args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

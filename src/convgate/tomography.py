@@ -17,7 +17,11 @@ Reconstruction maximizes the log-likelihood per count
 over unit-trace PSD matrices, with relative frequencies f_j, by accelerated
 projected-gradient ascent: each step moves along the gradient R(rho) - 1
 from a Nesterov extrapolation and projects back with one eigendecomposition
-and a simplex projection of its eigenvalues. Each fit bounds how far the
+and a simplex projection of its eigenvalues. A fit with every outcome
+counted first takes one damped Newton step of its log-likelihood (Boyd &
+Vandenberghe, Convex Optimization, section 9.5), solved as its Lagrangian
+certificate's is and projected back the same way, which leaves the ascent
+only a few steps to cover. Each fit bounds how far the
 optimum lies above L(rho), in total nats, by one certificate chosen by its
 data. With an outcome of no count it is ``gkg``: L is concave, so the gap is
 at most (lambda_max(R(rho)) - 1) x N for the total count N (Glancy, Knill &
@@ -27,7 +31,7 @@ is self-concordant with the constant of its smallest count m, and weak
 duality gives a bound through its Newton decrement, which shrinks
 quadratically (``_lagrangian_gap``); such a fit tries it at every step once
 its likelihood rose by at most ``MLEOptions.tol`` over its last min(5, k)
-of k steps. A fit stops ``certified`` once its bound is at most
+of k ascent steps. A fit stops ``certified`` once its bound is at most
 ``MLEOptions.tol`` nats (1 by default), and otherwise reports ``stalled``
 (no ascent left at the numerical floor) or ``max_iter``. A fit given no
 start begins at its
@@ -202,8 +206,9 @@ class _Frame:
         the design matrix of the coordinates X[i, k] = Tr[rho (B_i (x) C_k)]
         is ell (x) r: the probabilities are ell X r^T. Returns ell (P, a^2),
         r (M, b^2), the pseudo-inverses ell (ell^T ell)^-1 and
-        (r^T r)^-1 r^T, and the map from a Hermitian matrix to its X: the
-        probabilities of the frame of the two bases. The tables are real but
+        (r^T r)^-1 r^T, the map from a Hermitian matrix to its X, the
+        probabilities of the frame of the two bases, and its adjoint, the map
+        from X back to sum_ik X[i, k] B_i (x) C_k. The tables are real but
         stored complex, as every other product of the fit: a real product
         or eigendecomposition would load BLAS and LAPACK kernels that no fit
         calls otherwise, ~0.8 MiB of peak memory."""
@@ -211,7 +216,8 @@ class _Frame:
         bases = _Frame(_pauli_basis(a), _pauli_basis(b))
         ell = (self._left @ bases._left_t.T).real + 0j
         r = (self._right @ bases._right_t).real + 0j
-        return ell, r, _pseudo_inverse(ell).T, _pseudo_inverse(r), bases.probabilities
+        return (ell, r, _pseudo_inverse(ell).T, _pseudo_inverse(r), bases.probabilities,
+                bases.adjoint)
 
 
 _PROCESS_FRAME = _Frame(_PREP_TRANSPOSES, _PROJECTORS)
@@ -437,6 +443,9 @@ _LAGRANGIAN_WINDOW = 5
 _NULL_EIGENVALUE = 1e-3
 #: Jacobi-preconditioned conjugate-gradient steps toward the Newton step.
 _CG_STEPS = 10
+#: Damping factors t that the first step of a fit with every outcome counted
+#: tries, in order, on its Newton step: project(rho + t x step).
+_NEWTON_DAMPING = (1.0, 0.5, 0.25, 0.125)
 
 
 def _project_unit_trace_psd(m: np.ndarray) -> np.ndarray:
@@ -448,6 +457,35 @@ def _project_unit_trace_psd(m: np.ndarray) -> np.ndarray:
     shift = (np.cumsum(desc) - 1.0) / np.arange(1, len(desc) + 1)
     mu = np.maximum(vals - shift[np.count_nonzero(desc > shift) - 1], 0.0)
     return (vecs * mu) @ vecs.conj().T
+
+
+def _newton_solve(frame: _Frame, counts: np.ndarray, probs: np.ndarray,
+                  target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X, w): ``_CG_STEPS`` Jacobi-preconditioned conjugate-gradient steps
+    toward the solution X of H X = ``target`` in the frame's Pauli
+    coordinates, where H X = ell^T (w * ell X r^T) r with w = n / p^2 is the
+    Hessian of -sum_j n_j log p_j at the probabilities ``probs`` (P, M), and
+    the weights w themselves."""
+    ell, r = frame.pauli[:2]
+    weights = counts / probs**2
+
+    def hessian(x):
+        return ell.T @ (weights * (ell @ x @ r.T)) @ r
+
+    diagonal = ((ell * ell).T @ weights @ (r * r)).real
+    x, residual = np.zeros_like(target), target
+    precond = residual / diagonal
+    direction, rz = precond, np.vdot(residual, precond).real
+    for _ in range(_CG_STEPS):
+        if not rz > 0.0:  # the residual vanished: x is the Newton step
+            break
+        h_dir = hessian(direction)
+        alpha = rz / np.vdot(direction, h_dir).real
+        x, residual = x + alpha * direction, residual - alpha * h_dir
+        precond = residual / diagonal
+        rz, rz_prev = np.vdot(residual, precond).real, rz
+        direction = precond + (rz / rz_prev) * direction
+    return x, weights
 
 
 def _lagrangian_gap(frame: _Frame, counts: np.ndarray, rho: np.ndarray) -> float:
@@ -474,16 +512,16 @@ def _lagrangian_gap(frame: _Frame, counts: np.ndarray, rho: np.ndarray) -> float
     keeps the bound valid. The Hessian sum_j n_j E_j E_j^T / p_j^2 is never
     formed: in the frame's Pauli coordinates the design matrix is ell (x) r,
     so it acts on X as ell^T (w * ell X r^T) r with w = n / p^2. A few
-    preconditioned conjugate-gradient steps approximate the Newton step X,
-    v = w * ell X r^T is corrected by the pseudo-inverses of ell and r so
-    that ell^T v r equals the gradient exactly, and then sum v^2 / w bounds
-    lam^2 = min {sum v^2 / w : ell^T v r = gradient} from above, however
-    inexact X was.
+    preconditioned conjugate-gradient steps approximate the Newton step X
+    (``_newton_solve``), v = w * ell X r^T is corrected by the pseudo-inverses
+    of ell and r so that ell^T v r equals the gradient exactly, and then
+    sum v^2 / w bounds lam^2 = min {sum v^2 / w : ell^T v r = gradient} from
+    above, however inexact X was.
     """
     smallest = counts.min()
     if not smallest >= 1.0:
         return np.inf
-    ell, r, ell_pinv, r_pinv, coordinates = frame.pauli
+    ell, r, ell_pinv, r_pinv, coordinates, _ = frame.pauli
     probs = frame.probabilities(rho)
     total = counts.sum()
     r_op = frame.adjoint(counts / probs)
@@ -494,24 +532,7 @@ def _lagrangian_gap(frame: _Frame, counts: np.ndarray, rho: np.ndarray) -> float
     held = q @ held_vecs[:, held_vals < 0.0]
     z = -(held * held_vals[held_vals < 0.0]) @ held.conj().T
     target = coordinates(grad + z) + 0j
-    weights = counts / probs**2
-
-    def hessian(x):
-        return ell.T @ (weights * (ell @ x @ r.T)) @ r
-
-    diagonal = ((ell * ell).T @ weights @ (r * r)).real
-    x, residual = np.zeros_like(target), target
-    precond = residual / diagonal
-    direction, rz = precond, np.vdot(residual, precond).real
-    for _ in range(_CG_STEPS):
-        if not rz > 0.0:  # the residual vanished: x is the Newton step
-            break
-        h_dir = hessian(direction)
-        alpha = rz / np.vdot(direction, h_dir).real
-        x, residual = x + alpha * direction, residual - alpha * h_dir
-        precond = residual / diagonal
-        rz, rz_prev = np.vdot(residual, precond).real, rz
-        direction = precond + (rz / rz_prev) * direction
+    x, weights = _newton_solve(frame, counts, probs, target)
     v = weights * (ell @ x @ r.T)
     v += ell_pinv @ (target - ell.T @ v @ r) @ r_pinv
     # an imaginary part of v, from rounding in the pseudo-inverses, only
@@ -536,18 +557,29 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
     Tropp, J. Phys. A 53, 204001, 2020), which leaves the fit only the
     statistical distance to cover. A start that gives a counted outcome a
     probability within ``PROBABILITY_WINDOW`` of 0 is first mixed halfway to
-    the maximally mixed state. A step carries over the iterate rho, the step
-    size, the Nesterov weight theta, the gap and the last accepted move with
-    its momentum (Shang, Zhang & Ng, PRA 95, 062336, 2017). It first derives
-    the extrapolated point rho + momentum x move: a momentum of 0 restarts
-    from rho, as does an extrapolation that would halve a counted
-    probability, which also resets theta to 1. It then moves along the
-    gradient R - 1 from that point and projects back onto unit-trace PSD
-    matrices, with a backtracking step size. A step that does not raise the
-    likelihood sets the momentum to 0 and theta to 1, and ends the fit
-    ``stalled`` if it started from rho. Every likelihood change is computed
-    from the probabilities of the step itself, not as a difference of two
-    likelihoods, so ascent stays testable far below their ~1e-16 rounding.
+    the maximally mixed state. A fit with every outcome counted then takes
+    its first step as one damped Newton move: ``_newton_solve`` takes the
+    Hessian of the total log-likelihood against its gradient N (R - 1) in the
+    frame's Pauli coordinates, with no multiplier, and the adjoint of the
+    Pauli frame maps that step back to a matrix. The move is to the first
+    projection of rho + t x step, for t in ``_NEWTON_DAMPING`` (1, 1/2, 1/4,
+    1/8), whose likelihood rises; if none rises the fit takes no move. A
+    move that rose by at most ``options.tol`` nats tries the Lagrangian
+    certificate at once, as a start already near its maximum. The ascent
+    then starts there with step size 1, theta 1 and no momentum, and its
+    Lagrangian window counts only its own steps. A step carries over the
+    iterate rho, the step size, the Nesterov weight theta, the gap and the
+    last accepted move with its momentum (Shang, Zhang & Ng, PRA 95, 062336,
+    2017). It first derives the extrapolated point rho + momentum x move: a
+    momentum of 0 restarts from rho, as does an extrapolation that would
+    halve a counted probability, which also resets theta to 1. It then moves
+    along the gradient R - 1 from that point and projects back onto
+    unit-trace PSD matrices, with a backtracking step size. A step that does
+    not raise the likelihood sets the momentum to 0 and theta to 1, and ends
+    the fit ``stalled`` if it started from rho. Every likelihood change is
+    computed from the probabilities of the step itself, not as a difference
+    of two likelihoods, so ascent stays testable far below their ~1e-16
+    rounding.
     Each accepted step tests one certificate, chosen by ``counts`` and named
     in ``metadata["certificate"]``. With a count below 1 it is ``gkg``: by
     concavity L* - L(rho) <= lambda_max(R(rho)) - 1 per count (Glancy, Knill
@@ -607,6 +639,27 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
     move = move_probs = momentum = 0.0
     # with every outcome counted the gap is the last Lagrangian bound tried
     lagrangian, gap = counts.min() >= 1.0, np.inf
+    if lagrangian and options.max_iter:
+        # the first step: the damped Newton step of the log-likelihood, with no
+        # multiplier Z, which would pin the support whose rotation holds most
+        # of a resample's error
+        *_, coordinates, matrix_of = frame.pauli
+        newton = matrix_of(_newton_solve(frame, counts, probs,
+                                         coordinates(total * gradient(probs)) + 0j)[0])
+        newton = (newton + newton.conj().T) / 2.0
+        for damping in _NEWTON_DAMPING:
+            cand = _project_unit_trace_psd(rho + damping * newton)
+            diff = cand - rho
+            diff_probs = probs_of(diff)
+            cand_rise = rise(diff_probs, probs, diff, rho)
+            if cand_rise > 0.0:
+                rho, probs, current, iterations = cand, probs + diff_probs, current + cand_rise, 1
+                trace_log.append(current)
+                if cand_rise * total <= options.tol:  # a start already near its maximum
+                    gap = _lagrangian_gap(frame, counts, rho)
+                break
+    # the ascent's Lagrangian window starts after the first step's move
+    ascent_start = len(trace_log) - 1
     while True:
         # the extrapolated point sigma = rho + momentum x move: its
         # probabilities, those of the shift, its gradient and L(sigma) - L(rho)
@@ -652,7 +705,7 @@ def _iterate_rho_r(frame: _Frame, counts: np.ndarray, options: MLEOptions | None
         rho, probs, current = cand, sig_probs + diff_probs, current + cand_rise
         trace_log.append(current)
         step *= _STEP_GROWTH
-        window = min(_LAGRANGIAN_WINDOW, len(trace_log) - 1)
+        window = min(_LAGRANGIAN_WINDOW, len(trace_log) - 1 - ascent_start)
         if lagrangian and (current - trace_log[-1 - window]) * total <= options.tol:
             gap = _lagrangian_gap(frame, counts, rho)
     certificate = "lagrangian" if lagrangian else "gkg"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import convgate
-from convgate import serialize
+from convgate import serialize, tomography
 from convgate.cli import format_angle, main, parse_angle
 from convgate.errors import InvalidArgumentError
 from convgate.gate import GateSettings, build_gate, ideal_choi, target_state
@@ -136,14 +136,18 @@ class TestTomoCommands:
     # sha256 of the reconstruct --out and --report files, recorded before the
     # fit loop was restructured: ideal GHZ counts leave outcomes uncounted
     # (``gkg``), calibrated-template noisy ones count every outcome
-    # (``lagrangian``)
+    # (``lagrangian``). The ``lagrangian`` pair was re-recorded when fits with
+    # every outcome counted began with a damped Newton step: 11 steps to a
+    # 0.10-nat gap became 2 steps to a 4.0e-5-nat gap, and the mean
+    # log-likelihood rose by 4.1e-8 per count
+    # (-2.737518139293464 -> -2.7375180982289056)
     @pytest.mark.parametrize("noise,mean,out_digest,report_digest", [
         pytest.param(None, "20000",
                      "6fc204482464fdb12b5131d08a756f25028c8164ae5af58e58d10985e5366b8f",
                      "5d5db72567882968dd584e5ef9cd45ca7cf32a1a27cda378d0b1ce8cfcc1822c", id="gkg"),
         pytest.param(DEFAULT_CHANNEL_TEMPLATE, "10000",
-                     "37fea6d5bb6383e0ce51a5a498c8344e35129da9d51e7bf9f4cdf71eacdf5e13",
-                     "e02f9074195a5142126edeb6c4796e011c940750619c0a80cb5b30959601718c",
+                     "1a6ab8b5383f6b5a68532f37103973c1e5125cf0f052a16764ce362534971f86",
+                     "f7c9801b1fb0de40a975b402970b53b5b568aa64e3873d87eab160d7ec5d240a",
                      id="lagrangian"),
     ])
     def test_reconstruct_output_bytes(self, tmp_path, noise, mean, out_digest, report_digest):
@@ -507,6 +511,10 @@ UNUSABLE_FILES = {
                                         lambda path: (path / "table1.json").mkdir(parents=True)),
     "gate-out-directory-missing": (["gate", "--preset", "ghz", "--out", "target/dir/g.json"],
                                    lambda path: None),
+    "simulate-out-under-a-file": (["tomo", "simulate", "--preset", "ghz", "--mean-counts", "10",
+                                   "--seed", "1", "--out", "target/x.json"],
+                                  lambda path: path.write_text("{}")),
+    "gate-out-is-a-directory": (["gate", "--preset", "ghz", "--out", "target"], Path.mkdir),
 }
 
 
@@ -519,6 +527,43 @@ def test_a_file_that_cannot_be_read_or_written_exits_2(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     (line,) = [line for line in err.splitlines() if line.startswith("error: ")]
     assert "target" in line and "Traceback" not in err
+
+
+#: name -> command line writing one output, "missing/x.json", in a directory
+#: that does not exist; ``tomo-reconstruct-report`` could write its --out
+UNWRITABLE_OUTPUTS = {
+    "gate": ["gate", "--preset", "ghz", "--out", "missing/x.json"],
+    "convert": ["convert", "--preset", "ghz", "--out", "missing/x.json"],
+    "tomo-simulate": ["tomo", "simulate", "--preset", "ghz", "--mean-counts", "10", "--seed", "1",
+                      "--out", "missing/x.json"],
+    "tomo-reconstruct-out": ["tomo", "reconstruct", "--data", "data.json",
+                             "--out", "missing/x.json"],
+    "tomo-reconstruct-report": ["tomo", "reconstruct", "--data", "data.json", "--out", "chi.json",
+                                "--report", "missing/x.json"],
+    "metrics": ["metrics", "--estimate", "estimate.json", "--metric", "purity",
+                "--out", "missing/x.json"],
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE_OUTPUTS))
+def test_an_unwritable_output_fails_before_the_work(tmp_path, monkeypatch, capsys, case):
+    # no result line is printed and no file written, not even a paired --out
+    from convgate.tomography import simulate_counts
+    monkeypatch.chdir(tmp_path)
+    chi = ideal_choi(GateSettings(0.0, np.pi / 4))
+    serialize.dump_json(serialize.choi_to_json(chi), "estimate.json")
+    serialize.dump_json(serialize.dataset_to_json(simulate_counts(chi, 10, seed=1)), "data.json")
+    inputs = sorted(tmp_path.iterdir())
+
+    def work(*args, **kwargs):
+        raise AssertionError("the command simulated or fitted before checking its output")
+    for name in ("simulate_counts", "reconstruct"):
+        monkeypatch.setattr(tomography, name, work)
+    assert main(UNWRITABLE_OUTPUTS[case]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write missing/x.json: No such file or directory\n"
+    assert sorted(tmp_path.iterdir()) == inputs
 
 
 class TestMetricsCommand:

@@ -450,6 +450,29 @@ def test_every_fit_certifies_its_gap(name, mean_counts, noise, kind, zero_fracti
         assert report.gap >= rise + floor_gap - 1e-6
 
 
+@_settings(25)
+@given(st.sampled_from(PRESET_NAMES), st.sampled_from([1e3, 1e4, 1e5]),
+       st.sampled_from([0.01, 0.1, 1.0]), st.sampled_from(["process", "state"]), seeds)
+def test_newton_move_never_lowers_the_likelihood(name, mean_counts, noise, kind, seed):
+    # every outcome counted, so each fit begins with the damped Newton step
+    data = _noisy_dataset(name, mean_counts, noise, kind, seed)
+    data.counts = np.maximum(data.counts, 1)
+    frame, counts = _operators(data)
+    base = _iterate_rho_r(frame, counts, None, None)
+    flat = data.counts.reshape(-1).astype(float)
+    for start in (None, base.estimate):
+        fit = base if start is None else _iterate_rho_r(frame, counts, None, start)
+        assert fit.iterations >= 1 and fit.status == "certified"
+        assert (np.diff(fit.log_likelihoods) >= 0.0).all()
+        still = _iterate_rho_r(frame, counts, MLEOptions(max_iter=0), start)
+        assert (still.iterations, still.status) == (0, "max_iter")
+        assert still.log_likelihoods == fit.log_likelihoods[:1]
+        if start is not None:
+            assert np.array_equal(still.estimate, start)
+            like, _ = _fit_reference(_record_operators(data), flat, start)
+            assert abs(fit.log_likelihoods[0] - like) <= 1e-12
+
+
 def _noisy_dataset(name, mean_counts, noise, kind, seed):
     """Counts of a preset's channel, or of one preparation's output state,
     with ``noise`` scaling the channel template; weak noise at many counts

@@ -1,6 +1,11 @@
 """Report values of the pinned cases whose bytes moved with a declared change
 of results.
 
+A change that moves numbers records the rows below at its parent commit:
+``python tests/pinned_rows.py`` prints (label, value, std) for every report
+of ``test_report_hashes.CASES`` and the pin of every single fit of
+``test_tomography.FIT_CASES``, as Python literals.
+
 ``table3-deterministic`` reconstructs nothing. Its values below are those of
 the Kraus-sum channel action that one contraction of the Choi matrix
 replaced, and its rows must stay within an absolute 1e-7 of them: the
@@ -74,20 +79,22 @@ Every listed value and std must stay within half its std there, plus
 
 The cases in ``RECERTIFIED`` have fits with every outcome counted; only
 ``table2-ghz-calibrated`` does. Their rows in ``RECORDED`` are those reported
-just before each such fit began to stop on the Lagrangian bound alone, scaled
-by its smallest count. These rows supersede every earlier record of the
-case: its first rows, its ``START_MOVED`` rows and the rows reported before
-the Lagrangian bound was first tried beside (lambda_max(R) - 1) x N. Against
-those the values moved by up to 0.73 of their std (``ghz/fidelity-optimized``),
-above the half std they allowed. The fits still end certified within g = 1
-nat of the maximum, but at other points. Each lies within about sqrt(2 g)
-stds of the maximum along one metric, so two of them may end up to
-2 sqrt(2 g) = 2.83 stds apart. The values must therefore stay within
-``CERTIFIED_STDS`` = 2.83 recorded stds, plus ``RANK_ONE_SLACK``. That
-argument takes the recorded std, from 2 resamples, for the metric's std, and
-it bounds values only. The largest measured value shift is 2.10 recorded stds
-(``ghz/fidelity-raw``, 4.2e-4 against an std of 2.0e-4). The stds moved by at
-most 0.17 of the recorded std (the same row) and keep the half-std bound.
+just before each such fit began with one damped Newton step of its
+log-likelihood. These rows supersede every earlier record of the case: its
+first rows, its ``START_MOVED`` rows, the rows reported before the Lagrangian
+bound was first tried beside (lambda_max(R) - 1) x N, and those reported
+before each such fit stopped on the Lagrangian bound alone, against which
+the values had moved by up to 2.10 recorded stds. The fits still end
+certified within g = 1 nat of the maximum, but at other points. Each lies
+within about sqrt(2 g) stds of the maximum along one metric, so two of them
+may end up to 2 sqrt(2 g) = 2.83 stds apart. The values must therefore stay
+within ``CERTIFIED_STDS`` = 2.83 recorded stds, plus ``RANK_ONE_SLACK``. An
+std of 2 resamples is |m_1 - m_2| / sqrt(2), and each m_i may move by
+sqrt(2 g) stds, so the std may move by 2 sqrt(g) = 2 stds: the stds must stay
+within ``RESAMPLED_STDS`` = 2 recorded stds, plus ``RANK_ONE_SLACK``. Both
+arguments take the recorded std, from 2 resamples, for the metric's std. The
+largest measured shifts are 1.49 recorded stds in a value and 1.10 in an std,
+both in ``ghz/fidelity-raw`` (2.4e-4 and 1.8e-4 against an std of 1.6e-4).
 
 ``SCREEN_MOVED`` holds the ``discord`` rows as reported just before the
 discord search screened each distinct measurement of its grid once, 361
@@ -114,9 +121,9 @@ RANK_ONE_SLACK = 5e-8
 #: Cases whose counts were drawn anew, and the bound on their value shifts in
 #: units of the larger of the old and new std.
 REDRAWN, REDRAW_STDS = {"table2-ideal", "entangler", "cli-process"}, 3.0
-#: Cases with fits of every outcome counted, and the bound on their value
-#: shifts in units of the recorded std.
-RECERTIFIED, CERTIFIED_STDS = {"table2-ghz-calibrated"}, 2.0 * 2.0 ** 0.5
+#: Cases with fits of every outcome counted, and the bounds on their value
+#: and std shifts in units of the recorded std.
+RECERTIFIED, CERTIFIED_STDS, RESAMPLED_STDS = {"table2-ghz-calibrated"}, 2.0 * 2.0 ** 0.5, 2.0
 
 #: (label, value, std) of the ``operation-fidelity`` rows that one
 #: trace-norm Uhlmann formula moved, as reported before, and their bound.
@@ -180,7 +187,7 @@ START_MOVED = {
 }
 
 #: (label, value, std) of every row, as reported before the change; for a case
-#: in ``RECERTIFIED``, before its fits took one certificate each.
+#: in ``RECERTIFIED``, before its fits began with a damped Newton step.
 RECORDED = {
     "table2-ideal": [
         ("cluster-identity/purity", 1.0000000000000004, 0.0),
@@ -197,9 +204,9 @@ RECORDED = {
         ("bell-pair/fidelity-optimized", 0.9999395515130156, 9.24563873787e-06),
     ],
     "table2-ghz-calibrated": [
-        ("ghz/purity", 0.7737471387244357, 0.0011358883161387517),
-        ("ghz/fidelity-raw", 0.8711641908203842, 0.00019821244036490293),
-        ("ghz/fidelity-optimized", 0.8779445828799981, 0.0006228853896625293),
+        ("ghz/purity", 0.7730293308462762, 0.0011960517274470543),
+        ("ghz/fidelity-raw", 0.8707484478821678, 0.00016439775176329643),
+        ("ghz/fidelity-optimized", 0.8775177392359998, 0.0006580393032154413),
     ],
     "entangler": [
         ("ideal/success-probability", 0.4999999999999998, None),
@@ -270,14 +277,15 @@ def _assert_close(case, rows):
             continue
         tolerance = (DETERMINISTIC_TOLERANCE if case == "table3-deterministic"
                      else RANK_ONE_SLACK + 0.5 * (std0 or 0.0))
+        std_tolerance = tolerance
         if case in RECERTIFIED:
-            assert abs(value - value0) <= RANK_ONE_SLACK + CERTIFIED_STDS * std0, label
-        else:
-            assert abs(value - value0) <= tolerance, label
+            tolerance = RANK_ONE_SLACK + CERTIFIED_STDS * std0
+            std_tolerance = RANK_ONE_SLACK + RESAMPLED_STDS * std0
+        assert abs(value - value0) <= tolerance, label
         if std0 is None:
             assert std is None, label
         else:
-            assert abs(std - std0) <= tolerance, label
+            assert abs(std - std0) <= std_tolerance, label
 
 
 @pytest.mark.parametrize("case", ["table2-ideal", "table2-ghz-calibrated", "table3-deterministic",

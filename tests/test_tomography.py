@@ -321,11 +321,12 @@ class TestProcessMLE:
             mle_process_matrix(state)
 
     def test_max_iter_reported_as_unconverged(self, chi_ghz):
-        # the noisy channel is full rank: its cold fit takes ~30 steps from the
-        # least-squares start, where the ideal one certifies in 2
+        # the noisy channel is full rank and counts every outcome: its cold fit
+        # certifies in 2 steps from the least-squares start, the Newton move and
+        # one ascent step, so the move alone ends it uncertified
         data = simulate_counts(apply_noise(chi_ghz, DEFAULT_CHANNEL_TEMPLATE), 1e4, seed=27)
-        report = mle_process_matrix(data, MLEOptions(max_iter=5))
-        assert report.iterations == 5
+        report = mle_process_matrix(data, MLEOptions(max_iter=1))
+        assert report.iterations == 1
         assert report.status == "max_iter"
         assert not report.converged
         assert report.gap > 0.0
@@ -401,12 +402,26 @@ class TestCertificate:
         again = tomography._iterate_rho_r(*counted, None, fit.estimate)
         assert again.status == "certified" and again.iterations <= 2
 
+    def test_fit_from_its_own_estimate_ends_no_lower(self, counted):
+        # at the maximum a full Newton step may overshoot: the damped move is
+        # taken only where it rises, and one that rose by at most tol tries the
+        # certificate at once, where the next ascent step may not rise at all
+        options = MLEOptions(tol=1e-9)
+        fit = tomography._iterate_rho_r(*counted, options, None)
+        frame, counts = counted
+        again = tomography._iterate_rho_r(*counted, options, fit.estimate)
+        assert again.status == "certified"
+        assert again.log_likelihoods[0] == float(
+            (counts / counts.sum()).ravel() @ np.log(frame.probabilities(fit.estimate).ravel()))
+        assert again.final_log_likelihood >= again.log_likelihoods[0]
+        assert (np.diff(again.log_likelihoods) >= 0.0).all()
+
     def test_uncertified_counted_fit_reports_the_smaller_gap(self, counted, monkeypatch):
         # a stand-in Lagrangian bound of 2 nats never certifies at the 1-nat tol
         tried = []
         monkeypatch.setattr(tomography, "_lagrangian_gap", lambda *args: tried.append(2.0) or 2.0)
         gaps, certificates = [], []
-        for max_iter, status in ((10, "max_iter"), (15, "max_iter"), (5000, "stalled")):
+        for max_iter, status in ((1, "max_iter"), (3, "max_iter"), (5000, "stalled")):
             tried.clear()
             fit = tomography._iterate_rho_r(*counted, MLEOptions(max_iter=max_iter), None)
             assert fit.status == status
@@ -416,9 +431,9 @@ class TestCertificate:
             assert fit.gap == pytest.approx(min([gkg, *tried]), rel=1e-9, abs=1e-6)
             gaps.append(fit.gap)
             certificates.append(fit.metadata["certificate"])
-        # no bound tried in 10 steps; one tried below a larger lambda_max gap
-        # in 15; and the floor's lambda_max gap below it; each named by the
-        # bound it came from
+        # no bound tried in the Newton move alone; one tried below a larger
+        # lambda_max gap in 3 steps; and the floor's lambda_max gap below it;
+        # each named by the bound it came from
         assert gaps[0] > 2.0 and gaps[1] == 2.0 and gaps[2] < 2.0
         assert certificates == ["gkg", "lagrangian", "gkg"]
 
@@ -460,7 +475,7 @@ FIT_CASES = {
                                          ideal_choi(GateSettings(0.0, np.pi / 4))),
     "phi-plus-1e7-stalled": lambda: (simulate_state_counts(
         target_state("phi_plus").density(), 0.5, 1e7, seed=29), MLEOptions(tol=1e-12), None),
-    "noisy-ghz-1e4-max-iter": lambda: (_noisy_ghz(1e4, 27), MLEOptions(max_iter=5), None),
+    "noisy-ghz-1e4-max-iter": lambda: (_noisy_ghz(1e4, 27), MLEOptions(max_iter=1), None),
     "mixed-state-1e4-tol-1e-9": lambda: (simulate_state_counts(DensityMatrix(
         0.8 * target_state("phi_plus").density().matrix + 0.05 * np.eye(4)), 0.5, 1e4, seed=29),
         MLEOptions(tol=1e-9), None),
@@ -484,33 +499,38 @@ class TestFitPins:
     certificates, a rank-one start, a stall, a ``max_iter`` stop and a
     momentum restart at the probability floor. Like the report hashes they
     depend on the BLAS build and CPU kernel, and are never re-recorded to
-    follow a refactor."""
+    follow a refactor. The five fits with every outcome counted were
+    re-recorded, as a declared change of results, when such fits began with
+    a damped Newton step: the four ``lagrangian`` ones and
+    ``noisy-ghz-1e4-max-iter``, whose ``max_iter`` went from 5 to 1 since
+    its fit now certifies in 2 steps. The four fits with an uncounted
+    outcome did not move."""
 
     PINS = {
-        "noisy-ghz-1e4-cold": (11, "certified", "lagrangian", "0.11154243528087705",
-            "3dda809ba09214f047dd489915adf77c4255904228afc86d20788d6b3b2a726f",
-            "2914cc6efc48fee7a46e861b3a73c9a5739273ff820cd0261a4001825c0a5f8a"),
-        "noisy-ghz-1e4-warm": (18, "certified", "lagrangian", "0.03212841254573458",
-            "0ef25f592273266d1d8154c4a634303de99ba56c407feec5adbdf695f6e114db",
-            "2053d11e6200455d5cabc8c7ecbbf0f771e61e557fd6f5b75bcaa0b503c19e65"),
+        "noisy-ghz-1e4-cold": (2, "certified", "lagrangian", "3.551468442171472e-05",
+            "7bea57f1d1cd94f619c1a0a19c1d3528e3d9e7427c0efcaab032f7369278aa81",
+            "8dc25996046e1eaba59252559366e6d9efd1542f280d0cedee054d3df1b95d4c"),
+        "noisy-ghz-1e4-warm": (2, "certified", "lagrangian", "0.0025704617520855913",
+            "fc1d18f9fdca92baed3093c5d890f48aa76f9cc0695d809767602a2828dd88a3",
+            "09e789a43c179b44e19bd1d7a462339805aaf4048e947bcf3b8a9f5509528a1f"),
         "ideal-ghz-1e3-cold": (2, "certified", "gkg", "np.float64(0.6761045616415112)",
             "85d01b7bdfa633154214e9c66051c2a6d952d1083b5abff81eff53bf18be97b7",
             "62b99ed3293ff8ad5ae79241c5b368187cdcfea9e54ce7dd46487d30e2dad4ca"),
         "ideal-ghz-1e3-warm": (2, "certified", "gkg", "np.float64(0.6858736081905008)",
             "26ef13e7eba01b6dff78818ac4fb56909eb8ea1aac43006feb49f2cfb5a6836e",
             "93f6b43170b6921a8a52eacf459e5e70fa7cf61e71cfb80d9df270f90c7c52fa"),
-        "noisy-ghz-1e3-from-ideal": (21, "certified", "lagrangian", "0.17126375804425753",
-            "f05e22ea6e5126de4979c0f5f70b2909e9adedbc63e4aa740639a7629de93129",
-            "8ceacc0bb2c762bbe26dba9ec3251a3a73014fe87a559dab0ef10b7ded448feb"),
+        "noisy-ghz-1e3-from-ideal": (22, "certified", "lagrangian", "0.010186605558995084",
+            "decde7c392ab2e222afa5a9552176deb0063017c9acabb10a7e6ecdbe0843700",
+            "64db1e639cffc77d59c7dd94bbe2ff591c67c2aaa8776fc7d96fb21fd1aa7273"),
         "phi-plus-1e7-stalled": (15, "stalled", "gkg", "np.float64(1.873138830647805e-08)",
             "df659836c437fa6f2992e78ca5a2143b2552870a4cf6caf4be2d8d633d860c99",
             "f1f65772280db9bcccea739e4aa6414baef0906f3281adeca0d4ffd9ea4f7437"),
-        "noisy-ghz-1e4-max-iter": (5, "max_iter", "gkg", "np.float64(650.5830796536193)",
-            "4690d9e6dd85456fcc1bf98d4326c8d31574edd3f03a6acccd1d29c3db2cd1c5",
-            "6a0ea5622f6764a0fc7ad8d564c4be2b06c9a40bafa2ec2ee5ffb11dbff2af71"),
-        "mixed-state-1e4-tol-1e-9": (24, "certified", "lagrangian", "9.132239787151952e-13",
-            "2f6e985e6041f08f4a00874ec523911e0ad6b083c58b96acaac53b4a57cd74bb",
-            "ec62f61f44f4cffe40233f63541260663a9fdd0503a5b357aa19121b6c0077dc"),
+        "noisy-ghz-1e4-max-iter": (1, "max_iter", "gkg", "np.float64(11.087109317042351)",
+            "b848f0c3608e5b22b16bad456fd3ab022f3ac5df77e738582ceb488bfbe63c04",
+            "b93880197aba80ae5cf1f838648586c0970453799be1164804cf57c0362f9a4a"),
+        "mixed-state-1e4-tol-1e-9": (18, "certified", "lagrangian", "5.149048234043254e-12",
+            "8b43a79384a15f97fb6f71fd90ee0e98c90039618d90350a65d3375c898ac459",
+            "7c950921b8d0dde21882ab22a97335862a63143be197ca433def955dd482bce2"),
         "z-basis-momentum-floor": (7, "certified", "gkg", "np.float64(0.013910773670744447)",
             "a150d54a0a3f364c14bdf0f21f712d5e1eea8c44ba08b3a57f1c508a23709fd1",
             "b96c3b1bf5feeabca2bd538bac490292b999088e9861d247812ded52516de8f4"),
@@ -525,6 +545,55 @@ class TestFitPins:
         pinned = _fit_pin(*FIT_CASES["z-basis-momentum-floor"]())
         monkeypatch.setattr(tomography, "_MOMENTUM_FLOOR", -np.inf)
         assert _fit_pin(*FIT_CASES["z-basis-momentum-floor"]()) != pinned
+
+
+class TestNewtonMove:
+    """A fit with every outcome counted begins with one damped Newton step of
+    its log-likelihood; a fit with an uncounted outcome takes none."""
+
+    def test_calibrated_fits_at_1e5_counts_take_few_steps(self):
+        # the four calibrated base datasets at 1e5 counts and seed 7, each
+        # fitted cold and in 4 resamples from its estimate: 681 steps without
+        # the move, 70 with it
+        steps = 0
+        for name, spec in pipeline.calibrated_channel_noise().items():
+            chi = apply_noise(ideal_choi(preset(name).settings), spec)
+            data = simulate_counts(chi, 1e5, derive_seed(7, f"tomo:{name}"))
+            assert data.counts.min() >= 1
+            base = mle_process_matrix(data)
+            fits = [base, *(mle_process_matrix(sample, start=base.estimate)
+                            for sample in _resamples(data, 4, 7))]
+            assert all(fit.status == "certified" for fit in fits)
+            steps += sum(fit.iterations for fit in fits)
+        assert steps <= 120
+
+    #: ``TestFitPins`` entries of fits with every outcome counted, as recorded
+    #: before fits began with the move
+    UNMOVED = {
+        "noisy-ghz-1e4-cold": (11, "certified", "lagrangian", "0.11154243528087705",
+            "3dda809ba09214f047dd489915adf77c4255904228afc86d20788d6b3b2a726f",
+            "2914cc6efc48fee7a46e861b3a73c9a5739273ff820cd0261a4001825c0a5f8a"),
+        "mixed-state-1e4-tol-1e-9": (24, "certified", "lagrangian", "9.132239787151952e-13",
+            "2f6e985e6041f08f4a00874ec523911e0ad6b083c58b96acaac53b4a57cd74bb",
+            "ec62f61f44f4cffe40233f63541260663a9fdd0503a5b357aa19121b6c0077dc"),
+    }
+
+    @pytest.mark.parametrize("name", ["ideal-ghz-1e3-cold", "ideal-ghz-1e3-warm",
+                                      "phi-plus-1e7-stalled", "z-basis-momentum-floor"])
+    def test_fit_with_an_uncounted_outcome_solves_no_newton_system(self, name, monkeypatch):
+        def solve(*args):
+            raise AssertionError("a fit with an uncounted outcome solved a Newton system")
+        monkeypatch.setattr(tomography, "_newton_solve", solve)
+        data, options, start = FIT_CASES[name]()
+        assert data.counts.min() == 0
+        assert _fit_pin(data, options, start) == TestFitPins.PINS[name]
+
+    @pytest.mark.parametrize("name", list(UNMOVED))
+    def test_counted_fit_without_the_move_is_the_fit_of_before(self, name, monkeypatch):
+        # the move is the only change to a counted fit: damped to nothing, it
+        # leaves the ascent that the fit ran before, bit for bit
+        monkeypatch.setattr(tomography, "_NEWTON_DAMPING", ())
+        assert _fit_pin(*FIT_CASES[name]()) == self.UNMOVED[name]
 
 
 class TestColdStart:
